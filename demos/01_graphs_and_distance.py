@@ -1,8 +1,8 @@
 """Tube graphs, Laplacians, and the diffusion distance between scales.
 
 Builds the benchmark lattice at desk scale, shows its structure matrix,
-and walks the distance pipeline (spectral assignment, warm start,
-orthogonal refinement) between a tube and its dimer condensation.
+and computes the distance (spectral assignment lifted to the optimal
+prolongation) between a tube and its dimer condensation.
 """
 
 import numpy as np

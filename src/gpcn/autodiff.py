@@ -14,10 +14,10 @@ graph.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import StructureMatrix
 from .numcore import relu as _relu, row_softmax as _row_softmax, sigmoid as _sigmoid
+from .numcore import spmm as _spmm
 
 __all__ = ["Node", "Tape", "backward"]
 
@@ -84,21 +84,9 @@ class Tape:
     def spmm(self, z, x) -> Node:
         """Sparse constant (StructureMatrix or scipy sparse) times a recorded
         dense operand; supports a leading batch axis on x."""
-        m = z.mat if isinstance(z, StructureMatrix) else z
-        if not sp.issparse(m):
-            raise TypeError("spmm expects a sparse left operand")
-        xv = _value(x)
-
-        def apply(mat, arr):
-            if arr.ndim == 2:
-                return mat @ arr
-            b, n, f = arr.shape
-            flat = np.moveaxis(arr, 1, 0).reshape(n, b * f)
-            out = mat @ flat
-            return np.moveaxis(out.reshape(mat.shape[0], b, f), 0, 1)
-
-        mt = m.T.tocsr()
-        return self._record(apply(m, xv), (x,), (lambda g: apply(mt, g),))
+        out = _spmm(z, _value(x))
+        mt = (z.mat if isinstance(z, StructureMatrix) else z).T.tocsr()
+        return self._record(out, (x,), (lambda g: _spmm(mt, g),))
 
     def add(self, a, b) -> Node:
         av, bv = _value(a), _value(b)

@@ -165,17 +165,34 @@ def cmd_generate(args) -> int:
 # gdd / coarse-search / limit-curve
 
 
+def _alpha(value) -> float:
+    """The diffusion-distance scale: a finite positive number."""
+    try:
+        alpha = float(value)
+    except (TypeError, ValueError):
+        alpha = float("nan")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"alpha must be a finite positive number, got {value!r}")
+    return alpha
+
+
+def _read_graph(path) -> graphs.Graph:
+    if not os.path.exists(path):
+        raise ConfigError(f"graph file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return graphs.graph_from_edgelist(text, name=os.path.basename(path))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 def cmd_gdd(args) -> int:
-    for path in (args.graph_a, args.graph_b):
-        if not os.path.exists(path):
-            raise ConfigError(f"graph file not found: {path}")
-    with open(args.graph_a, "r", encoding="utf-8") as fh:
-        ga = graphs.graph_from_edgelist(fh.read(), name=os.path.basename(args.graph_a))
-    with open(args.graph_b, "r", encoding="utf-8") as fh:
-        gb = graphs.graph_from_edgelist(fh.read(), name=os.path.basename(args.graph_b))
+    alpha = _alpha(args.alpha)
+    ga, gb = _read_graph(args.graph_a), _read_graph(args.graph_b)
     if ga.n > gb.n:
         raise ConfigError(f"first graph must not be larger ({ga.n} > {gb.n})")
-    result = run_gdd(ga, gb, alpha=args.alpha)
+    result = run_gdd(ga, gb, alpha=alpha)
     print(f"{result.distance!r}")
     if args.out is not None:
         out = _out_dir(args)
@@ -189,28 +206,27 @@ def cmd_gdd(args) -> int:
             save_arrays(
                 os.path.join(out, "prolongation.bin"),
                 {"p": result.p},
-                {"alpha": args.alpha, "objective": result.objective},
+                {"alpha": alpha, "objective": result.objective},
             )
         _write_manifest(
             out,
             "gdd",
-            {"graph_a": args.graph_a, "graph_b": args.graph_b, "alpha": args.alpha},
+            {"graph_a": args.graph_a, "graph_b": args.graph_b, "alpha": alpha},
             args.seed,
         )
     return EXIT_OK
 
 
 def _search_cell(job):
-    fine, n_rings, k, p, w, alpha, kwargs = job
-    cand = graphs.make_tube(n_rings, k, p, w)
-    return run_gdd(cand, fine, alpha, **kwargs).distance
+    cand, fine, alpha = job
+    return run_gdd(cand, fine, alpha).distance
 
 
 def cmd_coarse_search(args) -> int:
     config = _load_config(args.config)
     _require_keys(
         config,
-        {"fine", "candidate_rings", "k_values", "p_values", "seam_weights", "alpha", "refine_iters"},
+        {"fine", "candidate_rings", "k_values", "p_values", "seam_weights", "alpha"},
         "config",
     )
     fine = _tube_from_dict(config.get("fine", {}), "fine")
@@ -218,21 +234,23 @@ def cmd_coarse_search(args) -> int:
     k_values = sorted(int(k) for k in config.get("k_values", range(3, 13)))
     p_values = sorted(int(p) for p in config.get("p_values", range(4)))
     seam_weights = sorted(float(w) for w in config.get("seam_weights", (1.0, 2.0)))
-    alpha = float(config.get("alpha", 1.0))
-    kwargs = {}
-    if "refine_iters" in config:
-        kwargs["max_iters"] = int(config["refine_iters"])
-    jobs = [
-        (fine, n_rings, k, p, w, alpha, kwargs)
-        for k in k_values
-        for p in p_values
-        if 0 <= p < n_rings
-        for w in seam_weights
+    alpha = _alpha(config.get("alpha", 1.0))
+    cells = [
+        (k, p, w) for k in k_values for p in p_values if 0 <= p < n_rings for w in seam_weights
     ]
-    distances = _pmap(_search_cell, jobs, args.threads)
-    rows = [
-        (job[2], job[3], job[4], dist) for job, dist in zip(jobs, distances)
+    if not cells:
+        raise ConfigError(f"no candidate tubes: need k_values and an offset below {n_rings}")
+    cands = [
+        _tube_from_dict({"n_rings": n_rings, "k": k, "offset": p, "seam_weight": w}, "candidate")
+        for k, p, w in cells
     ]
+    for cand in cands:
+        if cand.n > fine.n:
+            raise ConfigError(
+                f"candidate {cand.name} has {cand.n} nodes, more than the {fine.n} of the fine tube"
+            )
+    distances = _pmap(_search_cell, [(cand, fine, alpha) for cand in cands], args.threads)
+    rows = [(k, p, w, dist) for (k, p, w), dist in zip(cells, distances)]
     out = _out_dir(args)
     write_csv(os.path.join(out, "coarse_search.csv"), ["k", "p", "seam_weight", "distance"], rows)
     _write_manifest(out, "coarse-search", config, args.seed)
@@ -243,16 +261,12 @@ def cmd_coarse_search(args) -> int:
 
 def cmd_limit_curve(args) -> int:
     config = _load_config(args.config)
-    _require_keys(config, {"n_values", "k", "alpha", "refine_iters"}, "config")
+    _require_keys(config, {"n_values", "k", "alpha"}, "config")
     n_values = sorted(int(n) for n in config.get("n_values", range(4, 11)))
     if not n_values or min(n_values) < 2:
         raise ConfigError("n_values must contain integers >= 2")
-    kwargs = {}
-    if "refine_iters" in config:
-        kwargs["max_iters"] = int(config["refine_iters"])
-    rows = limit_curve(
-        n_values, k=int(config.get("k", 13)), alpha=float(config.get("alpha", 1.0)), **kwargs
-    )
+    alpha = _alpha(config.get("alpha", 1.0))
+    rows = limit_curve(n_values, k=int(config.get("k", 13)), alpha=alpha)
     out = _out_dir(args)
     write_csv(os.path.join(out, "limit_curve.csv"), ["n", "family", "distance"], rows)
     _write_manifest(out, "limit-curve", config, args.seed)

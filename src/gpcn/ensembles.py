@@ -51,8 +51,6 @@ __all__ = [
     "compose_prolongations",
     "model_graph",
     "model_forward",
-    "gpcn_forward",
-    "ngcn_forward",
     "diffpool_coarsen",
     "coarsen_from_scores",
     "ensemble_input_gradient",
@@ -140,32 +138,25 @@ class Hierarchy:
     prolongations: tuple
 
 
-def make_hierarchy(graphs, alpha: float = 1.0, **gdd_kwargs) -> Hierarchy:
+def make_hierarchy(graphs, alpha: float = 1.0) -> Hierarchy:
     """Compute Laplacians and adjacent-pair prolongations for a graph chain."""
     graphs = tuple(graphs)
     for a, b in zip(graphs, graphs[1:]):
         if b.n > a.n:
             raise ValueError("hierarchy must be ordered fine to coarse")
     laps = tuple(laplacian(g) for g in graphs)
-    prols = tuple(
-        gdd(graphs[i + 1], graphs[i], alpha, **gdd_kwargs).p
-        for i in range(len(graphs) - 1)
-    )
+    prols = tuple(gdd(graphs[i + 1], graphs[i], alpha).p for i in range(len(graphs) - 1))
     return Hierarchy(graphs=graphs, laplacians=laps, prolongations=prols)
 
 
-def paper_hierarchy(**gdd_kwargs) -> Hierarchy:
+def paper_hierarchy() -> Hierarchy:
     """Full-size chain: Tube(48,13,3) -> Tube(24,13,1) -> Tube(24,3,0)."""
-    return make_hierarchy(
-        [make_tube(48, 13, 3), make_tube(24, 13, 1), make_tube(24, 3, 0)], **gdd_kwargs
-    )
+    return make_hierarchy([make_tube(48, 13, 3), make_tube(24, 13, 1), make_tube(24, 3, 0)])
 
 
-def desk_hierarchy(**gdd_kwargs) -> Hierarchy:
+def desk_hierarchy() -> Hierarchy:
     """Desk-scale chain with the same shape: Tube(12,13,3) -> Tube(6,13,1) -> Tube(6,3,0)."""
-    return make_hierarchy(
-        [make_tube(12, 13, 3), make_tube(6, 13, 1), make_tube(6, 3, 0)], **gdd_kwargs
-    )
+    return make_hierarchy([make_tube(12, 13, 3), make_tube(6, 13, 1), make_tube(6, 3, 0)])
 
 
 _DENSE_HEAD = (256, 32, 8, 1)
@@ -404,32 +395,6 @@ def model_forward(spec: ModelSpec, params: ModelParams, x, level_mask=None) -> n
     tape = Tape()
     out, _ = model_graph(tape, spec, params, x, level_mask=level_mask, train=False)
     return out.value
-
-
-def gpcn_forward(spec: ModelSpec, params: ModelParams, x, level_mask=None) -> np.ndarray:
-    if spec.kind != "gpcn":
-        raise ValueError(f"gpcn_forward got a {spec.kind} model")
-    return model_forward(spec, params, x, level_mask=level_mask)
-
-
-def ngcn_forward(radii, z: StructureMatrix, params_list, x) -> np.ndarray:
-    """Sum of members where member r aggregates with the r-th power of z."""
-    radii = tuple(int(r) for r in radii)
-    if any(r < 1 for r in radii):
-        raise ValueError("radii must be >= 1")
-    out = None
-    for r, gp in zip(radii, params_list):
-        zr = structure_power(z, r)
-        spec = GcnSpec(
-            z=zr,
-            gcn_widths=tuple(l.w.shape[1] for l in gp.gcn),
-            dense_widths=tuple(l.w.shape[1] for l in gp.dense),
-        )
-        tape = Tape()
-        member = gcn_graph(tape, spec, ([(l.w, l.b, l.activation) for l in gp.gcn],
-                                        [(l.w, l.b, l.activation) for l in gp.dense]), x)
-        out = member.value if out is None else out + member.value
-    return out
 
 
 def coarsen_from_scores(scores: np.ndarray, z, x):

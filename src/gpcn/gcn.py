@@ -135,7 +135,7 @@ def gcn_layer(z, x: np.ndarray, params: GcnLayerParams) -> np.ndarray:
         )
     xw = x @ params.w
     pre = (spmm(z, xw) if z is not None else xw) + params.b
-    return ACTIVATIONS[params.activation][0](pre)
+    return ACTIVATIONS[params.activation](pre)
 
 
 def _apply_activation(tape: Tape, name: str, node: Node) -> Node:

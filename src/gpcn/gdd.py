@@ -2,24 +2,26 @@
 
 The distance between a coarse graph and a fine graph is the infimum over
 column-orthonormal matrices P of the Frobenius mismatch between
-``(1/alpha) P L_coarse`` and ``alpha L_fine P``. The pipeline here:
+``(1/alpha) P L_coarse`` and ``alpha L_fine P``. :func:`gdd` computes it in
+three steps:
 
 1. eigendecompose both Laplacians,
 2. match the spectra by solving a rectangular linear assignment problem
    with cost ``(lam_coarse / alpha - alpha * lam_fine)**2``,
-3. lift the optimal subpermutation to a warm-start P = U_fine Pt U_coarse^T,
-4. refine P by Riemannian gradient descent on the Stiefel manifold
-   (QR retraction, Armijo backtracking line search).
+3. lift the optimal subpermutation to P = U_fine Pt U_coarse^T.
 
-At fixed alpha the lifted assignment is already optimal. Rotating into the
+At fixed alpha the lifted assignment is optimal. Rotating into the
 eigenbases, Q = U_fine^T P U_coarse has orthonormal columns and the objective
 is sum_lj Q_lj**2 * cost_lj. The squared entries of Q have unit column sums
 and row sums at most one; the extreme points of that set are
-subpermutations, so the infimum equals the assignment cost and the warm
-start attains it. Refinement therefore has nothing left to improve on the
-warm start; ``refine_orthogonal`` is kept as an explicit tool for other
-starting points. The chain ``refined <= warm == assignment cost`` is
-asserted by the test suite on every pair it touches.
+subpermutations, so the infimum equals the assignment cost and the lifted
+assignment attains it. Every lifted subpermutation is also a stationary
+point of the objective on the Stiefel manifold, so gradient descent could
+not move from it either.
+
+:func:`refine_orthogonal` is a standalone tool: Riemannian gradient descent
+on the Stiefel manifold (QR retraction, Armijo backtracking line search)
+from any column-orthonormal start. :func:`gdd` does not call it.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ class Prolongation:
     """Column-orthonormal map from a coarse graph onto a fine graph.
 
     ``objective`` is the squared Frobenius residual of the diffusion-distance
-    mismatch at ``p``; ``distance`` is its square root. ``trace`` holds the
-    objective at every accepted refinement iterate (nonincreasing).
+    mismatch at ``p``; ``distance`` is its square root. From :func:`gdd` the
+    objective is the assignment cost, which equals that residual, and
+    ``trace`` is empty. From :func:`refine_orthogonal`, ``trace`` holds the
+    objective at every accepted iterate (nonincreasing).
     """
 
     p: np.ndarray = field(repr=False)
@@ -128,7 +132,7 @@ def subpermutation(assignment: Assignment, n_fine: int, n_coarse: int) -> np.nda
 
 
 def warm_start(e_coarse: EigenSystem, e_fine: EigenSystem, a: Assignment) -> np.ndarray:
-    """Lift an eigenmode assignment to the warm-start map U_fine Pt U_coarse^T."""
+    """Lift an eigenmode assignment to the map U_fine Pt U_coarse^T."""
     n_c, n_f = e_coarse.n, e_fine.n
     for j, l in a.pairs:
         if not (0 <= j < n_c and 0 <= l < n_f):
@@ -201,25 +205,24 @@ def refine_orthogonal(
     return Prolongation(p=p, alpha=alpha, objective=f, trace=tuple(trace))
 
 
-def gdd(g_coarse: Graph, g_fine: Graph, alpha: float = 1.0, **refine_kwargs) -> Prolongation:
-    """Full pipeline: eigendecompose, assign, warm-start, refine.
+def gdd(g_coarse: Graph, g_fine: Graph, alpha: float = 1.0) -> Prolongation:
+    """Eigendecompose, assign, lift.
 
-    Returns the refined :class:`Prolongation`; its ``distance`` attribute is
-    the linear graph diffusion distance at this ``alpha``, which the lifted
-    assignment already attains (see the module docstring).
+    Returns the lifted assignment as a :class:`Prolongation`: its
+    ``objective`` is the assignment cost and its ``distance`` is the linear
+    graph diffusion distance at this ``alpha`` (see the module docstring).
+    ``trace`` is empty.
     """
     if g_coarse.n > g_fine.n:
         raise ValueError(
             f"first graph must not be larger: {g_coarse.n} > {g_fine.n}"
         )
-    l_coarse = laplacian(g_coarse)
-    l_fine = laplacian(g_fine)
-    e_coarse = eig_sym(l_coarse)
-    e_fine = eig_sym(l_fine)
+    e_coarse = eig_sym(laplacian(g_coarse))
+    e_fine = eig_sym(laplacian(g_fine))
     cost = _cost_matrix(e_coarse.lambdas, e_fine.lambdas, alpha)
     assignment = rlap_solve(cost)
-    p0 = warm_start(e_coarse, e_fine, assignment)
-    return refine_orthogonal(p0, l_coarse, l_fine, alpha, **refine_kwargs)
+    p = warm_start(e_coarse, e_fine, assignment)
+    return Prolongation(p=p, alpha=alpha, objective=assignment.total_cost)
 
 
 def coarse_search(
@@ -229,7 +232,6 @@ def coarse_search(
     p_range,
     seam_weights=(1.0, 2.0),
     alpha: float = 1.0,
-    **refine_kwargs,
 ):
     """Distance from every candidate tube to a fine graph.
 
@@ -249,12 +251,12 @@ def coarse_search(
                     raise ValueError(
                         f"candidate Tube({n_rings},{k},{p}) is larger than the fine graph"
                     )
-                result = gdd(cand, g_fine, alpha, **refine_kwargs)
+                result = gdd(cand, g_fine, alpha)
                 rows.append((k, p, float(w), result.distance))
     return rows
 
 
-def limit_curve(n_values, k: int = 13, alpha: float = 1.0, **refine_kwargs):
+def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
     """Distance of tube and grid families to a twice-as-long offset tube.
 
     For each n, compares Tube(n, k, 1) and Grid(n, k) against Tube(2n, k, 3);
@@ -267,6 +269,6 @@ def limit_curve(n_values, k: int = 13, alpha: float = 1.0, **refine_kwargs):
         fine = make_tube(2 * n, k, 3)
         tube = make_tube(n, k, 1)
         grid = make_grid(n, k)
-        rows.append((n, "grid", gdd(grid, fine, alpha, **refine_kwargs).distance))
-        rows.append((n, "tube", gdd(tube, fine, alpha, **refine_kwargs).distance))
+        rows.append((n, "grid", gdd(grid, fine, alpha).distance))
+        rows.append((n, "tube", gdd(tube, fine, alpha).distance))
     return rows

@@ -19,7 +19,6 @@ from .graphs import StructureMatrix
 __all__ = [
     "NumericalError",
     "seeded_rng",
-    "matmul",
     "spmm",
     "relu",
     "sigmoid",
@@ -44,15 +43,7 @@ def seeded_rng(seed) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# products
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
+# sparse product
 
 
 def spmm(z, x: np.ndarray) -> np.ndarray:
@@ -79,15 +70,11 @@ def spmm(z, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# activations (forward and derivative in terms of the forward output)
+# activations
 
 
 def relu(x):
     return np.maximum(x, 0.0)
-
-
-def _drelu(out):
-    return (out > 0.0).astype(float)
 
 
 def sigmoid(x):
@@ -99,16 +86,8 @@ def sigmoid(x):
     return out
 
 
-def _dsigmoid(out):
-    return out * (1.0 - out)
-
-
 def linear(x):
     return np.asarray(x, dtype=float)
-
-
-def _dlinear(out):
-    return np.ones_like(out)
 
 
 def row_softmax(x):
@@ -118,11 +97,7 @@ def row_softmax(x):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-ACTIVATIONS = {
-    "relu": (relu, _drelu),
-    "sigmoid": (sigmoid, _dsigmoid),
-    "linear": (linear, _dlinear),
-}
+ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "linear": linear}
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,52 @@ class TestLimitCurve:
         assert families == {"tube", "grid"}
 
 
+SEARCH_CONFIG = {
+    "fine": {"n_rings": 4, "k": 4, "offset": 1},
+    "candidate_rings": 4,
+    "k_values": [3],
+    "p_values": [0],
+    "seam_weights": [1.0],
+}
+
+# case -> (command, bad edge-list text or config, extra arguments)
+BAD_INPUTS = {
+    "gdd-malformed-header": ("gdd", "three\n0 1 1.0\n", []),
+    "gdd-node-out-of-range": ("gdd", "3\n0 5 1.0\n", []),
+    "gdd-nonpositive-weight": ("gdd", "3\n0 1 -1.0\n", []),
+    "gdd-alpha-zero": ("gdd", None, ["--alpha", "0"]),
+    "gdd-alpha-nan": ("gdd", None, ["--alpha", "nan"]),
+    "limit-curve-alpha-zero": ("limit-curve", {"n_values": [2], "k": 5, "alpha": 0}, []),
+    "coarse-search-alpha-negative": ("coarse-search", dict(SEARCH_CONFIG, alpha=-1), []),
+    "coarse-search-candidates-exceed-fine": (
+        "coarse-search", dict(SEARCH_CONFIG, candidate_rings=6), []
+    ),
+    "coarse-search-no-candidates": ("coarse-search", dict(SEARCH_CONFIG, p_values=[4]), []),
+    "coarse-search-candidate-k-below-two": (
+        "coarse-search", dict(SEARCH_CONFIG, k_values=[1]), []
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_with_one_line(tmp_path, capsys, case):
+    command, payload, extra = BAD_INPUTS[case]
+    if command == "gdd":
+        fine = tmp_path / "fine.txt"
+        fine.write_text(graph_to_edgelist(make_grid(2, 3)))
+        coarse = fine
+        if payload is not None:
+            coarse = tmp_path / "bad.txt"
+            coarse.write_text(payload)
+        argv = ["gdd", str(coarse), str(fine), *extra]
+    else:
+        cfg = write_json(tmp_path / "c.json", payload)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")

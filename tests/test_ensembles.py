@@ -5,6 +5,7 @@ import pytest
 from gpcn.autodiff import Tape
 from gpcn.ensembles import (
     MODEL_NAMES,
+    ModelParams,
     ModelSpec,
     build_from_table,
     coarsen_from_scores,
@@ -16,7 +17,6 @@ from gpcn.ensembles import (
     make_hierarchy,
     model_forward,
     model_graph,
-    ngcn_forward,
     paper_hierarchy,
     save_checkpoint,
 )
@@ -90,7 +90,7 @@ class TestGpcnForward:
         assert np.abs(model_forward(spec, params, x) - coarse_only).max() < 1e-12
 
     def test_full_scale_benchmark_shapes(self):
-        hier = paper_hierarchy(max_iters=0)
+        hier = paper_hierarchy()
         assert [g.n for g in hier.graphs] == [624, 312, 72]
         assert [p.shape for p in hier.prolongations] == [(624, 312), (312, 72)]
         spec = build_from_table("gpcn3", hier)
@@ -105,7 +105,8 @@ class TestNgcn:
         level = GcnSpec(z=z, gcn_widths=(4, 4), dense_widths=(5, 1))
         gcn_params = init_gcn_params(level, 3, seeded_rng(12))
         x = seeded_rng(13).normal(size=(z.n, 3))
-        out = ngcn_forward((1,), z, [gcn_params], x)
+        spec = ModelSpec(kind="ngcn", levels=[level], radii=(1,))
+        out = model_forward(spec, ModelParams(levels=[gcn_params]), x)
         assert np.abs(out - gcn_forward(level, gcn_params, x)).max() < 1e-12
 
     def test_member_powers_and_widths(self, tiny_hierarchy):

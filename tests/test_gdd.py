@@ -212,6 +212,10 @@ class TestGdd:
             a = rlap_solve(cost)
             result = gdd(g1, g2)
             assert result.objective <= a.total_cost + 1e-9
+            # gdd returns the lifted assignment itself
+            assert np.abs(result.p - warm_start(e1, e2, a)).max() < 1e-12
+            assert abs(result.objective - a.total_cost) < 1e-12
+            assert result.trace == ()
 
     def test_invariant_under_relabeling(self):
         rng = seeded_rng(8)
@@ -258,8 +262,7 @@ class TestCoarseSearch:
         # the production search: ten turn counts, four offsets, two seam weights
         fine = make_tube(24, 13, 1)
         rows = coarse_search(
-            fine, 12, k_range=range(3, 13), p_range=range(4), seam_weights=(1.0, 2.0),
-            max_iters=5,
+            fine, 12, k_range=range(3, 13), p_range=range(4), seam_weights=(1.0, 2.0)
         )
         assert len(rows) == 10 * 4 * 2
 

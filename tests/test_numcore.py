@@ -8,7 +8,6 @@ from gpcn.numcore import (
     eig_sym,
     glorot_uniform,
     linear,
-    matmul,
     relu,
     row_softmax,
     seeded_rng,
@@ -17,32 +16,7 @@ from gpcn.numcore import (
 )
 
 
-def naive_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
-
-
 class TestProducts:
-    def test_identity(self):
-        x = seeded_rng(0).normal(size=(4, 3))
-        assert np.array_equal(matmul(np.eye(4), x), x)
-
-    def test_matches_naive_triple_loop(self):
-        rng = seeded_rng(1)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
     def test_spmm_forced_small_case(self):
         z = laplacian(make_grid(1, 2))
         out = spmm(z, np.array([[1.0], [0.0]]))
@@ -163,17 +137,3 @@ def test_glorot_uniform_bounds():
     assert w.shape == (30, 50)
     assert np.abs(w).max() <= limit
     assert np.abs(w).max() > 0.5 * limit
-
-
-class TestActivationDerivatives:
-    def test_registry_derivatives_match_finite_differences(self):
-        from gpcn.numcore import ACTIVATIONS
-
-        rng = seeded_rng(8)
-        x = rng.normal(size=(40,))
-        x[np.abs(x) < 1e-3] = 0.5  # keep relu inputs off the kink
-        h = 1e-6
-        for name, (fwd, deriv) in ACTIVATIONS.items():
-            fd = (fwd(x + h) - fwd(x - h)) / (2 * h)
-            got = deriv(fwd(x))
-            assert np.abs(got - fd).max() < 1e-6, name
