@@ -71,6 +71,21 @@ def _write_manifest(out, command: str, config, seed) -> None:
     )
 
 
+def _number(cast, value, where: str):
+    """``cast(value)`` for a config value that must be numeric."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _numbers(cast, values, where: str) -> list:
+    """A config list of numbers, cast and sorted."""
+    if not isinstance(values, (list, range)):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
+    return sorted(_number(cast, v, where) for v in values)
+
+
 def _tube_from_dict(d: dict, where: str) -> graphs.Graph:
     _require_keys(d, {"n_rings", "k", "offset", "seam_weight"}, where)
     try:
@@ -125,7 +140,7 @@ def cmd_generate(args) -> int:
     _require_keys(config, {"tube", "sim", "grid", "strengths", "seed"}, "config")
     tube_cfg = config.get("tube", {})
     _require_keys(tube_cfg, {"n_rings", "k", "offset"}, "tube")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else _number(int, config.get("seed", 0), "seed")
     grid = config.get("grid", {})
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("grid must map strength parameters to value lists")
@@ -135,18 +150,18 @@ def cmd_generate(args) -> int:
                 f"grid: unknown strength parameter {key!r} "
                 f"(expected one of {', '.join(simulator.STRENGTH_PARAMS)})"
             )
-        if not values or any(v <= 0 for v in values):
+        if not values or min(_numbers(float, values, f"grid {key!r}")) <= 0:
             raise ConfigError(f"grid: strength {key!r} needs positive values")
     for key, value in config.get("strengths", {}).items():
         if key not in simulator.STRENGTH_PARAMS:
             raise ConfigError(f"strengths: unknown strength parameter {key!r}")
-        if value <= 0:
+        if _number(float, value, f"strengths {key!r}") <= 0:
             raise ConfigError(f"strengths: {key!r} must be positive, got {value}")
     sim_cfg = _sim_config(config.get("sim", {}), config.get("strengths", {}))
     model = simulator.build_geometry(
-        n_rings=int(tube_cfg.get("n_rings", 12)),
-        k=int(tube_cfg.get("k", 13)),
-        offset=int(tube_cfg.get("offset", 3)),
+        n_rings=_number(int, tube_cfg.get("n_rings", 12), "tube n_rings"),
+        k=_number(int, tube_cfg.get("k", 13), "tube k"),
+        offset=_number(int, tube_cfg.get("offset", 3), "tube offset"),
     )
     out = _out_dir(args)
     data = simulator.generate_dataset(model, grid, sim_cfg, seed=seed)
@@ -230,10 +245,10 @@ def cmd_coarse_search(args) -> int:
         "config",
     )
     fine = _tube_from_dict(config.get("fine", {}), "fine")
-    n_rings = int(config.get("candidate_rings", fine.n // 26))
-    k_values = sorted(int(k) for k in config.get("k_values", range(3, 13)))
-    p_values = sorted(int(p) for p in config.get("p_values", range(4)))
-    seam_weights = sorted(float(w) for w in config.get("seam_weights", (1.0, 2.0)))
+    n_rings = _number(int, config.get("candidate_rings", fine.n // 26), "candidate_rings")
+    k_values = _numbers(int, config.get("k_values", range(3, 13)), "k_values")
+    p_values = _numbers(int, config.get("p_values", range(4)), "p_values")
+    seam_weights = _numbers(float, config.get("seam_weights", [1.0, 2.0]), "seam_weights")
     alpha = _alpha(config.get("alpha", 1.0))
     cells = [
         (k, p, w) for k in k_values for p in p_values if 0 <= p < n_rings for w in seam_weights
@@ -262,11 +277,11 @@ def cmd_coarse_search(args) -> int:
 def cmd_limit_curve(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"n_values", "k", "alpha"}, "config")
-    n_values = sorted(int(n) for n in config.get("n_values", range(4, 11)))
+    n_values = _numbers(int, config.get("n_values", range(4, 11)), "n_values")
     if not n_values or min(n_values) < 2:
         raise ConfigError("n_values must contain integers >= 2")
     alpha = _alpha(config.get("alpha", 1.0))
-    rows = limit_curve(n_values, k=int(config.get("k", 13)), alpha=alpha)
+    rows = limit_curve(n_values, k=_number(int, config.get("k", 13), "k"), alpha=alpha)
     out = _out_dir(args)
     write_csv(os.path.join(out, "limit_curve.csv"), ["n", "family", "distance"], rows)
     _write_manifest(out, "limit-curve", config, args.seed)
@@ -320,10 +335,16 @@ def cmd_train(args) -> int:
         schedule = training.ScheduleSpec(**sched_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"schedule: {exc}")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    data = simulator.load_dataset(config["dataset"])
+    seed = args.seed if args.seed is not None else _number(int, config.get("seed", 0), "seed")
+    try:
+        data = simulator.load_dataset(config["dataset"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read dataset {config['dataset']}: {exc}")
     hier = _hierarchy_from_config(config.get("hierarchy"))
-    spec = ensembles.build_from_table(name, hier)
+    try:
+        spec = ensembles.build_from_table(name, hier)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if spec.n_fine != data.x.shape[1]:
         raise ConfigError(
             f"model fine scale has {spec.n_fine} nodes but the dataset has {data.x.shape[1]}"
@@ -356,17 +377,11 @@ def cmd_flops(args) -> int:
         return EXIT_USAGE
     hier = _hierarchy_from_config(args.hierarchy)
     spec = ensembles.build_from_table(name, hier)
-    rows = []
-    for i, lvl in enumerate(spec.levels):
-        nnz = lvl.z.nnz if lvl.z is not None else lvl.n * lvl.n
-        f = args.features
-        for j, c in enumerate(lvl.gcn_widths):
-            rows.append((i, f"gcn{j}", training.flops_gcn_layer(lvl.n, f, c, nnz)))
-            f = c
-        f = lvl.concat_width
-        for j, c in enumerate(lvl.dense_widths):
-            rows.append((i, f"dense{j}", training.flops_dense(lvl.n, f, c)))
-            f = c
+    rows = [
+        (i, layer, cost)
+        for i, lvl in enumerate(spec.levels)
+        for layer, cost in training.layer_flops(lvl, args.features)
+    ]
     total, breakdown = training.model_forward_flops(spec, args.features)
     for level, layer, cost in rows:
         print(f"level {level}  {layer:<8} {cost:>14,}")

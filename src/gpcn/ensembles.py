@@ -12,6 +12,10 @@ Model kinds:
   matrices (row-softmaxed output of a small pooling convolution), and the
   coarse structure matrices are recomputed from them on every pass.
 
+All four kinds share one forward, the level loop of :func:`model_graph`;
+they differ only in how each level's structure matrix, input and lift back
+to the fine scale are built.
+
 Levels are ordered fine to coarse; level 0 is the prediction scale.
 Parameter ownership follows that order: level i owns its filter stack plus
 the prolongation (or pooling module) that introduces it, which is what the
@@ -30,12 +34,14 @@ from .gcn import (
     GcnLayerParams,
     GcnParams,
     GcnSpec,
+    aggregate,
+    first_layer_input_gradient,
     gcn_graph,
     init_gcn_params,
 )
 from .gdd import gdd
 from .graphs import StructureMatrix, laplacian, make_tube, structure_power
-from .numcore import glorot_uniform, row_softmax, spmm
+from .numcore import glorot_uniform
 from .serialize import load_arrays, save_arrays
 
 __all__ = [
@@ -51,8 +57,6 @@ __all__ = [
     "compose_prolongations",
     "model_graph",
     "model_forward",
-    "diffpool_coarsen",
-    "coarsen_from_scores",
     "ensemble_input_gradient",
     "save_checkpoint",
     "load_checkpoint",
@@ -271,121 +275,69 @@ def compose_prolongations(ps, n: int | None = None) -> np.ndarray:
     return out
 
 
-def _bind_level_params(tape, params, owner, train, bindings):
-    """GcnParams -> (w, b, activation) triples, as tape variables when training."""
-    gp = params.levels[owner]
-    if not train:
-        return ([(l.w, l.b, l.activation) for l in gp.gcn],
-                [(l.w, l.b, l.activation) for l in gp.dense])
-
-    def bind(prefix, layers):
-        out = []
-        for i, layer in enumerate(layers):
-            wn = tape.variable(layer.w)
-            bn = tape.variable(layer.b)
-            bindings.append((owner, f"level{owner}_{prefix}{i}_w", layer.w, wn))
-            bindings.append((owner, f"level{owner}_{prefix}{i}_b", layer.b, bn))
-            out.append((wn, bn, layer.activation))
-        return out
-
-    return bind("gcn", gp.gcn), bind("dense", gp.dense)
-
-
 def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=None, train=False):
     """Record the full ensemble forward pass.
 
-    Returns (output node, bindings); bindings are (owner_level, name, array,
-    node) rows for every parameter turned into a tape variable. ``level_mask``
-    restricts the sum to a subset of levels (their members still project
-    through every intervening prolongation).
+    Every kind runs one level loop. Level i has a structure matrix Z_i, an
+    input X_i and a lift L_i back to the fine scale:
+
+    * plain_ensemble, ngcn: (the level's Z, x, identity)
+    * gpcn: (the level's Z, L_i^T x, L_i = P_1 ... P_i)
+    * diffpool: (S_i^T Z_{i-1} S_i, S_i^T X_{i-1}, L_i = S_1 ... S_i), where
+      S_i is the row-softmaxed pooling convolution of level i-1
+
+    The level's member reads (Z_i, X_i); its output, lifted by L_i, is added
+    to the sum. Returns (output node, bindings); bindings are (owner_level,
+    name, array, node) rows for every parameter turned into a tape variable.
+    ``level_mask`` restricts the sum to a subset of levels (their members
+    still project through every intervening prolongation or pooling step).
     """
     active = set(range(spec.n_levels)) if level_mask is None else set(level_mask)
     if not active:
         raise ValueError("level mask must keep at least one level")
     bindings: list = []
+
+    def bind(owner, name, arr):
+        if not train:
+            return arr
+        node = tape.variable(arr)
+        bindings.append((owner, name, arr, node))
+        return node
+
     x = x if isinstance(x, Node) else np.asarray(x, dtype=float)
-
-    if spec.kind in ("plain_ensemble", "ngcn"):
-        contribs = []
-        for i, lvl in enumerate(spec.levels):
-            if i not in active:
-                continue
-            lp = _bind_level_params(tape, params, i, train, bindings)
-            contribs.append(gcn_graph(tape, lvl, lp, x))
-        out = contribs[0]
-        for c in contribs[1:]:
-            out = tape.add(out, c)
-        return out, bindings
-
-    if spec.kind == "diffpool":
-        return _diffpool_graph(tape, spec, params, x, active, train, bindings)
-
-    # gpcn: restrict, run member, lift, sum
-    train_p = train and spec.adaptive
-    p_nodes = []
-    for i, p in enumerate(params.prolongations):
-        if train_p:
-            pn = tape.variable(p)
-            bindings.append((i + 1, f"prolong{i}", p, pn))
-            p_nodes.append(pn)
-        else:
-            p_nodes.append(p)
-
+    prolongations = [
+        bind(i + 1, f"prolong{i}", p) if spec.adaptive else p
+        for i, p in enumerate(params.prolongations)
+    ]
+    z, xi, lift = spec.levels[0].z, x, None
     out = None
-    composed = None  # fine-to-level-i product, built incrementally
     for i, lvl in enumerate(spec.levels):
-        if i > 0:
-            step = p_nodes[i - 1]
-            if composed is None:
-                composed = step
-            elif isinstance(composed, Node) or isinstance(step, Node):
-                composed = tape.matmul(composed, step)
-            else:
-                composed = composed @ step
-        if i not in active:
-            continue
-        lp = _bind_level_params(tape, params, i, train, bindings)
-        if i == 0:
-            contrib = gcn_graph(tape, lvl, lp, x)
-        else:
-            if isinstance(composed, Node):
-                down = tape.matmul(tape.transpose(composed), x)
-            else:
-                down = tape.matmul(composed.T, x)
-            member = gcn_graph(tape, lvl, lp, down)
-            contrib = tape.matmul(composed, member)
-        out = contrib if out is None else tape.add(out, contrib)
-    return out, bindings
-
-
-def _diffpool_graph(tape, spec, params, x, active, train, bindings):
-    z = spec.levels[0].z  # StructureMatrix at the fine level, dense nodes below
-    xs = x
-    out = None
-    lift = None  # product of affinity matrices back to the fine scale
-    for i, lvl in enumerate(spec.levels):
-        if i > 0:
+        if i > 0 and spec.kind == "diffpool":
             pool = params.pools[i - 1]
-            if train:
-                pw = tape.variable(pool.w)
-                pb = tape.variable(pool.b)
-                bindings.append((i, f"pool{i - 1}_w", pool.w, pw))
-                bindings.append((i, f"pool{i - 1}_b", pool.b, pb))
-            else:
-                pw, pb = pool.w, pool.b
-            xw = tape.matmul(xs, pw)
-            agg = tape.spmm(z, xw) if isinstance(z, StructureMatrix) else tape.matmul(z, xw)
-            s = tape.row_softmax(tape.add(agg, pb))
+            pw, pb = bind(i, f"pool{i - 1}_w", pool.w), bind(i, f"pool{i - 1}_b", pool.b)
+            s = tape.row_softmax(tape.add(aggregate(tape, z, tape.matmul(xi, pw)), pb))
             st = tape.transpose(s)
-            xs = tape.matmul(st, xs)
-            zs = tape.spmm(z, s) if isinstance(z, StructureMatrix) else tape.matmul(z, s)
-            z = tape.matmul(st, zs)
+            xi = tape.matmul(st, xi)
+            z = tape.matmul(st, aggregate(tape, z, s))
             lift = s if lift is None else tape.matmul(lift, s)
+        elif i > 0:
+            z = lvl.z
+            if spec.kind == "gpcn":
+                p = prolongations[i - 1]
+                if lift is None:
+                    lift = p
+                elif isinstance(p, Node):
+                    lift = tape.matmul(lift, p)
+                else:  # frozen prolongations compose off the tape
+                    lift = lift @ p
         if i not in active:
             continue
-        lp = _bind_level_params(tape, params, i, train, bindings)
-        member = gcn_graph(tape, lvl, lp, xs, z_override=z)
-        contrib = member if i == 0 else tape.matmul(lift, member)
+        layers = params.levels[i].layers(lambda name, arr: bind(i, f"level{i}_{name}", arr))
+        if spec.kind == "gpcn" and lift is not None:
+            lift_t = tape.transpose(lift) if isinstance(lift, Node) else lift.T
+            xi = tape.matmul(lift_t, x)
+        member = gcn_graph(tape, z, layers, xi)
+        contrib = member if lift is None else tape.matmul(lift, member)
         out = contrib if out is None else tape.add(out, contrib)
     return out, bindings
 
@@ -395,22 +347,6 @@ def model_forward(spec: ModelSpec, params: ModelParams, x, level_mask=None) -> n
     tape = Tape()
     out, _ = model_graph(tape, spec, params, x, level_mask=level_mask, train=False)
     return out.value
-
-
-def coarsen_from_scores(scores: np.ndarray, z, x):
-    """Coarsen with S = row_softmax(scores): returns (S^T Z S, S^T X, S)."""
-    s = row_softmax(np.asarray(scores, dtype=float))
-    x = np.asarray(x, dtype=float)
-    zs = spmm(z, s) if isinstance(z, StructureMatrix) else z @ s
-    return s.T @ zs, s.T @ x, s
-
-
-def diffpool_coarsen(pool: GcnLayerParams, z, x):
-    """One pooling step: affinity scores from the pooling convolution, then
-    the coarsened structure matrix S^T Z S and data S^T X."""
-    x = np.asarray(x, dtype=float)
-    pre = spmm(z, x @ pool.w) if isinstance(z, StructureMatrix) else z @ (x @ pool.w)
-    return coarsen_from_scores(pre + pool.b, z, x)
 
 
 def ensemble_input_gradient(spec: ModelSpec, params: ModelParams, x) -> np.ndarray:
@@ -427,20 +363,9 @@ def ensemble_input_gradient(spec: ModelSpec, params: ModelParams, x) -> np.ndarr
     total = np.zeros_like(x)
     for i, lvl in enumerate(spec.levels):
         p1i = compose_prolongations(params.prolongations[:i], n=spec.n_fine)
-        xi = p1i.T @ x
-        gp = params.levels[i]
-        w1, b1 = gp.gcn[0].w, gp.gcn[0].b
-        a1 = spmm(lvl.z, xi @ w1) + b1
-        tape = Tape()
-        a1_node = tape.variable(a1)
-        member = gcn_graph(
-            tape, lvl, ([(l.w, l.b, l.activation) for l in gp.gcn],
-                        [(l.w, l.b, l.activation) for l in gp.dense]),
-            xi, first_pre=a1_node,
+        member_grad = first_layer_input_gradient(
+            lvl.z, params.levels[i], p1i.T @ x, lift=p1i if i > 0 else None
         )
-        lifted = tape.matmul(p1i, member) if i > 0 else member
-        tape.backward(tape.sum(lifted))
-        member_grad = spmm(lvl.z.mat.T, a1_node.grad) @ w1.T
         total += p1i @ member_grad
     return total
 
@@ -472,11 +397,8 @@ def _csr_restore(arrays: dict, prefix: str, n: int) -> StructureMatrix:
 
 def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
     """Self-contained model checkpoint: parameters, prolongations, structure
-    matrices, and the architecture manifest."""
-    arrays = {}
-    for owner in range(spec.n_levels):
-        for name, arr in params.owned_arrays(owner):
-            arrays[name] = arr
+    matrices, and the architecture manifest (with every layer's activation)."""
+    arrays = dict(params.all_arrays())
     for i, lvl in enumerate(spec.levels):
         if lvl.z is not None:
             arrays.update(_csr_arrays(f"z{i}", lvl.z))
@@ -485,14 +407,18 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
         "name": spec.name,
         "adaptive": spec.adaptive,
         "radii": list(spec.radii),
+        "n_prolongations": len(params.prolongations),
+        "n_pools": len(params.pools),
         "levels": [
             {
                 "n": lvl.n,
                 "gcn_widths": list(lvl.gcn_widths),
                 "dense_widths": list(lvl.dense_widths),
+                "gcn_activations": [layer.activation for layer in gp.gcn],
+                "dense_activations": [layer.activation for layer in gp.dense],
                 "has_z": lvl.z is not None,
             }
-            for lvl in spec.levels
+            for lvl, gp in zip(spec.levels, params.levels)
         ],
     }
     save_arrays(path, arrays, meta)
@@ -501,7 +427,13 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
 def load_checkpoint(path):
     """Restore (spec, params) from :func:`save_checkpoint` output."""
     arrays, meta = load_arrays(path)
-    levels = []
+
+    def layer(prefix, activation):
+        return GcnLayerParams(
+            w=arrays[f"{prefix}_w"], b=arrays[f"{prefix}_b"], activation=activation
+        )
+
+    levels, level_params = [], []
     for i, lm in enumerate(meta["levels"]):
         z = _csr_restore(arrays, f"z{i}", lm["n"]) if lm["has_z"] else None
         levels.append(
@@ -512,11 +444,15 @@ def load_checkpoint(path):
                 n_nodes=lm["n"],
             )
         )
-    prolongations = []
-    i = 0
-    while f"prolong{i}" in arrays:
-        prolongations.append(arrays[f"prolong{i}"])
-        i += 1
+        level_params.append(
+            GcnParams(
+                gcn=[layer(f"level{i}_gcn{j}", a) for j, a in enumerate(lm["gcn_activations"])],
+                dense=[
+                    layer(f"level{i}_dense{j}", a) for j, a in enumerate(lm["dense_activations"])
+                ],
+            )
+        )
+    prolongations = [arrays[f"prolong{i}"] for i in range(meta["n_prolongations"])]
     spec = ModelSpec(
         kind=meta["kind"],
         levels=levels,
@@ -525,44 +461,5 @@ def load_checkpoint(path):
         radii=tuple(meta["radii"]),
         name=meta["name"],
     )
-    level_params = []
-    for owner, lm in enumerate(meta["levels"]):
-        gcn_layers = []
-        j = 0
-        while f"level{owner}_gcn{j}_w" in arrays:
-            act = "relu"
-            gcn_layers.append(
-                GcnLayerParams(
-                    w=arrays[f"level{owner}_gcn{j}_w"],
-                    b=arrays[f"level{owner}_gcn{j}_b"],
-                    activation=act,
-                )
-            )
-            j += 1
-        dense_layers = []
-        j = 0
-        n_dense = len(lm["dense_widths"])
-        while f"level{owner}_dense{j}_w" in arrays:
-            act = "linear" if j == n_dense - 1 else "sigmoid"
-            dense_layers.append(
-                GcnLayerParams(
-                    w=arrays[f"level{owner}_dense{j}_w"],
-                    b=arrays[f"level{owner}_dense{j}_b"],
-                    activation=act,
-                )
-            )
-            j += 1
-        level_params.append(GcnParams(gcn=gcn_layers, dense=dense_layers))
-    pools = []
-    i = 0
-    while f"pool{i}_w" in arrays:
-        pools.append(
-            GcnLayerParams(
-                w=arrays[f"pool{i}_w"], b=arrays[f"pool{i}_b"], activation="linear"
-            )
-        )
-        i += 1
-    params = ModelParams(
-        levels=level_params, prolongations=list(prolongations), pools=pools
-    )
-    return spec, params
+    pools = [layer(f"pool{i}", "linear") for i in range(meta["n_pools"])]
+    return spec, ModelParams(levels=level_params, prolongations=prolongations, pools=pools)

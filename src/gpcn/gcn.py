@@ -6,6 +6,11 @@ the node-wise concatenation of every graph-convolution layer's output, so
 its input width is the sum of the convolution widths. A node-wise dense
 layer is the same operation as a graph convolution with the identity as the
 structure matrix; it is implemented without the aggregation product.
+
+:func:`gcn_graph` records the forward pass on a tape. It is the one forward
+path: :func:`gcn_forward`, the analytic input gradient and every ensemble
+member run it, with the structure matrix as an argument (sparse for a fixed
+graph, a recorded dense matrix for a pooled level).
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ __all__ = [
     "GcnSpec",
     "GcnParams",
     "init_gcn_params",
-    "gcn_layer",
+    "aggregate",
     "gcn_graph",
     "gcn_forward",
+    "first_layer_input_gradient",
     "energy_input_gradient",
-    "input_gradient_autodiff",
 ]
 
 
@@ -100,6 +105,18 @@ class GcnParams:
             out.append((f"dense{i}_b", layer.b))
         return out
 
+    def layers(self, bind=lambda name, arr: arr):
+        """The (gcn, dense) lists of (w, b, activation) triples that
+        :func:`gcn_graph` reads. ``bind(name, array)`` may swap each array,
+        named as in :meth:`arrays`, for a tape variable."""
+        return tuple(
+            [
+                (bind(f"{kind}{i}_w", layer.w), bind(f"{kind}{i}_b", layer.b), layer.activation)
+                for i, layer in enumerate(stack)
+            ]
+            for kind, stack in (("gcn", self.gcn), ("dense", self.dense))
+        )
+
 
 def init_gcn_params(spec: GcnSpec, in_features: int, rng) -> GcnParams:
     """Glorot-uniform filters, zero biases."""
@@ -125,19 +142,6 @@ def init_gcn_params(spec: GcnSpec, in_features: int, rng) -> GcnParams:
     return GcnParams(gcn=gcn_layers, dense=dense_layers)
 
 
-def gcn_layer(z, x: np.ndarray, params: GcnLayerParams) -> np.ndarray:
-    """One layer: activation(Z @ X @ W + b). Pass ``z=None`` for a node-wise
-    dense layer (the Z = I case)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != params.w.shape[0]:
-        raise ValueError(
-            f"input width {x.shape[-1]} does not match filter shape {params.w.shape}"
-        )
-    xw = x @ params.w
-    pre = (spmm(z, xw) if z is not None else xw) + params.b
-    return ACTIVATIONS[params.activation](pre)
-
-
 def _apply_activation(tape: Tape, name: str, node: Node) -> Node:
     if name == "relu":
         return tape.relu(node)
@@ -146,84 +150,65 @@ def _apply_activation(tape: Tape, name: str, node: Node) -> Node:
     return node  # linear
 
 
-def gcn_graph(
-    tape: Tape,
-    spec: GcnSpec,
-    params,
-    x,
-    first_pre: Node | None = None,
-    z_override=None,
-) -> Node:
+def aggregate(tape: Tape, z, h) -> Node:
+    """Record Z @ h: a sparse product for a StructureMatrix, a dense one for
+    an array or a recorded node (a pooled structure matrix)."""
+    return tape.spmm(z, h) if isinstance(z, StructureMatrix) else tape.matmul(z, h)
+
+
+def gcn_graph(tape: Tape, z, layers, x, first_pre: Node | None = None) -> Node:
     """Record the network's forward pass on a tape and return the output node.
 
-    ``params`` entries may be GcnLayerParams (constants) or (w, b, activation)
-    triples whose w/b are tape nodes. If ``first_pre`` is given it replaces
-    the pre-activation of the first convolution layer, which is how the
-    analytic input-gradient rule taps into the graph. ``z_override`` swaps in
-    a dense (possibly recorded) structure matrix for this pass.
+    ``layers`` is the (gcn, dense) pair of (w, b, activation) triples that
+    :meth:`GcnParams.layers` gives; w and b are arrays or tape nodes. ``z`` is
+    the structure matrix of the convolution layers. If ``first_pre`` is given
+    it replaces the pre-activation of the first convolution layer, which is
+    how the analytic input-gradient rule taps into the graph.
     """
-    gcn_layers, dense_layers = params
-    z = spec.z if z_override is None else z_override
-    aggregate = (
-        (lambda t: tape.spmm(z, t))
-        if isinstance(z, StructureMatrix)
-        else (lambda t: tape.matmul(z, t))
-    )
+    gcn_layers, dense_layers = layers
     h = x
     outs = []
-    for i, layer in enumerate(gcn_layers):
-        w, b, act = _layer_parts(layer)
+    for i, (w, b, act) in enumerate(gcn_layers):
         if i == 0 and first_pre is not None:
             pre = first_pre
         else:
-            pre = tape.add(aggregate(tape.matmul(h, w)), b)
+            pre = tape.add(aggregate(tape, z, tape.matmul(h, w)), b)
         h = _apply_activation(tape, act, pre)
         outs.append(h)
     h = outs[0] if len(outs) == 1 else tape.concat(outs, axis=-1)
-    for layer in dense_layers:
-        w, b, act = _layer_parts(layer)
+    for w, b, act in dense_layers:
         h = _apply_activation(tape, act, tape.add(tape.matmul(h, w), b))
     return h
 
 
-def _layer_parts(layer):
-    if isinstance(layer, GcnLayerParams):
-        return layer.w, layer.b, layer.activation
-    w, b, act = layer
-    return w, b, act
-
-
 def gcn_forward(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
     """Forward pass to the n-by-1 output; accepts a leading batch axis."""
+    return gcn_graph(Tape(), spec.z, params.layers(), np.asarray(x, dtype=float)).value
+
+
+def first_layer_input_gradient(z: StructureMatrix, params: GcnParams, x, lift=None):
+    """Gradient of the summed output with respect to the input signal, by the
+    first-layer chain rule Z^T (dE/dA_1) W_1^T.
+
+    dE/dA_1 is obtained by backpropagating the network tail from the first
+    pre-activation onward. With ``lift`` the summed output is that of
+    ``lift @ output``, the member's contribution to an ensemble.
+    """
+    w1 = params.gcn[0].w
+    a1 = spmm(z, x @ w1) + params.gcn[0].b
     tape = Tape()
-    out = gcn_graph(tape, spec, (params.gcn, params.dense), np.asarray(x, dtype=float))
-    return out.value
+    a1_node = tape.variable(a1)
+    out = gcn_graph(tape, z, params.layers(), x, first_pre=a1_node)
+    if lift is not None:
+        out = tape.matmul(lift, out)
+    tape.backward(tape.sum(out))
+    return spmm(z.mat.T, a1_node.grad) @ w1.T
 
 
 def energy_input_gradient(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
-    """Gradient of the summed output with respect to the input signal.
-
-    Uses the first-layer chain rule Z^T (dE/dA_1) W_1^T, where dE/dA_1 is
-    obtained by backpropagating the network tail from the first
-    pre-activation onward.
-    """
+    """Gradient of the summed output with respect to the input signal (see
+    :func:`first_layer_input_gradient`)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("energy_input_gradient expects a single n-by-F signal")
-    w1 = params.gcn[0].w
-    a1 = spmm(spec.z, x @ w1) + params.gcn[0].b
-    tape = Tape()
-    a1_node = tape.variable(a1)
-    out = gcn_graph(tape, spec, (params.gcn, params.dense), x, first_pre=a1_node)
-    tape.backward(tape.sum(out))
-    return spmm(spec.z.mat.T, a1_node.grad) @ w1.T
-
-
-def input_gradient_autodiff(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
-    """Tape-based gradient of the summed output w.r.t. the input (the
-    reference the analytic rule is checked against)."""
-    tape = Tape()
-    x_node = tape.variable(np.asarray(x, dtype=float))
-    out = gcn_graph(tape, spec, (params.gcn, params.dense), x_node)
-    tape.backward(tape.sum(out))
-    return x_node.grad
+    return first_layer_input_gradient(spec.z, params, x)

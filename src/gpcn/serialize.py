@@ -46,17 +46,28 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
         fh.write(bytes(payload))
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated gpcn binary container")
+    return data
+
+
 def load_arrays(path):
-    """Read a container written by :func:`save_arrays`; returns (arrays, meta)."""
+    """Read a container written by :func:`save_arrays`; returns (arrays, meta).
+
+    A damaged or truncated file raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a gpcn binary container")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, path))
+        header = json.loads(_read_exact(fh, hlen, path).decode("utf-8"))
         payload = fh.read()
     arrays = {}
     for entry in header["arrays"]:
+        if entry["offset"] + entry["nbytes"] > len(payload):
+            raise ValueError(f"{path}: truncated gpcn binary container")
         raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
         arrays[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(
             entry["shape"]

@@ -35,8 +35,6 @@ __all__ = [
     "Dataset",
     "SimulationDiverged",
     "build_geometry",
-    "bond_energy",
-    "angle_energy",
     "forces_and_energy",
     "initial_state",
     "step",
@@ -272,16 +270,6 @@ def build_geometry(
         angle_kind=angle_kind,
         angle_rest=angle_rest,
     )
-
-
-def bond_energy(k_eff: float, length: float, rest: float) -> float:
-    """Harmonic association energy k (length - rest)^2."""
-    return float(k_eff * (length - rest) ** 2)
-
-
-def angle_energy(k_eff: float, theta: float, rest: float) -> float:
-    """Harmonic angle energy k (theta - rest)^2, angles in radians."""
-    return float(k_eff * (theta - rest) ** 2)
 
 
 def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.ndarray):

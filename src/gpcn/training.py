@@ -40,6 +40,7 @@ __all__ = [
     "flops_dense",
     "flops_project",
     "FlopsLedger",
+    "layer_flops",
     "member_flops",
     "model_forward_flops",
     "NormStats",
@@ -103,20 +104,30 @@ class FlopsLedger:
         self.by_category[category] = self.by_category.get(category, 0) + int(count)
 
 
-def member_flops(level, in_features: int, nnz: int | None = None):
-    """Per-frame forward cost of one member, split into gcn/dense parts."""
+def layer_flops(level, in_features: int):
+    """Per-frame forward cost of each layer of one member, as (layer, flops)
+    rows: the convolutions ``gcn<j>`` then the dense head ``dense<j>``. A
+    level without a stored structure matrix (a pooled level) aggregates
+    with a dense one, n^2 entries."""
     n = level.n
-    z_nnz = nnz if nnz is not None else level.z.nnz
-    gcn_cost = 0
+    nnz = level.z.nnz if level.z is not None else n * n
+    rows = []
     f = in_features
-    for c in level.gcn_widths:
-        gcn_cost += flops_gcn_layer(n, f, c, z_nnz)
+    for j, c in enumerate(level.gcn_widths):
+        rows.append((f"gcn{j}", flops_gcn_layer(n, f, c, nnz)))
         f = c
-    dense_cost = 0
     f = level.concat_width
-    for c in level.dense_widths:
-        dense_cost += flops_dense(n, f, c)
+    for j, c in enumerate(level.dense_widths):
+        rows.append((f"dense{j}", flops_dense(n, f, c)))
         f = c
+    return rows
+
+
+def member_flops(level, in_features: int):
+    """Per-frame forward cost of one member, split into gcn/dense parts."""
+    rows = layer_flops(level, in_features)
+    gcn_cost = sum(cost for layer, cost in rows if layer.startswith("gcn"))
+    dense_cost = sum(cost for layer, cost in rows if layer.startswith("dense"))
     return gcn_cost, dense_cost
 
 
@@ -173,7 +184,7 @@ def model_forward_flops(
                 n_prev, nnz_prev = n_i, n_i * n_i
             if i not in active:
                 continue
-            g, d = member_flops(lvl, in_features, nnz=lvl.z.nnz if lvl.z is not None else lvl.n**2)
+            g, d = member_flops(lvl, in_features)
             gcn_cost += g
             dense_cost += d
             if i > 0:

@@ -28,7 +28,7 @@ from gpcn.ensembles import (
     model_forward,
     model_graph,
 )
-from gpcn.gcn import GcnSpec, energy_input_gradient, gcn_forward, init_gcn_params, input_gradient_autodiff
+from gpcn.gcn import GcnSpec, energy_input_gradient, gcn_forward, init_gcn_params
 from gpcn.gdd import assignment_cost, gdd, limit_curve, rlap_solve, warm_start
 from gpcn.graphs import laplacian, make_grid, make_tube
 from gpcn.numcore import eig_sym, seeded_rng
@@ -54,6 +54,7 @@ from gpcn.training import (
 )
 
 from tests.conftest import synthetic_dataset
+from tests.oracles import input_gradient_autodiff
 from tests.test_autodiff import finite_difference
 from tests.test_gdd import random_graph
 

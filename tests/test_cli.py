@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -159,7 +160,18 @@ SEARCH_CONFIG = {
     "seam_weights": [1.0],
 }
 
-# case -> (command, bad edge-list text or config, extra arguments)
+def _truncate_frames(dataset):
+    frames = dataset / "frames.bin"
+    frames.write_bytes(frames.read_bytes()[:40])
+
+
+def _drop_manifest(dataset):
+    (dataset / "manifest.json").unlink()
+
+
+# case -> (command, payload, extra arguments). The payload is bad edge-list
+# text for gdd, a config for the other commands, and for train a pair of
+# config entries and a function that damages a copy of the dataset.
 BAD_INPUTS = {
     "gdd-malformed-header": ("gdd", "three\n0 1 1.0\n", []),
     "gdd-node-out-of-range": ("gdd", "3\n0 5 1.0\n", []),
@@ -175,12 +187,40 @@ BAD_INPUTS = {
     "coarse-search-candidate-k-below-two": (
         "coarse-search", dict(SEARCH_CONFIG, k_values=[1]), []
     ),
+    "coarse-search-rings-not-a-number": (
+        "coarse-search", dict(SEARCH_CONFIG, candidate_rings="four"), []
+    ),
+    "coarse-search-k-not-a-number": ("coarse-search", dict(SEARCH_CONFIG, k_values=["x"]), []),
+    "coarse-search-p-not-a-number": ("coarse-search", dict(SEARCH_CONFIG, p_values=["x"]), []),
+    "coarse-search-seam-not-a-number": (
+        "coarse-search", dict(SEARCH_CONFIG, seam_weights=["x"]), []
+    ),
+    "limit-curve-n-not-a-number": ("limit-curve", {"n_values": ["x"], "k": 5}, []),
+    "limit-curve-k-not-a-number": ("limit-curve", {"n_values": [2], "k": "x"}, []),
+    "generate-tube-not-a-number": (
+        "generate", dict(GEN_CONFIG, tube={"n_rings": "x", "k": 13, "offset": 3}), []
+    ),
+    "generate-grid-not-a-number": ("generate", dict(GEN_CONFIG, grid={"LatAssoc": ["x"]}), []),
+    "generate-seed-not-a-number": ("generate", dict(GEN_CONFIG, seed="x"), []),
+    "train-hierarchy-too-shallow": ("train", ({"model": "gpcn3"}, None), []),
+    "train-truncated-frames": ("train", ({}, _truncate_frames), []),
+    "train-no-manifest": ("train", ({}, _drop_manifest), []),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_two_with_one_line(tmp_path, capsys, case):
+def test_bad_input_exits_two_with_one_line(tmp_path, capsys, request, case):
     command, payload, extra = BAD_INPUTS[case]
+    if command == "train":
+        entries, damage = payload
+        dataset = tmp_path / "dataset"
+        shutil.copytree(request.getfixturevalue("dataset_dir"), dataset)
+        if damage is not None:
+            damage(dataset)
+        payload = dict(
+            {"dataset": str(dataset), "hierarchy": TRAIN_HIER, "schedule": {"total_epochs": 1}},
+            **entries,
+        )
     if command == "gdd":
         fine = tmp_path / "fine.txt"
         fine.write_text(graph_to_edgelist(make_grid(2, 3)))

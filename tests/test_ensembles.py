@@ -8,9 +8,7 @@ from gpcn.ensembles import (
     ModelParams,
     ModelSpec,
     build_from_table,
-    coarsen_from_scores,
     compose_prolongations,
-    diffpool_coarsen,
     ensemble_input_gradient,
     init_model_params,
     load_checkpoint,
@@ -23,6 +21,8 @@ from gpcn.ensembles import (
 from gpcn.gcn import GcnLayerParams, GcnSpec, energy_input_gradient, gcn_forward, init_gcn_params
 from gpcn.graphs import laplacian, make_grid, make_tube, structure_power
 from gpcn.numcore import seeded_rng
+
+from tests.oracles import coarsen_from_scores, diffpool_coarsen, model_forward_reference
 
 
 class TestComposeProlongations:
@@ -158,6 +158,23 @@ class TestDiffPool:
         assert coarse.shape == (spec.n_fine, 1)
 
 
+class TestForwardAgainstOracle:
+    @pytest.mark.parametrize("name", ["ensemble2", "ngcn3", "gpcn3", "a_gpcn3", "diffpool3"])
+    def test_matches_numpy_reference(self, tiny_hierarchy, name):
+        spec = build_from_table(name, tiny_hierarchy)
+        params = init_model_params(spec, 3, seeded_rng(40))
+        rng = seeded_rng(41)
+        for _, arr in params.all_arrays():  # nonzero biases, moved prolongations
+            arr += 0.1 * rng.normal(size=arr.shape)
+        x = rng.normal(size=(spec.n_fine, 3))
+        masks = [None, {0, spec.n_levels - 1}] + [{i} for i in range(spec.n_levels)]
+        for mask in masks:
+            got = model_forward(spec, params, x, level_mask=mask)
+            want = model_forward_reference(spec, params, x, level_mask=mask)
+            assert got.shape == want.shape == (spec.n_fine, 1)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), mask
+
+
 class TestEnsembleInputGradient:
     def test_single_level_matches_gcn_rule(self, tiny_hierarchy):
         z = tiny_hierarchy.laplacians[0]
@@ -272,4 +289,20 @@ class TestCheckpoints:
         save_checkpoint(path, spec, params)
         spec2, params2 = load_checkpoint(path)
         assert spec2.kind == spec.kind and spec2.adaptive == spec.adaptive
+        assert np.array_equal(model_forward(spec2, params2, x), expected)
+
+    def test_round_trip_keeps_non_default_activations(self, tiny_hierarchy, tmp_path):
+        spec = build_from_table("gpcn2", tiny_hierarchy)
+        params = init_model_params(spec, 3, seeded_rng(33))
+        params.levels[1].gcn[0].activation = "sigmoid"
+        params.levels[0].dense[1].activation = "relu"
+        x = seeded_rng(34).normal(size=(spec.n_fine, 3))
+        expected = model_forward(spec, params, x)
+        save_checkpoint(tmp_path / "model.bin", spec, params)
+        spec2, params2 = load_checkpoint(tmp_path / "model.bin")
+
+        def activations(p):
+            return [[layer.activation for layer in gp.gcn + gp.dense] for gp in p.levels]
+
+        assert activations(params2) == activations(params)
         assert np.array_equal(model_forward(spec2, params2, x), expected)

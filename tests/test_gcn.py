@@ -8,15 +8,14 @@ from gpcn.gcn import (
     energy_input_gradient,
     gcn_forward,
     gcn_graph,
-    gcn_layer,
     init_gcn_params,
-    input_gradient_autodiff,
 )
 from gpcn.graphs import StructureMatrix, laplacian, make_grid, make_tube
 from gpcn.numcore import seeded_rng
 
 import scipy.sparse as sp
 
+from tests.oracles import gcn_layer, input_gradient_autodiff
 from tests.test_autodiff import finite_difference
 
 
@@ -125,7 +124,7 @@ class TestParameterGradients:
                 nodes.append((layer.b, bn))
                 bound.append((wn, bn, layer.activation))
             layers.append(bound)
-        out = gcn_graph(tape, spec, tuple(layers), x)
+        out = gcn_graph(tape, spec.z, tuple(layers), x)
         tape.backward(tape.mse(out, target))
 
         def loss_with(arr, idx, value):

@@ -8,8 +8,6 @@ from gpcn.simulator import (
     STRENGTH_PARAMS,
     SimConfig,
     SimulationDiverged,
-    angle_energy,
-    bond_energy,
     build_geometry,
     forces_and_energy,
     full_strength_grid,
@@ -22,6 +20,7 @@ from gpcn.simulator import (
     tip_deflection,
 )
 
+from tests.oracles import angle_energy, bond_energy
 from tests.test_autodiff import finite_difference
 
 
@@ -74,6 +73,22 @@ class TestEnergies:
 
     def test_angle_formula(self):
         assert angle_energy(2.0, np.pi, np.pi / 2) == pytest.approx(2.0 * (np.pi / 2) ** 2)
+
+    def test_total_is_the_sum_of_term_energies(self):
+        m = build_geometry(4, 5, 1)
+        rng = seeded_rng(3)
+        kb = rng.uniform(50.0, 150.0, size=len(m.bond_idx))
+        ka = rng.uniform(300.0, 700.0, size=len(m.angle_idx))
+        pos = m.positions + 0.05 * rng.normal(size=m.positions.shape)
+        expected = 0.0
+        for (i, j), k, rest in zip(m.bond_idx, kb, m.bond_rest):
+            expected += bond_energy(k, np.linalg.norm(pos[j] - pos[i]), rest)
+        for (a, v, c), k, rest in zip(m.angle_idx, ka, m.angle_rest):
+            u, w = pos[a] - pos[v], pos[c] - pos[v]
+            cos = u @ w / (np.linalg.norm(u) * np.linalg.norm(w))
+            expected += angle_energy(k, np.arccos(np.clip(cos, -1.0, 1.0)), rest)
+        _, _, total = forces_and_energy(m, pos, kb, ka)
+        assert abs(total - expected) <= 1e-9 * expected
 
     def test_forces_match_finite_differences(self):
         m = build_geometry(4, 5, 1)
