@@ -12,7 +12,7 @@ import numpy as np
 from gpcn import ScheduleSpec, build_from_table, make_tube, seeded_rng, train
 from gpcn.ensembles import make_hierarchy
 from gpcn.simulator import Dataset
-from gpcn.training import coarse_to_fine, gamma_cycle, gamma_sequence
+from gpcn.training import gamma_sequence
 
 hier = make_hierarchy([make_tube(8, 5, 1), make_tube(4, 5, 1), make_tube(4, 2, 0)])
 spec = build_from_table("gpcn3", hier)
@@ -35,9 +35,11 @@ for gamma in (0, 1, 2, 3):
 common = dict(total_epochs=30, batches_per_epoch=5, batch_size=6)
 runs = {
     "joint": train(spec, data, ScheduleSpec(**common), seed=1),
-    "v-cycle": gamma_cycle(spec, data, gamma=1, seed=1, **common),
-    "w-cycle": gamma_cycle(spec, data, gamma=2, seed=1, **common),
-    "coarse-to-fine": coarse_to_fine(spec, data, seed=1, patience=2, **common),
+    "v-cycle": train(spec, data, ScheduleSpec(kind="gamma_cycle", gamma=1, **common), seed=1),
+    "w-cycle": train(spec, data, ScheduleSpec(kind="gamma_cycle", gamma=2, **common), seed=1),
+    "coarse-to-fine": train(
+        spec, data, ScheduleSpec(kind="coarse_to_fine", patience=2, **common), seed=1
+    ),
 }
 
 print(f"\n{'schedule':<15} {'best val nmse':>14} {'total gflops':>13}")

@@ -280,8 +280,11 @@ def cmd_limit_curve(args) -> int:
     n_values = _numbers(int, config.get("n_values", range(4, 11)), "n_values")
     if not n_values or min(n_values) < 2:
         raise ConfigError("n_values must contain integers >= 2")
+    k = _number(int, config.get("k", 13), "k")
+    if k < 2:
+        raise ConfigError(f"k must be an integer >= 2, got {k}")
     alpha = _alpha(config.get("alpha", 1.0))
-    rows = limit_curve(n_values, k=_number(int, config.get("k", 13), "k"), alpha=alpha)
+    rows = limit_curve(n_values, k=k, alpha=alpha)
     out = _out_dir(args)
     write_csv(os.path.join(out, "limit_curve.csv"), ["n", "family", "distance"], rows)
     _write_manifest(out, "limit-curve", config, args.seed)
@@ -299,9 +302,11 @@ def _hierarchy_from_config(value) -> ensembles.Hierarchy:
     if value == "paper":
         return ensembles.paper_hierarchy()
     if isinstance(value, list):
-        return ensembles.make_hierarchy(
-            [_tube_from_dict(d, f"hierarchy[{i}]") for i, d in enumerate(value)]
-        )
+        tubes = [_tube_from_dict(d, f"hierarchy[{i}]") for i, d in enumerate(value)]
+        try:
+            return ensembles.make_hierarchy(tubes)
+        except ValueError as exc:
+            raise ConfigError(f"hierarchy: {exc}")
     raise ConfigError("hierarchy must be 'desk', 'paper', or a list of tube specs")
 
 
@@ -349,7 +354,10 @@ def cmd_train(args) -> int:
         raise ConfigError(
             f"model fine scale has {spec.n_fine} nodes but the dataset has {data.x.shape[1]}"
         )
-    trainer = training.Trainer(spec, data, schedule, seed)
+    try:
+        trainer = training.Trainer(spec, data, schedule, seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     record = trainer.run()
     out = _out_dir(args)
     record.to_csv(os.path.join(out, "run_record.csv"))
@@ -375,6 +383,8 @@ def cmd_flops(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.features < 1:
+        raise ConfigError(f"--features must be positive, got {args.features}")
     hier = _hierarchy_from_config(args.hierarchy)
     spec = ensembles.build_from_table(name, hier)
     rows = [

@@ -290,7 +290,8 @@ def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=
     to the sum. Returns (output node, bindings); bindings are (owner_level,
     name, array, node) rows for every parameter turned into a tape variable.
     ``level_mask`` restricts the sum to a subset of levels (their members
-    still project through every intervening prolongation or pooling step).
+    still project through every intervening prolongation or pooling step);
+    the loop stops at the coarsest active level.
     """
     active = set(range(spec.n_levels)) if level_mask is None else set(level_mask)
     if not active:
@@ -311,7 +312,7 @@ def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=
     ]
     z, xi, lift = spec.levels[0].z, x, None
     out = None
-    for i, lvl in enumerate(spec.levels):
+    for i, lvl in enumerate(spec.levels[: max(active) + 1]):
         if i > 0 and spec.kind == "diffpool":
             pool = params.pools[i - 1]
             pw, pb = bind(i, f"pool{i - 1}_w", pool.w), bind(i, f"pool{i - 1}_b", pool.b)

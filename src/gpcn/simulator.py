@@ -399,7 +399,6 @@ class Dataset:
     y: np.ndarray  # (frames, n, 1)
     column_names: list
     manifest: dict
-    normalization: object | None = None
 
     @property
     def n_frames(self) -> int:

@@ -6,7 +6,11 @@ node-wise dense layer costs ``n*F*C``; a projection between an n-by-k and a
 k-by-m operand costs ``n*m*k``. A backward pass is charged at twice the
 forward cost. Validation passes are not charged.
 
-Schedules:
+Schedules differ only in what each epoch does: which levels it updates and
+which levels the forward sums. :meth:`Trainer.run` is one epoch loop for all
+of them; it trains, logs, evaluates and stops on divergence the same way,
+and asks the schedule for each epoch's (label, updated levels, forward
+mask):
 
 * ``joint``: every step updates every level (and the prolongations when the
   model is adaptive).
@@ -51,8 +55,6 @@ __all__ = [
     "RunRecord",
     "Trainer",
     "train",
-    "gamma_cycle",
-    "coarse_to_fine",
     "gamma_sequence",
     "best_val_at_budget",
 ]
@@ -104,13 +106,16 @@ class FlopsLedger:
         self.by_category[category] = self.by_category.get(category, 0) + int(count)
 
 
+def _nnz(level) -> int:
+    """Stored entries of a level's structure matrix; a level without one (a
+    pooled level) aggregates with a dense one, n^2 entries."""
+    return level.z.nnz if level.z is not None else level.n * level.n
+
+
 def layer_flops(level, in_features: int):
     """Per-frame forward cost of each layer of one member, as (layer, flops)
-    rows: the convolutions ``gcn<j>`` then the dense head ``dense<j>``. A
-    level without a stored structure matrix (a pooled level) aggregates
-    with a dense one, n^2 entries."""
-    n = level.n
-    nnz = level.z.nnz if level.z is not None else n * n
+    rows: the convolutions ``gcn<j>`` then the dense head ``dense<j>``."""
+    n, nnz = level.n, _nnz(level)
     rows = []
     f = in_features
     for j, c in enumerate(level.gcn_widths):
@@ -136,59 +141,42 @@ def model_forward_flops(
 ):
     """Predicted forward cost of a batch, per the cost model above.
 
-    Returns (total, breakdown dict). For adaptive models the prolongation
-    composition is recomputed each pass and charged once per pass; frozen
-    compositions are precomputable and free. Differentiable pooling charges
-    its pooling convolutions, the coarsening products, and dense coarse
-    structure matrices (nnz = n^2).
+    Returns (total, breakdown dict). Follows :func:`model_graph` level by
+    level up to the coarsest active level. Building level i charges
+    differentiable pooling its pooling convolution, the coarsening products
+    and the extension of its lift (coarse structure matrices are dense,
+    nnz = n^2); an adaptive gpcn recomposes its prolongations once per pass,
+    while frozen compositions are precomputable and free. An active level
+    then adds its member, the gpcn input restriction and the lift of its
+    output back to the fine scale.
     """
     active = set(range(spec.n_levels)) if level_mask is None else set(level_mask)
+    f, n0 = in_features, spec.n_fine
     gcn_cost = dense_cost = project_cost = 0  # per frame
     compose_cost = 0  # per pass, independent of the batch size
-    n0 = spec.n_fine
-    if spec.kind in ("plain_ensemble", "ngcn"):
-        for i, lvl in enumerate(spec.levels):
-            if i not in active:
-                continue
-            g, d = member_flops(lvl, in_features)
-            gcn_cost += g
-            dense_cost += d
-    elif spec.kind == "gpcn":
-        maxa = max(active)
-        for i, lvl in enumerate(spec.levels):
-            if spec.adaptive and 2 <= i <= maxa:
-                # composing P(fine->i) from P(fine->i-1), once per pass
-                compose_cost += flops_project(n0, lvl.n, spec.levels[i - 1].n)
-            if i not in active:
-                continue
-            g, d = member_flops(lvl, in_features)
-            gcn_cost += g
-            dense_cost += d
-            if i > 0:
-                project_cost += flops_project(lvl.n, in_features, n0)  # restrict input
-                project_cost += flops_project(n0, 1, lvl.n)  # lift output
-    elif spec.kind == "diffpool":
-        maxa = max(active)
-        n_prev = n0
-        nnz_prev = spec.levels[0].z.nnz
-        for i, lvl in enumerate(spec.levels):
-            if i > 0 and i <= maxa:
-                n_i = lvl.n
-                # pooling convolution, then S^T X and S^T (Z S)
-                gcn_cost += flops_gcn_layer(n_prev, in_features, n_i, nnz_prev)
-                project_cost += flops_project(n_i, in_features, n_prev)
-                project_cost += flops_project(n_prev, n_i, n_prev)
-                project_cost += flops_project(n_i, n_i, n_prev)
-                if i >= 2:
-                    project_cost += flops_project(n0, n_i, n_prev)  # extend the lift
-                n_prev, nnz_prev = n_i, n_i * n_i
-            if i not in active:
-                continue
-            g, d = member_flops(lvl, in_features)
-            gcn_cost += g
-            dense_cost += d
-            if i > 0:
-                project_cost += flops_project(n0, 1, lvl.n)
+    for i, lvl in enumerate(spec.levels[: max(active) + 1]):
+        n = lvl.n
+        if i > 0 and spec.kind == "diffpool":
+            prev = spec.levels[i - 1]
+            # pooling convolution, then S^T X, S^T (Z S) and the lift S_1 ... S_i
+            gcn_cost += flops_gcn_layer(prev.n, f, n, _nnz(prev))
+            project_cost += flops_project(n, f, prev.n)
+            project_cost += flops_project(prev.n, n, prev.n)
+            project_cost += flops_project(n, n, prev.n)
+            if i >= 2:
+                project_cost += flops_project(n0, n, prev.n)
+        elif i >= 2 and spec.kind == "gpcn" and spec.adaptive:
+            # composing P(fine->i) from P(fine->i-1)
+            compose_cost += flops_project(n0, n, spec.levels[i - 1].n)
+        if i not in active:
+            continue
+        g, d = member_flops(lvl, f)
+        gcn_cost += g
+        dense_cost += d
+        if i > 0 and spec.kind == "gpcn":
+            project_cost += flops_project(n, f, n0)  # restrict the input
+        if i > 0 and spec.kind in ("gpcn", "diffpool"):
+            project_cost += flops_project(n0, 1, n)  # lift the output
     breakdown = {
         "gcn_layer": batch * gcn_cost,
         "dense": batch * dense_cost,
@@ -226,7 +214,8 @@ def _guarded_std(a: np.ndarray, axis) -> np.ndarray:
 
 def normalize_dataset(data: Dataset, train_idx: np.ndarray):
     """Z-score inputs and targets along the frame axis using training frames
-    only; returns (stats, x_normalized, y_normalized)."""
+    only; returns (stats, x_normalized, y_normalized). ``data`` is left
+    unchanged."""
     stats = NormStats(
         x_mean=data.x[train_idx].mean(axis=0),
         x_std=_guarded_std(data.x[train_idx], 0),
@@ -235,7 +224,6 @@ def normalize_dataset(data: Dataset, train_idx: np.ndarray):
     )
     xn = (data.x - stats.x_mean) / stats.x_std
     yn = (data.y - stats.y_mean) / stats.y_std
-    data.normalization = stats
     return stats, xn, yn
 
 
@@ -330,6 +318,8 @@ class Trainer:
     """Owns parameters, optimizer state, data split, and the ledger for one run."""
 
     def __init__(self, spec: ModelSpec, data: Dataset, schedule: ScheduleSpec, seed):
+        if schedule.kind == "gamma_cycle" and spec.n_levels < 2:
+            raise ValueError("gamma cycles need a multiscale model")
         self.spec = spec
         self.schedule = schedule
         self.seed = seed
@@ -349,15 +339,6 @@ class Trainer:
         self.ledger = FlopsLedger()
         self.record = RunRecord(model_name=spec.name or spec.kind, seed=int(seed))
         self._best_val = np.inf
-
-    # -- single pieces ------------------------------------------------------
-
-    def _charge(self, level_mask, n_frames: int) -> None:
-        _, breakdown = model_forward_flops(
-            self.spec, self.in_features, level_mask=level_mask, batch=n_frames
-        )
-        for category, cost in breakdown.items():
-            self.ledger.add(category, 3 * cost)  # forward plus backward at 2x
 
     def _train_epoch(self, update_levels=None, forward_mask=None) -> float:
         """One epoch of batched ADAM steps; returns the mean batch loss."""
@@ -391,15 +372,19 @@ class Trainer:
                     for name, arr in named
                 ]
                 adam_step(self.adam[owner], arrays, grad_list)
-            self._charge(forward_mask, len(idx))
+            _, breakdown = model_forward_flops(
+                self.spec, self.in_features, level_mask=forward_mask, batch=len(idx)
+            )
+            for category, cost in breakdown.items():
+                self.ledger.add(category, 3 * cost)  # forward plus backward at 2x
         return float(np.mean(losses))
 
-    def _validate(self, forward_mask=None) -> float:
-        pred = model_forward(self.spec, self.params, self.x_val, level_mask=forward_mask)
-        return nmse(pred, self.y_val)
-
     def _evaluate(self, epoch: int, train_nmse: float, forward_mask=None) -> float:
-        val = self._validate(forward_mask)
+        """Validate at the fine scale, record the point; returns the error."""
+        val = nmse(
+            model_forward(self.spec, self.params, self.x_val, level_mask=forward_mask),
+            self.y_val,
+        )
         self._best_val = min(self._best_val, val)
         self.record.points.append(
             EvalPoint(
@@ -411,94 +396,52 @@ class Trainer:
         )
         return val
 
-    def _initial_train_nmse(self) -> float:
-        pred = model_forward(self.spec, self.params, self.x_train)
-        return nmse(pred, self.y_train)
-
-    # -- schedules -----------------------------------------------------------
+    def _plan(self, epoch: int, stage: int):
+        """(label, levels updated, levels the forward sums) of one epoch;
+        ``None`` means every level."""
+        kind, k = self.schedule.kind, self.spec.n_levels
+        if kind == "joint":
+            return "joint", None, None
+        if kind == "coarse_to_fine":
+            mask = set(range(k - stage, k))
+            return f"stage{stage}", mask, mask
+        visits = gamma_sequence(k, self.schedule.gamma)
+        level = visits[(epoch - 1) // self.schedule.smoothing_epochs % len(visits)]
+        partial = self.schedule.smoothing_forward == "partial"
+        return f"level{level}", {level}, set(range(level, k)) if partial else None
 
     def run(self) -> RunRecord:
-        kind = self.schedule.kind
-        if kind == "joint":
-            return self._run_joint()
-        if kind == "gamma_cycle":
-            return self._run_gamma()
-        return self._run_coarse_to_fine()
-
-    def _run_joint(self) -> RunRecord:
-        self._evaluate(0, self._initial_train_nmse())
+        """Train the epochs the schedule plans, evaluating after each, until
+        ``total_epochs`` or divergence. Coarse-to-fine also validates on its
+        stage's levels and advances a stage after ``patience`` epochs without
+        improvement; with a single level, stage 1 is already every level,
+        which is plain joint training."""
+        c2f, k = self.schedule.kind == "coarse_to_fine", self.spec.n_levels
+        stage, since_improve = 1, 0
+        if c2f:
+            self.record.stage_starts.append((stage, 0))
+        train_nmse = nmse(model_forward(self.spec, self.params, self.x_train), self.y_train)
+        best_in_stage = self._evaluate(0, train_nmse, {k - 1} if c2f else None)
         for epoch in range(1, self.schedule.total_epochs + 1):
-            tn = self._train_epoch()
-            self.record.epoch_log.append((epoch, "joint"))
-            self._evaluate(epoch, tn)
+            label, update, mask = self._plan(epoch, stage)
+            train_nmse = self._train_epoch(update_levels=update, forward_mask=mask)
+            self.record.epoch_log.append((epoch, label))
+            val = self._evaluate(epoch, train_nmse, mask if c2f else None)
             if self.record.diverged:
                 break
-        return self.record
-
-    def _run_gamma(self) -> RunRecord:
-        if self.spec.n_levels < 2:
-            raise ValueError("gamma cycles need a multiscale model")
-        seq = gamma_sequence(self.spec.n_levels, self.schedule.gamma)
-        self._evaluate(0, self._initial_train_nmse())
-        epoch = 0
-        while epoch < self.schedule.total_epochs and not self.record.diverged:
-            for level in seq:
-                for _ in range(self.schedule.smoothing_epochs):
-                    if epoch >= self.schedule.total_epochs or self.record.diverged:
-                        break
-                    epoch += 1
-                    mask = (
-                        None
-                        if self.schedule.smoothing_forward == "full"
-                        else set(range(level, self.spec.n_levels))
-                    )
-                    tn = self._train_epoch(update_levels={level}, forward_mask=mask)
-                    self.record.epoch_log.append((epoch, f"level{level}"))
-                    self._evaluate(epoch, tn)
-        return self.record
-
-    def _run_coarse_to_fine(self) -> RunRecord:
-        # with a single level, stage 1 is already every level: plain joint training
-        k = self.spec.n_levels
-        stage = 1
-        active = set(range(k - stage, k))
-        self.record.stage_starts.append((stage, 0))
-        self._evaluate(0, self._initial_train_nmse(), forward_mask=active)
-        best_in_stage = self._best_val
-        since_improve = 0
-        for epoch in range(1, self.schedule.total_epochs + 1):
-            tn = self._train_epoch(update_levels=active, forward_mask=active)
-            self.record.epoch_log.append((epoch, f"stage{stage}"))
-            val = self._evaluate(epoch, tn, forward_mask=active)
-            if self.record.diverged:
-                break
+            if not c2f:
+                continue
             if val < best_in_stage - 1e-15:
-                best_in_stage = val
-                since_improve = 0
+                best_in_stage, since_improve = val, 0
             else:
                 since_improve += 1
             if since_improve >= self.schedule.patience and stage < k:
                 stage += 1
-                active = set(range(k - stage, k))
                 self.record.stage_starts.append((stage, epoch))
-                best_in_stage = np.inf
-                since_improve = 0
+                best_in_stage, since_improve = np.inf, 0
         return self.record
 
 
 def train(spec: ModelSpec, data: Dataset, schedule: ScheduleSpec, seed) -> RunRecord:
     """Run one training schedule to completion; deterministic given the seed."""
     return Trainer(spec, data, schedule, seed).run()
-
-
-def gamma_cycle(
-    spec: ModelSpec, data: Dataset, gamma: int, smoothing_epochs: int = 1, seed=0, **kwargs
-) -> RunRecord:
-    schedule = ScheduleSpec(
-        kind="gamma_cycle", gamma=gamma, smoothing_epochs=smoothing_epochs, **kwargs
-    )
-    return train(spec, data, schedule, seed)
-
-
-def coarse_to_fine(spec: ModelSpec, data: Dataset, seed=0, **kwargs) -> RunRecord:
-    return train(spec, data, ScheduleSpec(kind="coarse_to_fine", **kwargs), seed)

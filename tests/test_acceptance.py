@@ -48,7 +48,6 @@ from gpcn.training import (
     best_val_at_budget,
     flops_dense,
     flops_gcn_layer,
-    gamma_cycle,
     model_forward_flops,
     train,
 )
@@ -356,15 +355,23 @@ def test_criterion_8_schedule_correctness():
         ]
         return dataclasses.replace(spec, levels=tuple(levels))
 
-    rec2 = gamma_cycle(
-        shrink("gpcn2"), data, gamma=1, smoothing_epochs=1,
-        seed=110, total_epochs=3, batches_per_epoch=2, batch_size=4,
+    rec2 = train(
+        shrink("gpcn2"), data,
+        ScheduleSpec(
+            kind="gamma_cycle", gamma=1, smoothing_epochs=1,
+            total_epochs=3, batches_per_epoch=2, batch_size=4,
+        ),
+        seed=110,
     )
     assert [label for _, label in rec2.epoch_log] == ["level0", "level1", "level0"]
 
-    rec3 = gamma_cycle(
-        shrink("gpcn3"), data, gamma=2, smoothing_epochs=1,
-        seed=111, total_epochs=10, batches_per_epoch=2, batch_size=4,
+    rec3 = train(
+        shrink("gpcn3"), data,
+        ScheduleSpec(
+            kind="gamma_cycle", gamma=2, smoothing_epochs=1,
+            total_epochs=10, batches_per_epoch=2, batch_size=4,
+        ),
+        seed=111,
     )
     expected = [f"level{l}" for l in [0, 1, 2, 2, 1, 1, 2, 2, 1, 0]]
     assert [label for _, label in rec3.epoch_log] == expected

@@ -170,8 +170,9 @@ def _drop_manifest(dataset):
 
 
 # case -> (command, payload, extra arguments). The payload is bad edge-list
-# text for gdd, a config for the other commands, and for train a pair of
-# config entries and a function that damages a copy of the dataset.
+# text for gdd, a config for the other commands (flops reads none), and for
+# train a pair of config entries and a function that damages a copy of the
+# dataset.
 BAD_INPUTS = {
     "gdd-malformed-header": ("gdd", "three\n0 1 1.0\n", []),
     "gdd-node-out-of-range": ("gdd", "3\n0 5 1.0\n", []),
@@ -197,6 +198,8 @@ BAD_INPUTS = {
     ),
     "limit-curve-n-not-a-number": ("limit-curve", {"n_values": ["x"], "k": 5}, []),
     "limit-curve-k-not-a-number": ("limit-curve", {"n_values": [2], "k": "x"}, []),
+    "limit-curve-k-below-two": ("limit-curve", {"n_values": [2], "k": 1}, []),
+    "flops-features-zero": ("flops", None, ["--model", "single_gcn", "--features", "0"]),
     "generate-tube-not-a-number": (
         "generate", dict(GEN_CONFIG, tube={"n_rings": "x", "k": 13, "offset": 3}), []
     ),
@@ -205,6 +208,17 @@ BAD_INPUTS = {
     "train-hierarchy-too-shallow": ("train", ({"model": "gpcn3"}, None), []),
     "train-truncated-frames": ("train", ({}, _truncate_frames), []),
     "train-no-manifest": ("train", ({}, _drop_manifest), []),
+    "train-hierarchy-coarse-to-fine": (
+        "train",
+        ({"hierarchy": [{"n_rings": 2, "k": 13, "offset": 1}, {"n_rings": 4, "k": 13, "offset": 3}]},
+         None),
+        [],
+    ),
+    "train-gamma-cycle-single-level": (
+        "train",
+        ({"model": "single_gcn", "schedule": {"kind": "gamma_cycle", "total_epochs": 1}}, None),
+        [],
+    ),
 }
 
 

@@ -157,6 +157,24 @@ class TestDiffPool:
         coarse = model_forward(spec, params, x, level_mask={2})
         assert coarse.shape == (spec.n_fine, 1)
 
+    def test_fine_only_mask_builds_no_pooling(self, tiny_hierarchy):
+        class CountingTape(Tape):
+            softmaxes = 0
+
+            def row_softmax(self, a):
+                self.softmaxes += 1
+                return super().row_softmax(a)
+
+        spec = build_from_table("diffpool3", tiny_hierarchy)
+        params = init_model_params(spec, 3, seeded_rng(18))
+        x = seeded_rng(19).normal(size=(spec.n_fine, 3))
+        tape = CountingTape()
+        model_graph(tape, spec, params, x, level_mask={0}, train=True)
+        assert tape.softmaxes == 0
+        tape = CountingTape()
+        model_graph(tape, spec, params, x, level_mask={1}, train=True)
+        assert tape.softmaxes == 1
+
 
 class TestForwardAgainstOracle:
     @pytest.mark.parametrize("name", ["ensemble2", "ngcn3", "gpcn3", "a_gpcn3", "diffpool3"])

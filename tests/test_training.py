@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -12,11 +13,9 @@ from gpcn.training import (
     ScheduleSpec,
     Trainer,
     best_val_at_budget,
-    coarse_to_fine,
     flops_dense,
     flops_gcn_layer,
     flops_project,
-    gamma_cycle,
     gamma_sequence,
     model_forward_flops,
     nmse,
@@ -150,6 +149,16 @@ class TestSplitAndNormalize:
         stats, _, _ = normalize_dataset(small_dataset, train_idx)
         assert np.abs(stats.x_mean - small_dataset.x[train_idx].mean(axis=0)).max() == 0.0
 
+    def test_trainer_leaves_the_dataset_unchanged(self, hier, small_dataset):
+        before = copy.deepcopy(small_dataset)
+        Trainer(tiny_spec(hier), small_dataset, ScheduleSpec(), seed=0)
+        for f in dataclasses.fields(small_dataset):
+            got, want = getattr(small_dataset, f.name), getattr(before, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
+
 
 class TestGammaSequence:
     def test_two_levels_v_cycle(self):
@@ -222,18 +231,26 @@ class TestTrainJoint:
 
 class TestGammaCycle:
     def test_epoch_log_matches_unfolded_sequence(self, hier, small_dataset):
-        record = gamma_cycle(
-            tiny_spec(hier), small_dataset, gamma=1, smoothing_epochs=1,
-            seed=9, total_epochs=6, batches_per_epoch=2, batch_size=4,
+        record = train(
+            tiny_spec(hier), small_dataset,
+            ScheduleSpec(
+                kind="gamma_cycle", gamma=1, smoothing_epochs=1,
+                total_epochs=6, batches_per_epoch=2, batch_size=4,
+            ),
+            seed=9,
         )
         labels = [label for _, label in record.epoch_log]
         assert labels == ["level0", "level1", "level0"] * 2
 
     def test_three_level_gamma_two_log(self, hier, small_dataset):
         spec = tiny_spec(hier, "gpcn3")
-        record = gamma_cycle(
-            spec, small_dataset, gamma=2, smoothing_epochs=1,
-            seed=10, total_epochs=10, batches_per_epoch=2, batch_size=4,
+        record = train(
+            spec, small_dataset,
+            ScheduleSpec(
+                kind="gamma_cycle", gamma=2, smoothing_epochs=1,
+                total_epochs=10, batches_per_epoch=2, batch_size=4,
+            ),
+            seed=10,
         )
         labels = [label for _, label in record.epoch_log]
         expected = [f"level{l}" for l in [0, 1, 2, 2, 1, 1, 2, 2, 1, 0]]
@@ -261,21 +278,32 @@ class TestGammaCycle:
     def test_single_level_model_rejected(self, hier, small_dataset):
         spec = tiny_spec(hier, "single_gcn")
         with pytest.raises(ValueError):
-            gamma_cycle(spec, small_dataset, gamma=1, seed=0, total_epochs=2)
+            train(
+                spec, small_dataset,
+                ScheduleSpec(kind="gamma_cycle", gamma=1, total_epochs=2), seed=0,
+            )
 
     def test_partial_forward_switch_runs(self, hier, small_dataset):
-        record = gamma_cycle(
-            tiny_spec(hier), small_dataset, gamma=1, smoothing_epochs=1, seed=12,
-            total_epochs=3, batches_per_epoch=2, batch_size=4, smoothing_forward="partial",
+        record = train(
+            tiny_spec(hier), small_dataset,
+            ScheduleSpec(
+                kind="gamma_cycle", gamma=1, smoothing_epochs=1, total_epochs=3,
+                batches_per_epoch=2, batch_size=4, smoothing_forward="partial",
+            ),
+            seed=12,
         )
         assert len(record.points) == 4
 
 
 class TestCoarseToFine:
     def test_stages_advance_with_patience(self, hier, small_dataset):
-        record = coarse_to_fine(
-            tiny_spec(hier), small_dataset, seed=13,
-            total_epochs=40, batches_per_epoch=2, batch_size=4, patience=3,
+        record = train(
+            tiny_spec(hier), small_dataset,
+            ScheduleSpec(
+                kind="coarse_to_fine",
+                total_epochs=40, batches_per_epoch=2, batch_size=4, patience=3,
+            ),
+            seed=13,
         )
         stages = [s for s, _ in record.stage_starts]
         assert stages[0] == 1
@@ -299,8 +327,51 @@ class TestCoarseToFine:
     def test_single_level_equivalent_to_joint(self, hier, small_dataset):
         spec = tiny_spec(hier, "single_gcn")
         joint = train(spec, small_dataset, ScheduleSpec(total_epochs=3, batches_per_epoch=2, batch_size=4), seed=15)
-        c2f = coarse_to_fine(spec, small_dataset, seed=15, total_epochs=3, batches_per_epoch=2, batch_size=4)
+        c2f = train(
+            spec, small_dataset,
+            ScheduleSpec(kind="coarse_to_fine", total_epochs=3, batches_per_epoch=2, batch_size=4),
+            seed=15,
+        )
         assert record_bits(joint) == record_bits(c2f)
+
+
+class TestMaskedLedger:
+    @pytest.mark.parametrize("name", ["a_gpcn3", "diffpool3"])
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ScheduleSpec(
+                kind="gamma_cycle", gamma=1, smoothing_forward="partial",
+                total_epochs=6, batches_per_epoch=2, batch_size=4,
+            ),
+            ScheduleSpec(
+                kind="coarse_to_fine", patience=1,
+                total_epochs=8, batches_per_epoch=1, batch_size=1,
+            ),
+        ],
+        ids=["gamma-partial", "coarse-to-fine"],
+    )
+    def test_masked_ledger_matches_hand_prediction(self, hier, schedule, name):
+        spec = tiny_spec(hier, name)
+        k = spec.n_levels
+        data = synthetic_dataset(seed=9)
+        data.y = seeded_rng(10).normal(size=data.y.shape)  # no signal: stages advance
+        record = train(spec, data, schedule, seed=4)
+        if schedule.kind == "coarse_to_fine":
+            assert len(record.stage_starts) > 1
+
+        def mask(label):
+            if label.startswith("level"):
+                return set(range(int(label[len("level"):]), k))
+            return set(range(k - int(label[len("stage"):]), k))
+
+        expected = [0]
+        for _, label in record.epoch_log:
+            cost, _ = model_forward_flops(
+                spec, data.x.shape[-1], level_mask=mask(label), batch=schedule.batch_size
+            )
+            expected.append(expected[-1] + 3 * schedule.batches_per_epoch * cost)
+        assert [p.flops for p in record.points] == expected
 
 
 class TestRunRecordOutput:
