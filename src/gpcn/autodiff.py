@@ -19,7 +19,7 @@ from .graphs import StructureMatrix
 from .numcore import relu as _relu, row_softmax as _row_softmax, sigmoid as _sigmoid
 from .numcore import spmm as _spmm
 
-__all__ = ["Node", "Tape", "backward"]
+__all__ = ["Node", "Tape"]
 
 
 class Node:
@@ -95,14 +95,6 @@ class Tape:
             out,
             (a, b),
             (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(g, bv.shape)),
-        )
-
-    def sub(self, a, b) -> Node:
-        av, bv = _value(a), _value(b)
-        return self._record(
-            av - bv,
-            (a, b),
-            (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(-g, bv.shape)),
         )
 
     def scale(self, a, s: float) -> Node:
@@ -190,8 +182,3 @@ class Tape:
                     parent.grad = contrib.copy() if contrib is g else contrib
                 else:
                     parent.grad = parent.grad + contrib
-
-
-def backward(tape: Tape, loss: Node) -> None:
-    """Function-style alias for :meth:`Tape.backward`."""
-    tape.backward(loss)

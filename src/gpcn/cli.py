@@ -11,7 +11,13 @@ Subcommands mirror the package's capabilities one to one:
 
 Every command is deterministic given its config and seed, writes a manifest
 echoing both, and exits 0 on success, 2 on usage/config errors, 3 on
-numerical failure.
+numerical failure. ``main`` is the one place that maps failures to exit
+codes: a ``NumericalError`` exits 3, and any ``ValueError`` or ``OSError``
+exits 2 with one ``error: <message>`` line. The library raises
+``ValueError`` for every argument it rejects, every argument passed here
+comes from the user, and every file opened or written is one the user
+named. Raw JSON types are checked where the config is read, so a
+``TypeError`` is never mapped and stays a bug.
 """
 
 from __future__ import annotations
@@ -39,8 +45,14 @@ class ConfigError(ValueError):
     """Bad or unknown configuration content (exit code 2)."""
 
 
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return obj
+
+
 def _require_keys(obj: dict, allowed, where: str) -> None:
-    unknown = set(obj) - set(allowed)
+    unknown = set(_object(obj, where)) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys in {where}: {', '.join(sorted(unknown))}")
 
@@ -51,8 +63,6 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
@@ -64,7 +74,7 @@ def _out_dir(args) -> str:
     return args.out
 
 
-def _write_manifest(out, command: str, config, seed) -> None:
+def _write_manifest(out, command: str, config, seed=None) -> None:
     dump_json(
         os.path.join(out, "manifest.json"),
         {"command": command, "config": config, "seed": seed},
@@ -86,16 +96,17 @@ def _numbers(cast, values, where: str) -> list:
     return sorted(_number(cast, v, where) for v in values)
 
 
+_TUBE_CASTS = {"n_rings": int, "k": int, "offset": int, "seam_weight": float}
+
+
 def _tube_from_dict(d: dict, where: str) -> graphs.Graph:
-    _require_keys(d, {"n_rings", "k", "offset", "seam_weight"}, where)
+    _require_keys(d, _TUBE_CASTS, where)
+    d = {"seam_weight": 1.0, **d}
     try:
-        return graphs.make_tube(
-            int(d["n_rings"]), int(d["k"]), int(d["offset"]), float(d.get("seam_weight", 1.0))
-        )
+        args = [_number(cast, d[key], f"{where} {key}") for key, cast in _TUBE_CASTS.items()]
     except KeyError as exc:
         raise ConfigError(f"{where} is missing {exc.args[0]!r}")
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
+    return graphs.make_tube(*args)
 
 
 def _pmap(fn, items, threads: int):
@@ -127,11 +138,11 @@ _SIM_KEYS = {
 }
 
 
-def _sim_config(d: dict, strengths=None) -> simulator.SimConfig:
+def _sim_config(d: dict, strengths: dict) -> simulator.SimConfig:
     _require_keys(d, _SIM_KEYS, "sim")
     try:
-        return simulator.SimConfig(strengths=dict(strengths or {}), **d)
-    except (TypeError, ValueError) as exc:
+        return simulator.SimConfig(strengths=strengths, **d)
+    except TypeError as exc:
         raise ConfigError(f"sim: {exc}")
 
 
@@ -145,26 +156,20 @@ def cmd_generate(args) -> int:
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("grid must map strength parameters to value lists")
     for key, values in grid.items():
-        if key not in simulator.STRENGTH_PARAMS:
-            raise ConfigError(
-                f"grid: unknown strength parameter {key!r} "
-                f"(expected one of {', '.join(simulator.STRENGTH_PARAMS)})"
-            )
         if not values or min(_numbers(float, values, f"grid {key!r}")) <= 0:
             raise ConfigError(f"grid: strength {key!r} needs positive values")
-    for key, value in config.get("strengths", {}).items():
-        if key not in simulator.STRENGTH_PARAMS:
-            raise ConfigError(f"strengths: unknown strength parameter {key!r}")
-        if _number(float, value, f"strengths {key!r}") <= 0:
-            raise ConfigError(f"strengths: {key!r} must be positive, got {value}")
-    sim_cfg = _sim_config(config.get("sim", {}), config.get("strengths", {}))
+    strengths = _object(config.get("strengths", {}), "strengths")
+    sim_cfg = _sim_config(
+        config.get("sim", {}),
+        {key: _number(float, value, f"strengths {key!r}") for key, value in strengths.items()},
+    )
     model = simulator.build_geometry(
         n_rings=_number(int, tube_cfg.get("n_rings", 12), "tube n_rings"),
         k=_number(int, tube_cfg.get("k", 13), "tube k"),
         offset=_number(int, tube_cfg.get("offset", 3), "tube offset"),
     )
-    out = _out_dir(args)
     data = simulator.generate_dataset(model, grid, sim_cfg, seed=seed)
+    out = _out_dir(args)
     simulator.save_dataset(data, out, fmt=args.format)
     _write_manifest(out, "generate", config, seed)
     failed = [r for r in data.manifest["runs"] if r["status"] != "ok"]
@@ -192,22 +197,13 @@ def _alpha(value) -> float:
 
 
 def _read_graph(path) -> graphs.Graph:
-    if not os.path.exists(path):
-        raise ConfigError(f"graph file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return graphs.graph_from_edgelist(text, name=os.path.basename(path))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+        return graphs.graph_from_edgelist(fh.read(), name=os.path.basename(path))
 
 
 def cmd_gdd(args) -> int:
     alpha = _alpha(args.alpha)
-    ga, gb = _read_graph(args.graph_a), _read_graph(args.graph_b)
-    if ga.n > gb.n:
-        raise ConfigError(f"first graph must not be larger ({ga.n} > {gb.n})")
-    result = run_gdd(ga, gb, alpha=alpha)
+    result = run_gdd(_read_graph(args.graph_a), _read_graph(args.graph_b), alpha=alpha)
     print(f"{result.distance!r}")
     if args.out is not None:
         out = _out_dir(args)
@@ -224,10 +220,7 @@ def cmd_gdd(args) -> int:
                 {"alpha": alpha, "objective": result.objective},
             )
         _write_manifest(
-            out,
-            "gdd",
-            {"graph_a": args.graph_a, "graph_b": args.graph_b, "alpha": alpha},
-            args.seed,
+            out, "gdd", {"graph_a": args.graph_a, "graph_b": args.graph_b, "alpha": alpha}
         )
     return EXIT_OK
 
@@ -268,7 +261,7 @@ def cmd_coarse_search(args) -> int:
     rows = [(k, p, w, dist) for (k, p, w), dist in zip(cells, distances)]
     out = _out_dir(args)
     write_csv(os.path.join(out, "coarse_search.csv"), ["k", "p", "seam_weight", "distance"], rows)
-    _write_manifest(out, "coarse-search", config, args.seed)
+    _write_manifest(out, "coarse-search", config)
     best = min(rows, key=lambda r: r[3])
     print(f"{len(rows)} candidates; nearest k={best[0]} p={best[1]} seam={best[2]:g} distance={best[3]!r}")
     return EXIT_OK
@@ -278,16 +271,14 @@ def cmd_limit_curve(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"n_values", "k", "alpha"}, "config")
     n_values = _numbers(int, config.get("n_values", range(4, 11)), "n_values")
-    if not n_values or min(n_values) < 2:
+    if not n_values:
         raise ConfigError("n_values must contain integers >= 2")
     k = _number(int, config.get("k", 13), "k")
-    if k < 2:
-        raise ConfigError(f"k must be an integer >= 2, got {k}")
     alpha = _alpha(config.get("alpha", 1.0))
     rows = limit_curve(n_values, k=k, alpha=alpha)
     out = _out_dir(args)
     write_csv(os.path.join(out, "limit_curve.csv"), ["n", "family", "distance"], rows)
-    _write_manifest(out, "limit-curve", config, args.seed)
+    _write_manifest(out, "limit-curve", config)
     print(f"wrote {len(rows)} rows to {os.path.join(out, 'limit_curve.csv')}")
     return EXIT_OK
 
@@ -302,11 +293,9 @@ def _hierarchy_from_config(value) -> ensembles.Hierarchy:
     if value == "paper":
         return ensembles.paper_hierarchy()
     if isinstance(value, list):
-        tubes = [_tube_from_dict(d, f"hierarchy[{i}]") for i, d in enumerate(value)]
-        try:
-            return ensembles.make_hierarchy(tubes)
-        except ValueError as exc:
-            raise ConfigError(f"hierarchy: {exc}")
+        return ensembles.make_hierarchy(
+            [_tube_from_dict(d, f"hierarchy[{i}]") for i, d in enumerate(value)]
+        )
     raise ConfigError("hierarchy must be 'desk', 'paper', or a list of tube specs")
 
 
@@ -325,39 +314,23 @@ _SCHEDULE_KEYS = {
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"dataset", "model", "hierarchy", "schedule", "seed"}, "config")
-    if "dataset" not in config:
+    if not isinstance(config.get("dataset"), str):
         raise ConfigError("config needs a 'dataset' directory")
-    if not os.path.isdir(config["dataset"]):
-        raise ConfigError(f"dataset directory not found: {config['dataset']}")
-    name = config.get("model", "single_gcn")
-    if name not in ensembles.MODEL_NAMES:
-        raise ConfigError(
-            f"unknown model {name!r}; valid names: {', '.join(ensembles.MODEL_NAMES)}"
-        )
     sched_cfg = config.get("schedule", {})
     _require_keys(sched_cfg, _SCHEDULE_KEYS, "schedule")
     try:
         schedule = training.ScheduleSpec(**sched_cfg)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"schedule: {exc}")
     seed = args.seed if args.seed is not None else _number(int, config.get("seed", 0), "seed")
-    try:
-        data = simulator.load_dataset(config["dataset"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read dataset {config['dataset']}: {exc}")
-    hier = _hierarchy_from_config(config.get("hierarchy"))
-    try:
-        spec = ensembles.build_from_table(name, hier)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    data = simulator.load_dataset(config["dataset"])
+    name = config.get("model", "single_gcn")
+    spec = ensembles.build_from_table(name, _hierarchy_from_config(config.get("hierarchy")))
     if spec.n_fine != data.x.shape[1]:
         raise ConfigError(
             f"model fine scale has {spec.n_fine} nodes but the dataset has {data.x.shape[1]}"
         )
-    try:
-        trainer = training.Trainer(spec, data, schedule, seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    trainer = training.Trainer(spec, data, schedule, seed)
     record = trainer.run()
     out = _out_dir(args)
     record.to_csv(os.path.join(out, "run_record.csv"))
@@ -376,17 +349,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    name = args.model
-    if name not in ensembles.MODEL_NAMES:
-        print(
-            f"unknown model {name!r}; valid names: {', '.join(ensembles.MODEL_NAMES)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.features < 1:
-        raise ConfigError(f"--features must be positive, got {args.features}")
-    hier = _hierarchy_from_config(args.hierarchy)
-    spec = ensembles.build_from_table(name, hier)
+    spec = ensembles.build_from_table(args.model, _hierarchy_from_config(args.hierarchy))
     rows = [
         (i, layer, cost)
         for i, lvl in enumerate(spec.levels)
@@ -399,11 +362,38 @@ def cmd_flops(args) -> int:
     if args.out is not None:
         out = _out_dir(args)
         write_csv(os.path.join(out, "flops.csv"), ["level", "layer", "flops"], rows)
-        _write_manifest(out, "flops", {"model": name, "hierarchy": args.hierarchy}, args.seed)
+        _write_manifest(out, "flops", {"model": args.model, "hierarchy": args.hierarchy})
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+
+_OPTIONS = {
+    "config": {"help": "JSON config file"},
+    "seed": {"type": int, "help": "seed override"},
+    "out": {"help": "output directory"},
+    "format": {"choices": ("csv", "bin"), "default": "csv"},
+    "threads": {"type": int, "default": 1, "help": "worker processes"},
+    "alpha": {"type": float, "default": 1.0},
+    "model": {"required": True},
+    "hierarchy": {"default": "desk"},
+    "features": {"type": int, "default": 10},
+}
+
+# command -> (handler, the options it reads, help); gdd also takes two graph files
+_COMMANDS = {
+    "generate": (cmd_generate, "config seed out format", "simulate a dataset over a strength grid"),
+    "gdd": (cmd_gdd, "alpha out format", "diffusion distance between two edge-list graphs"),
+    "coarse-search": (
+        cmd_coarse_search, "config out threads", "distance table over candidate coarse tubes"
+    ),
+    "limit-curve": (cmd_limit_curve, "config out", "tube/grid family distances vs tube length"),
+    "train": (cmd_train, "config seed out", "train a named model on a dataset directory"),
+    "flops": (
+        cmd_flops, "model hierarchy features out", "predicted per-layer costs of a named model"
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -412,44 +402,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multiscale graph prolongation networks and the microtubule benchmark",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=("csv", "bin"), default="csv")
-        p.add_argument("--threads", type=int, default=1, help="worker processes")
-
-    p = sub.add_parser("generate", help="simulate a dataset over a strength grid")
-    common(p)
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("gdd", help="diffusion distance between two edge-list graphs")
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-    p.add_argument("--alpha", type=float, default=1.0)
-    common(p)
-    p.set_defaults(fn=cmd_gdd)
-
-    p = sub.add_parser("coarse-search", help="distance table over candidate coarse tubes")
-    common(p)
-    p.set_defaults(fn=cmd_coarse_search)
-
-    p = sub.add_parser("limit-curve", help="tube/grid family distances vs tube length")
-    common(p)
-    p.set_defaults(fn=cmd_limit_curve)
-
-    p = sub.add_parser("train", help="train a named model on a dataset directory")
-    common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("flops", help="predicted per-layer costs of a named model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--hierarchy", default="desk")
-    p.add_argument("--features", type=int, default=10)
-    common(p)
-    p.set_defaults(fn=cmd_flops)
-
+    for command, (fn, options, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "gdd":
+            p.add_argument("graph_a")
+            p.add_argument("graph_b")
+        for option in options.split():
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -458,12 +418,12 @@ def main(argv=None) -> int:
     np.seterr(over="ignore")
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -190,7 +190,7 @@ def build_from_table(name: str, hierarchy: Hierarchy) -> ModelSpec:
     The hierarchy supplies the structure matrices (and prolongations for the
     multiscale kinds); its fine graph carries the single-scale kinds.
     """
-    if name not in _TABLE:
+    if name not in MODEL_NAMES:
         raise ValueError(
             f"unknown model {name!r}; valid names: {', '.join(MODEL_NAMES)}"
         )

@@ -264,6 +264,8 @@ def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
     """
     from .graphs import make_grid
 
+    if min(n_values, default=2) < 2:
+        raise ValueError("n_values must contain integers >= 2")
     rows = []
     for n in sorted(n_values):
         fine = make_tube(2 * n, k, 3)

@@ -414,15 +414,16 @@ class Trainer:
         """Train the epochs the schedule plans, evaluating after each, until
         ``total_epochs`` or divergence. Coarse-to-fine also validates on its
         stage's levels and advances a stage after ``patience`` epochs without
-        improvement; with a single level, stage 1 is already every level,
+        improvement while epochs remain; with a single level, stage 1 is already every level,
         which is plain joint training."""
         c2f, k = self.schedule.kind == "coarse_to_fine", self.spec.n_levels
+        total = self.schedule.total_epochs
         stage, since_improve = 1, 0
         if c2f:
             self.record.stage_starts.append((stage, 0))
         train_nmse = nmse(model_forward(self.spec, self.params, self.x_train), self.y_train)
         best_in_stage = self._evaluate(0, train_nmse, {k - 1} if c2f else None)
-        for epoch in range(1, self.schedule.total_epochs + 1):
+        for epoch in range(1, total + 1):
             label, update, mask = self._plan(epoch, stage)
             train_nmse = self._train_epoch(update_levels=update, forward_mask=mask)
             self.record.epoch_log.append((epoch, label))
@@ -435,7 +436,7 @@ class Trainer:
                 best_in_stage, since_improve = val, 0
             else:
                 since_improve += 1
-            if since_improve >= self.schedule.patience and stage < k:
+            if since_improve >= self.schedule.patience and stage < k and epoch < total:
                 stage += 1
                 self.record.stage_starts.append((stage, epoch))
                 best_in_stage, since_improve = np.inf, 0

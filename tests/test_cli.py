@@ -4,8 +4,9 @@ import shutil
 
 import pytest
 
-from gpcn.cli import main
+from gpcn.cli import _build_parser, main
 from gpcn.graphs import graph_to_edgelist, make_grid, make_tube
+from gpcn.serialize import load_arrays, save_arrays
 from gpcn.training import flops_gcn_layer
 
 
@@ -86,6 +87,13 @@ class TestGdd:
         a.write_text(graph_to_edgelist(make_grid(2, 3)))
         b.write_text(graph_to_edgelist(make_grid(1, 3)))
         assert main(["gdd", str(a), str(b)]) == 2
+
+    def test_directory_argument_exits_two(self, tmp_path, capsys):
+        fine = tmp_path / "fine.txt"
+        fine.write_text(graph_to_edgelist(make_grid(2, 3)))
+        assert main(["gdd", str(tmp_path), str(fine)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestCoarseSearch:
@@ -169,10 +177,15 @@ def _drop_manifest(dataset):
     (dataset / "manifest.json").unlink()
 
 
+def _keep_one_frame(dataset):
+    arrays, meta = load_arrays(dataset / "frames.bin")
+    save_arrays(dataset / "frames.bin", {name: a[:1] for name, a in arrays.items()}, meta)
+
+
 # case -> (command, payload, extra arguments). The payload is bad edge-list
-# text for gdd, a config for the other commands (flops reads none), and for
-# train a pair of config entries and a function that damages a copy of the
-# dataset.
+# text for gdd; for flops, which reads no config, the text of a file already
+# at the --out path, or None; a config for the other commands; and for train
+# a pair of config entries and a function that damages a copy of the dataset.
 BAD_INPUTS = {
     "gdd-malformed-header": ("gdd", "three\n0 1 1.0\n", []),
     "gdd-node-out-of-range": ("gdd", "3\n0 5 1.0\n", []),
@@ -199,7 +212,23 @@ BAD_INPUTS = {
     "limit-curve-n-not-a-number": ("limit-curve", {"n_values": ["x"], "k": 5}, []),
     "limit-curve-k-not-a-number": ("limit-curve", {"n_values": [2], "k": "x"}, []),
     "limit-curve-k-below-two": ("limit-curve", {"n_values": [2], "k": 1}, []),
+    "limit-curve-n-below-two": ("limit-curve", {"n_values": [1, 3], "k": 5}, []),
     "flops-features-zero": ("flops", None, ["--model", "single_gcn", "--features", "0"]),
+    "flops-unknown-model": ("flops", None, ["--model", "vit"]),
+    "flops-out-is-a-file": ("flops", "", ["--model", "single_gcn"]),
+    "limit-curve-config-not-an-object": ("limit-curve", [2, 3], []),
+    "coarse-search-fine-not-an-object": ("coarse-search", dict(SEARCH_CONFIG, fine=5), []),
+    "generate-tube-not-an-object": ("generate", dict(GEN_CONFIG, tube=5), []),
+    "generate-sim-not-an-object": ("generate", dict(GEN_CONFIG, sim=5), []),
+    "generate-tube-k-below-three": (
+        "generate", dict(GEN_CONFIG, tube={"n_rings": 4, "k": 2, "offset": 3}), []
+    ),
+    "generate-tube-offset-out-of-range": (
+        "generate", dict(GEN_CONFIG, tube={"n_rings": 4, "k": 13, "offset": 7}), []
+    ),
+    "generate-tube-lateral-rest-too-short": (
+        "generate", dict(GEN_CONFIG, tube={"n_rings": 12, "k": 3, "offset": 11}), []
+    ),
     "generate-tube-not-a-number": (
         "generate", dict(GEN_CONFIG, tube={"n_rings": "x", "k": 13, "offset": 3}), []
     ),
@@ -208,6 +237,9 @@ BAD_INPUTS = {
     "train-hierarchy-too-shallow": ("train", ({"model": "gpcn3"}, None), []),
     "train-truncated-frames": ("train", ({}, _truncate_frames), []),
     "train-no-manifest": ("train", ({}, _drop_manifest), []),
+    "train-one-frame-dataset": ("train", ({}, _keep_one_frame), []),
+    "train-schedule-not-an-object": ("train", ({"schedule": 5}, None), []),
+    "train-hierarchy-entry-not-an-object": ("train", ({"hierarchy": [5]}, None), []),
     "train-hierarchy-coarse-to-fine": (
         "train",
         ({"hierarchy": [{"n_rings": 2, "k": 13, "offset": 1}, {"n_rings": 4, "k": 13, "offset": 3}]},
@@ -243,6 +275,11 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, request, case):
             coarse = tmp_path / "bad.txt"
             coarse.write_text(payload)
         argv = ["gdd", str(coarse), str(fine), *extra]
+    elif command == "flops":
+        out = tmp_path / "out"
+        if payload is not None:
+            out.write_text(payload)
+        argv = ["flops", "--out", str(out), *extra]
     else:
         cfg = write_json(tmp_path / "c.json", payload)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]
@@ -360,6 +397,23 @@ class TestFlops:
     def test_unknown_model_lists_names(self, capsys):
         assert main(["flops", "--model", "vit"]) == 2
         assert "ngcn5" in capsys.readouterr().err
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    parser = _build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.choices and a.dest == "command"]
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert options == {
+        "generate": {"--config", "--seed", "--out", "--format"},
+        "gdd": {"--alpha", "--out", "--format"},
+        "coarse-search": {"--config", "--out", "--threads"},
+        "limit-curve": {"--config", "--out"},
+        "train": {"--config", "--seed", "--out"},
+        "flops": {"--model", "--hierarchy", "--features", "--out"},
+    }
 
 
 def test_python_dash_m_entry_point():

@@ -334,6 +334,21 @@ class TestCoarseToFine:
         )
         assert record_bits(joint) == record_bits(c2f)
 
+    def test_no_stage_starts_after_the_last_epoch(self, hier):
+        spec = tiny_spec(hier, "a_gpcn3")
+        data = synthetic_dataset(seed=9)
+        data.y = seeded_rng(10).normal(size=data.y.shape)  # no signal: stages advance
+
+        def stage_starts(total_epochs):
+            schedule = ScheduleSpec(
+                kind="coarse_to_fine", patience=1,
+                total_epochs=total_epochs, batches_per_epoch=1, batch_size=1,
+            )
+            return train(spec, data, schedule, seed=4).stage_starts
+
+        assert stage_starts(2) == [(1, 0), (2, 1)]
+        assert stage_starts(1) == [(1, 0)]
+
 
 class TestMaskedLedger:
     @pytest.mark.parametrize("name", ["a_gpcn3", "diffpool3"])
