@@ -97,14 +97,6 @@ class Tape:
             (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(g, bv.shape)),
         )
 
-    def scale(self, a, s: float) -> Node:
-        av = _value(a)
-        return self._record(av * s, (a,), (lambda g: g * s,))
-
-    def square(self, a) -> Node:
-        av = _value(a)
-        return self._record(av * av, (a,), (lambda g: 2.0 * av * g,))
-
     def relu(self, a) -> Node:
         av = _value(a)
         out = _relu(av)

@@ -23,6 +23,7 @@ named. Raw JSON types are checked where the config is read, so a
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ import sys
 import numpy as np
 
 from . import ensembles, graphs, simulator, training
-from .gdd import gdd as run_gdd, limit_curve
+from .gdd import coarse_search, gdd as run_gdd, limit_curve
 from .numcore import NumericalError
 from .serialize import dump_json, save_arrays, write_csv
 
@@ -109,41 +110,34 @@ def _tube_from_dict(d: dict, where: str) -> graphs.Graph:
     return graphs.make_tube(*args)
 
 
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, optionally over a process pool."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+
+# dataclass field annotation -> (JSON type test, what the message asks for)
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _fields_config(cls, d, where: str, skip=()) -> dict:
+    """A config object whose keys are fields of dataclass ``cls`` (less
+    ``skip``), each value of its field's JSON type; returned unchanged."""
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in skip}
+    _require_keys(d, types, where)
+    for key, value in d.items():
+        test, wanted = _FIELD_TYPES[types[key]]
+        if not test(value):
+            raise ConfigError(f"{where} {key} must be {wanted}, got {value!r}")
+    return d
 
 
 # ---------------------------------------------------------------------------
 # generate
-
-
-_SIM_KEYS = {
-    "ramp_steps",
-    "hold_steps",
-    "dt",
-    "save_every",
-    "max_force",
-    "bond_k_base",
-    "angle_k_base",
-    "langevin",
-    "temperature",
-    "damping",
-    "feature_columns",
-}
-
-
-def _sim_config(d: dict, strengths: dict) -> simulator.SimConfig:
-    _require_keys(d, _SIM_KEYS, "sim")
-    try:
-        return simulator.SimConfig(strengths=strengths, **d)
-    except TypeError as exc:
-        raise ConfigError(f"sim: {exc}")
 
 
 def cmd_generate(args) -> int:
@@ -159,9 +153,11 @@ def cmd_generate(args) -> int:
         if not values or min(_numbers(float, values, f"grid {key!r}")) <= 0:
             raise ConfigError(f"grid: strength {key!r} needs positive values")
     strengths = _object(config.get("strengths", {}), "strengths")
-    sim_cfg = _sim_config(
-        config.get("sim", {}),
-        {key: _number(float, value, f"strengths {key!r}") for key, value in strengths.items()},
+    sim_cfg = simulator.SimConfig(
+        strengths={
+            key: _number(float, value, f"strengths {key!r}") for key, value in strengths.items()
+        },
+        **_fields_config(simulator.SimConfig, config.get("sim", {}), "sim", skip={"strengths"}),
     )
     model = simulator.build_geometry(
         n_rings=_number(int, tube_cfg.get("n_rings", 12), "tube n_rings"),
@@ -225,11 +221,6 @@ def cmd_gdd(args) -> int:
     return EXIT_OK
 
 
-def _search_cell(job):
-    cand, fine, alpha = job
-    return run_gdd(cand, fine, alpha).distance
-
-
 def cmd_coarse_search(args) -> int:
     config = _load_config(args.config)
     _require_keys(
@@ -243,22 +234,7 @@ def cmd_coarse_search(args) -> int:
     p_values = _numbers(int, config.get("p_values", range(4)), "p_values")
     seam_weights = _numbers(float, config.get("seam_weights", [1.0, 2.0]), "seam_weights")
     alpha = _alpha(config.get("alpha", 1.0))
-    cells = [
-        (k, p, w) for k in k_values for p in p_values if 0 <= p < n_rings for w in seam_weights
-    ]
-    if not cells:
-        raise ConfigError(f"no candidate tubes: need k_values and an offset below {n_rings}")
-    cands = [
-        _tube_from_dict({"n_rings": n_rings, "k": k, "offset": p, "seam_weight": w}, "candidate")
-        for k, p, w in cells
-    ]
-    for cand in cands:
-        if cand.n > fine.n:
-            raise ConfigError(
-                f"candidate {cand.name} has {cand.n} nodes, more than the {fine.n} of the fine tube"
-            )
-    distances = _pmap(_search_cell, [(cand, fine, alpha) for cand in cands], args.threads)
-    rows = [(k, p, w, dist) for (k, p, w), dist in zip(cells, distances)]
+    rows = coarse_search(fine, n_rings, k_values, p_values, seam_weights, alpha, args.threads)
     out = _out_dir(args)
     write_csv(os.path.join(out, "coarse_search.csv"), ["k", "p", "seam_weight", "distance"], rows)
     _write_manifest(out, "coarse-search", config)
@@ -299,29 +275,14 @@ def _hierarchy_from_config(value) -> ensembles.Hierarchy:
     raise ConfigError("hierarchy must be 'desk', 'paper', or a list of tube specs")
 
 
-_SCHEDULE_KEYS = {
-    "kind",
-    "gamma",
-    "smoothing_epochs",
-    "patience",
-    "total_epochs",
-    "batches_per_epoch",
-    "batch_size",
-    "smoothing_forward",
-}
-
-
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"dataset", "model", "hierarchy", "schedule", "seed"}, "config")
     if not isinstance(config.get("dataset"), str):
         raise ConfigError("config needs a 'dataset' directory")
-    sched_cfg = config.get("schedule", {})
-    _require_keys(sched_cfg, _SCHEDULE_KEYS, "schedule")
-    try:
-        schedule = training.ScheduleSpec(**sched_cfg)
-    except TypeError as exc:
-        raise ConfigError(f"schedule: {exc}")
+    schedule = training.ScheduleSpec(
+        **_fields_config(training.ScheduleSpec, config.get("schedule", {}), "schedule")
+    )
     seed = args.seed if args.seed is not None else _number(int, config.get("seed", 0), "seed")
     data = simulator.load_dataset(config["dataset"])
     name = config.get("model", "single_gcn")

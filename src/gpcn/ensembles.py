@@ -35,7 +35,6 @@ from .gcn import (
     GcnParams,
     GcnSpec,
     aggregate,
-    first_layer_input_gradient,
     gcn_graph,
     init_gcn_params,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "MODEL_NAMES",
     "build_from_table",
     "init_model_params",
-    "compose_prolongations",
     "model_graph",
     "model_forward",
     "ensemble_input_gradient",
@@ -256,25 +254,6 @@ def init_model_params(spec: ModelSpec, in_features: int, rng) -> ModelParams:
     return ModelParams(levels=levels, prolongations=prolongations, pools=pools)
 
 
-def compose_prolongations(ps, n: int | None = None) -> np.ndarray:
-    """Left-to-right product of a prolongation chain; the empty chain is the
-    identity (its size must then be given)."""
-    ps = list(ps)
-    if not ps:
-        if n is None:
-            raise ValueError("empty chain needs an explicit size")
-        return np.eye(n)
-    out = np.asarray(ps[0], dtype=float)
-    for p in ps[1:]:
-        p = np.asarray(p, dtype=float)
-        if out.shape[1] != p.shape[0]:
-            raise ValueError(
-                f"prolongation chain dimension mismatch: {out.shape} then {p.shape}"
-            )
-        out = out @ p
-    return out
-
-
 def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=None, train=False):
     """Record the full ensemble forward pass.
 
@@ -351,24 +330,21 @@ def model_forward(spec: ModelSpec, params: ModelParams, x, level_mask=None) -> n
 
 
 def ensemble_input_gradient(spec: ModelSpec, params: ModelParams, x) -> np.ndarray:
-    """Analytic gradient of the summed ensemble output w.r.t. the fine input.
+    """Gradient of the summed ensemble output w.r.t. the n-by-F fine input,
+    back-propagated through :func:`model_graph` for every kind.
 
-    Applies the first-layer rule Z_i^T (dE_i/dA_1) W_1^T inside each member
-    and lifts the result through the member's composed prolongation.
+    Inside each member the tape applies the first-layer rule
+    Z_i^T (dE_i/dA_1) W_1^T; the restriction and lift of the level carry
+    the result back to the fine scale.
     """
-    if spec.kind != "gpcn":
-        raise ValueError("analytic ensemble gradient is defined for gpcn models")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("ensemble_input_gradient expects a single n-by-F signal")
-    total = np.zeros_like(x)
-    for i, lvl in enumerate(spec.levels):
-        p1i = compose_prolongations(params.prolongations[:i], n=spec.n_fine)
-        member_grad = first_layer_input_gradient(
-            lvl.z, params.levels[i], p1i.T @ x, lift=p1i if i > 0 else None
-        )
-        total += p1i @ member_grad
-    return total
+    tape = Tape()
+    x_node = tape.variable(x)
+    out, _ = model_graph(tape, spec, params, x_node)
+    tape.backward(tape.sum(out))
+    return x_node.grad
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,14 @@ layer is the same operation as a graph convolution with the identity as the
 structure matrix; it is implemented without the aggregation product.
 
 :func:`gcn_graph` records the forward pass on a tape. It is the one forward
-path: :func:`gcn_forward`, the analytic input gradient and every ensemble
+path: :func:`gcn_forward`, :func:`energy_input_gradient` and every ensemble
 member run it, with the structure matrix as an argument (sparse for a fixed
 graph, a recorded dense matrix for a pooled level).
+
+The input gradient binds the signal as a tape variable and back-propagates
+the summed output. The tape's spmm and matmul vjps then apply the paper's
+first-layer rule Z^T (dE/dA_1) W_1^T, where A_1 is the first
+pre-activation.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .graphs import StructureMatrix
-from .numcore import ACTIVATIONS, glorot_uniform, spmm
+from .numcore import ACTIVATIONS, glorot_uniform
 
 __all__ = [
     "GcnLayerParams",
@@ -31,7 +36,6 @@ __all__ = [
     "aggregate",
     "gcn_graph",
     "gcn_forward",
-    "first_layer_input_gradient",
     "energy_input_gradient",
 ]
 
@@ -156,24 +160,18 @@ def aggregate(tape: Tape, z, h) -> Node:
     return tape.spmm(z, h) if isinstance(z, StructureMatrix) else tape.matmul(z, h)
 
 
-def gcn_graph(tape: Tape, z, layers, x, first_pre: Node | None = None) -> Node:
+def gcn_graph(tape: Tape, z, layers, x) -> Node:
     """Record the network's forward pass on a tape and return the output node.
 
     ``layers`` is the (gcn, dense) pair of (w, b, activation) triples that
     :meth:`GcnParams.layers` gives; w and b are arrays or tape nodes. ``z`` is
-    the structure matrix of the convolution layers. If ``first_pre`` is given
-    it replaces the pre-activation of the first convolution layer, which is
-    how the analytic input-gradient rule taps into the graph.
+    the structure matrix of the convolution layers.
     """
     gcn_layers, dense_layers = layers
     h = x
     outs = []
-    for i, (w, b, act) in enumerate(gcn_layers):
-        if i == 0 and first_pre is not None:
-            pre = first_pre
-        else:
-            pre = tape.add(aggregate(tape, z, tape.matmul(h, w)), b)
-        h = _apply_activation(tape, act, pre)
+    for w, b, act in gcn_layers:
+        h = _apply_activation(tape, act, tape.add(aggregate(tape, z, tape.matmul(h, w)), b))
         outs.append(h)
     h = outs[0] if len(outs) == 1 else tape.concat(outs, axis=-1)
     for w, b, act in dense_layers:
@@ -186,29 +184,13 @@ def gcn_forward(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
     return gcn_graph(Tape(), spec.z, params.layers(), np.asarray(x, dtype=float)).value
 
 
-def first_layer_input_gradient(z: StructureMatrix, params: GcnParams, x, lift=None):
-    """Gradient of the summed output with respect to the input signal, by the
-    first-layer chain rule Z^T (dE/dA_1) W_1^T.
-
-    dE/dA_1 is obtained by backpropagating the network tail from the first
-    pre-activation onward. With ``lift`` the summed output is that of
-    ``lift @ output``, the member's contribution to an ensemble.
-    """
-    w1 = params.gcn[0].w
-    a1 = spmm(z, x @ w1) + params.gcn[0].b
-    tape = Tape()
-    a1_node = tape.variable(a1)
-    out = gcn_graph(tape, z, params.layers(), x, first_pre=a1_node)
-    if lift is not None:
-        out = tape.matmul(lift, out)
-    tape.backward(tape.sum(out))
-    return spmm(z.mat.T, a1_node.grad) @ w1.T
-
-
 def energy_input_gradient(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
-    """Gradient of the summed output with respect to the input signal (see
-    :func:`first_layer_input_gradient`)."""
+    """Gradient of the summed output with respect to the n-by-F input signal,
+    back-propagated through :func:`gcn_graph` (see the module docstring)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("energy_input_gradient expects a single n-by-F signal")
-    return first_layer_input_gradient(spec.z, params, x)
+    tape = Tape()
+    x_node = tape.variable(x)
+    tape.backward(tape.sum(gcn_graph(tape, spec.z, params.layers(), x_node)))
+    return x_node.grad

@@ -153,22 +153,24 @@ def _qr_retract(a: np.ndarray) -> np.ndarray:
     return q * signs
 
 
+# stopping and sufficient-decrease constants of refine_orthogonal
+_GRAD_TOL = 1e-8
+_MAX_ITERS = 1000
+_ARMIJO = 1e-4
+
+
 def refine_orthogonal(
     p0: np.ndarray,
     l_coarse: StructureMatrix,
     l_fine: StructureMatrix,
     alpha: float = 1.0,
-    *,
-    grad_tol: float = 1e-8,
-    max_iters: int = 1000,
-    armijo: float = 1e-4,
 ) -> Prolongation:
     """Descend the squared mismatch over matrices with orthonormal columns.
 
     The Euclidean gradient is projected onto the Stiefel tangent space
     (G - P sym(P^T G)), steps retract through a sign-fixed thin QR, and the
     step size backtracks by halving from 1.0 under the Armijo rule. Stops at
-    ``grad_tol`` on the Riemannian gradient norm or after ``max_iters``
+    ``_GRAD_TOL`` on the Riemannian gradient norm or after ``_MAX_ITERS``
     accepted steps; the objective is nonincreasing along the iterates.
     """
     if alpha <= 0:
@@ -182,19 +184,19 @@ def refine_orthogonal(
 
     f, m = _objective(p, lc, lf, alpha)
     trace = [f]
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         grad = 2.0 * ((m @ lc) / alpha - alpha * (lf.T @ m))
         ptg = p.T @ grad
         rgrad = grad - p @ ((ptg + ptg.T) / 2.0)
         rnorm2 = float(np.sum(rgrad * rgrad))
-        if np.sqrt(rnorm2) < grad_tol:
+        if np.sqrt(rnorm2) < _GRAD_TOL:
             break
         step = 1.0
         accepted = False
         while step > 1e-20:
             cand = _qr_retract(p - step * rgrad)
             fc, mc = _objective(cand, lc, lf, alpha)
-            if fc <= f - armijo * step * rnorm2:
+            if fc <= f - _ARMIJO * step * rnorm2:
                 p, f, m = cand, fc, mc
                 accepted = True
                 break
@@ -232,28 +234,47 @@ def coarse_search(
     p_range,
     seam_weights=(1.0, 2.0),
     alpha: float = 1.0,
+    threads: int = 1,
 ):
     """Distance from every candidate tube to a fine graph.
 
     Candidates are ``make_tube(n_rings, k, p, w)`` over the Cartesian product
     of the given ranges; rows come back as (k, p, seam_weight, distance) in
     deterministic (k, p, w) order. Candidates whose offset is infeasible for
-    ``n_rings`` are skipped.
+    ``n_rings`` are skipped. Every candidate is size-checked before the first
+    distance; ``threads > 1`` computes the distances on that many processes.
     """
-    rows = []
-    for k in sorted(k_range):
-        for p in sorted(p_range):
-            if not (0 <= p < n_rings):
-                continue
-            for w in sorted(seam_weights):
-                cand = make_tube(n_rings, k, p, w)
-                if cand.n > g_fine.n:
-                    raise ValueError(
-                        f"candidate Tube({n_rings},{k},{p}) is larger than the fine graph"
-                    )
-                result = gdd(cand, g_fine, alpha)
-                rows.append((k, p, float(w), result.distance))
-    return rows
+    cells = [
+        (k, p, float(w))
+        for k in sorted(k_range)
+        for p in sorted(p_range)
+        if 0 <= p < n_rings
+        for w in sorted(seam_weights)
+    ]
+    if not cells:
+        raise ValueError(f"no candidate tubes: need k values and an offset below {n_rings}")
+    cands = [make_tube(n_rings, k, p, w) for k, p, w in cells]
+    for cand in cands:
+        if cand.n > g_fine.n:
+            raise ValueError(
+                f"candidate {cand.name} has {cand.n} nodes, more than the {g_fine.n} of the fine graph"
+            )
+    n = len(cands)
+    if threads <= 1:
+        distances = list(map(_distance, cands, [g_fine] * n, [alpha] * n))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")  # fork is unsafe once BLAS has threads
+        with ProcessPoolExecutor(max_workers=threads, mp_context=spawn) as pool:
+            distances = list(pool.map(_distance, cands, [g_fine] * n, [alpha] * n))
+    return [cell + (dist,) for cell, dist in zip(cells, distances)]
+
+
+def _distance(g_coarse: Graph, g_fine: Graph, alpha: float) -> float:
+    # a worker process returns the distance only, not the prolongation
+    return gdd(g_coarse, g_fine, alpha).distance
 
 
 def limit_curve(n_values, k: int = 13, alpha: float = 1.0):

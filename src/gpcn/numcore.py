@@ -116,7 +116,11 @@ class EigenSystem:
         return self.lambdas.shape[0]
 
 
-def eig_sym(m, sym_tol: float = 1e-9) -> EigenSystem:
+# largest |A - A^T| entry eig_sym accepts as symmetric
+_SYM_TOL = 1e-9
+
+
+def eig_sym(m) -> EigenSystem:
     """Eigendecomposition of a symmetric matrix with a fixed sign convention.
 
     Eigenvalues come back ascending. Each eigenvector is flipped so its
@@ -127,7 +131,7 @@ def eig_sym(m, sym_tol: float = 1e-9) -> EigenSystem:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eig_sym needs a square matrix, got {a.shape}")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > sym_tol:
+    if asym > _SYM_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     try:
         lam, u = np.linalg.eigh(a)
@@ -162,8 +166,8 @@ class AdamState:
     v: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params, **hyper) -> "AdamState":
-        state = cls(**hyper)
+    def for_params(cls, params) -> "AdamState":
+        state = cls()
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
         return state

@@ -67,6 +67,11 @@ _ANGLE_STRENGTH = {
 
 MASS_DALTON = 50.0
 
+# largest rest-value error (nm or degrees) build_geometry accepts
+_REST_TOL = 1e-2
+# a run diverges once a coordinate exceeds this multiple of the lattice extent
+_GUARD_FACTOR = 20.0
+
 
 class SimulationDiverged(NumericalError):
     """A particle left the guard volume; the run is unusable."""
@@ -136,28 +141,23 @@ def _measured_angle(pos, a, b, c):
     return float(theta[0])
 
 
-def build_geometry(
-    n_rings: int = 48,
-    k: int = 13,
-    offset: int = 3,
-    ring_spacing: float = 5.0,
-    lateral_rest: float = 5.15639,
-    rest_tol: float = 1e-2,
-) -> MtModel:
+def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
     """Construct the helical lattice and instantiate every interaction.
 
-    Protofilaments run straight along the tube axis at spacing
-    ``ring_spacing``; the helical rise per column is ``offset *
-    ring_spacing / k`` and the cylinder radius is solved so lateral bonds
-    have length ``lateral_rest``. Every arrangement of bonded particles that
-    matches one of the named interaction kinds gets an interaction, with its
-    rest value measured from this geometry and checked against the canonical
-    value for the kind (failure beyond ``rest_tol`` aborts construction).
+    Protofilaments run straight along the tube axis, one longitudinal rest
+    length apart; the helical rise per column is ``offset / k`` of that
+    spacing and the cylinder radius is solved so lateral bonds have the
+    lateral rest length. Every arrangement of bonded particles that matches
+    one of the named interaction kinds gets an interaction, with its rest
+    value measured from this geometry and checked against the canonical
+    value for the kind (failure beyond ``_REST_TOL`` aborts construction).
     """
     if n_rings < 2 or k < 3:
         raise ValueError("geometry needs n_rings >= 2 and k >= 3")
     if not (0 <= offset < n_rings):
         raise ValueError(f"offset must satisfy 0 <= offset < n_rings, got {offset}")
+    ring_spacing = REST_LENGTHS["longitudinal"]
+    lateral_rest = REST_LENGTHS["lat_lattice"]
     rise = offset * ring_spacing / k
     chord2 = lateral_rest**2 - rise**2
     if chord2 <= 0:
@@ -245,14 +245,14 @@ def build_geometry(
                     f"[{group.min():.6f}, {group.max():.6f}]"
                 )
     for kind, rest in zip(bond_kind, bond_rest):
-        if abs(rest - REST_LENGTHS[kind]) > rest_tol:
+        if abs(rest - REST_LENGTHS[kind]) > _REST_TOL:
             raise ValueError(
                 f"inconsistent geometry: {kind} bond rest {rest:.5f} nm "
                 f"vs expected {REST_LENGTHS[kind]}"
             )
     if k == 13 and offset == 3:
         for kind, rest in zip(angle_kind, np.degrees(angle_rest)):
-            if abs(rest - REST_ANGLES_DEG[kind]) > rest_tol:
+            if abs(rest - REST_ANGLES_DEG[kind]) > _REST_TOL:
                 raise ValueError(
                     f"inconsistent geometry: {kind} rest {rest:.4f} deg "
                     f"vs expected {REST_ANGLES_DEG[kind]}"
@@ -336,7 +336,6 @@ class SimConfig:
     langevin: bool = True
     temperature: float | None = None  # kT; None picks noise ~1% of max_force
     damping: float | None = None  # ns; None means 100 * dt
-    guard_factor: float = 20.0
     feature_columns: int = 10  # 10 drops LatAngle from the inputs, 11 keeps all five
 
     def __post_init__(self):
@@ -454,7 +453,7 @@ def step(model: MtModel, state: SimState, config: SimConfig, rng=None, *, _cache
     vel[clamp] = 0.0
     state.step_index += 1
 
-    guard = config.guard_factor * max(1.0, np.abs(model.positions).max())
+    guard = _GUARD_FACTOR * max(1.0, np.abs(model.positions).max())
     if not np.isfinite(pos).all() or np.abs(pos).max() > guard:
         raise SimulationDiverged(
             f"simulation diverged at step {state.step_index}: "

@@ -199,11 +199,15 @@ class NormStats:
     y_std: np.ndarray
 
 
-def split_indices(n_frames: int, seed, ratio: float = 0.8):
+# share of the frames split_indices puts in the training set
+_TRAIN_FRACTION = 0.8
+
+
+def split_indices(n_frames: int, seed):
     """Deterministic train/validation split; depends only on (seed, size)."""
     rng = seeded_rng(np.random.SeedSequence((int(seed), int(n_frames))))
     perm = rng.permutation(n_frames)
-    n_train = max(1, int(ratio * n_frames))
+    n_train = max(1, int(_TRAIN_FRACTION * n_frames))
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 

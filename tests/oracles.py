@@ -1,14 +1,15 @@
 """Independent reference computations the tests compare the package against.
 
 Each one is written straight from its formula in numpy, without the tape,
-so a fault in the recorded forward pass or in the simulator's vectorized
-force loop cannot hide in its own reference.
+so a fault in the recorded forward pass, in the tape's vjps or in the
+simulator's vectorized force loop cannot hide in its own reference. The
+input gradient follows the paper's rule: back-propagate by hand to the
+first pre-activation A_1, then apply Z^T (dE/dA_1) W_1^T.
 """
 
 import numpy as np
 
-from gpcn.autodiff import Tape
-from gpcn.gcn import GcnLayerParams, GcnParams, GcnSpec, gcn_graph
+from gpcn.gcn import GcnLayerParams, GcnParams
 from gpcn.graphs import StructureMatrix
 from gpcn.numcore import ACTIVATIONS, row_softmax, spmm
 
@@ -43,14 +44,54 @@ def gcn_network(z, params: GcnParams, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def input_gradient_autodiff(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
-    """Tape-based gradient of the summed output w.r.t. the input (the
-    reference the analytic rule is checked against)."""
-    tape = Tape()
-    x_node = tape.variable(np.asarray(x, dtype=float))
-    out = gcn_graph(tape, spec.z, params.layers(), x_node)
-    tape.backward(tape.sum(out))
-    return x_node.grad
+# derivative of each activation, written in terms of its output
+_DERIVATIVES = {
+    "relu": lambda out: (out > 0.0).astype(float),
+    "sigmoid": lambda out: out * (1.0 - out),
+    "linear": np.ones_like,
+}
+
+
+def input_gradient_rule(z, params: GcnParams, x: np.ndarray, g_out: np.ndarray) -> np.ndarray:
+    """Gradient of sum(g_out * network(x)) w.r.t. the input x, by hand.
+
+    Back-propagates through the dense head, splits the gradient at the
+    concatenation, and walks the ReLU stack down to dE/dA_1. The last step
+    is the paper's first-layer rule Z^T (dE/dA_1) W_1^T.
+    """
+    conv = []
+    h = np.asarray(x, dtype=float)
+    for layer in params.gcn:
+        h = gcn_layer(z, h, layer)
+        conv.append(h)
+    head = [np.concatenate(conv, axis=-1)]
+    for layer in params.dense:
+        head.append(gcn_layer(None, head[-1], layer))
+    g = np.asarray(g_out, dtype=float)
+    for layer, out in zip(reversed(params.dense), reversed(head[1:])):
+        g = (g * _DERIVATIVES[layer.activation](out)) @ layer.w.T
+    g_conv = np.split(g, np.cumsum([out.shape[-1] for out in conv])[:-1], axis=-1)
+    zt = StructureMatrix(mat=z.mat.T) if isinstance(z, StructureMatrix) else np.asarray(z).T
+    g_h = 0.0
+    for layer, out, g_cat in zip(reversed(params.gcn), reversed(conv), reversed(g_conv)):
+        g_pre = (g_cat + g_h) * _DERIVATIVES[layer.activation](out)  # dE/dA_j
+        g_h = _aggregate(zt, g_pre) @ layer.w.T
+    return g_h
+
+
+def ensemble_input_gradient_reference(spec, params, x: np.ndarray) -> np.ndarray:
+    """Gradient of the summed ensemble output for the fixed-lift kinds
+    (plain_ensemble, ngcn, gpcn): sum_i L_i rule_i(L_i^T x, L_i^T 1), where
+    L_i is the composed prolongation of level i (the identity off gpcn)."""
+    x = np.asarray(x, dtype=float)
+    lift = np.eye(spec.n_fine)
+    total = np.zeros_like(x)
+    for i, lvl in enumerate(spec.levels):
+        if i > 0 and spec.kind == "gpcn":
+            lift = lift @ params.prolongations[i - 1]
+        g_out = lift.T @ np.ones((spec.n_fine, 1))
+        total += lift @ input_gradient_rule(lvl.z, params.levels[i], lift.T @ x, g_out)
+    return total
 
 
 def coarsen_from_scores(scores: np.ndarray, z, x):

@@ -234,6 +234,18 @@ BAD_INPUTS = {
     ),
     "generate-grid-not-a-number": ("generate", dict(GEN_CONFIG, grid={"LatAssoc": ["x"]}), []),
     "generate-seed-not-a-number": ("generate", dict(GEN_CONFIG, seed="x"), []),
+    "generate-sim-steps-not-integers": (
+        "generate",
+        dict(GEN_CONFIG, sim={"ramp_steps": 200.5, "hold_steps": 199.5, "save_every": 100}),
+        [],
+    ),
+    "generate-sim-temperature-not-a-number": (
+        "generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], temperature="hot")), []
+    ),
+    "train-total-epochs-not-an-integer": ("train", ({"schedule": {"total_epochs": 1.5}}, None), []),
+    "train-batch-size-not-an-integer": (
+        "train", ({"schedule": {"total_epochs": 1, "batch_size": 2.5}}, None), []
+    ),
     "train-hierarchy-too-shallow": ("train", ({"model": "gpcn3"}, None), []),
     "train-truncated-frames": ("train", ({}, _truncate_frames), []),
     "train-no-manifest": ("train", ({}, _drop_manifest), []),

@@ -8,43 +8,24 @@ from gpcn.ensembles import (
     ModelParams,
     ModelSpec,
     build_from_table,
-    compose_prolongations,
     ensemble_input_gradient,
     init_model_params,
     load_checkpoint,
-    make_hierarchy,
     model_forward,
     model_graph,
     paper_hierarchy,
     save_checkpoint,
 )
 from gpcn.gcn import GcnLayerParams, GcnSpec, energy_input_gradient, gcn_forward, init_gcn_params
-from gpcn.graphs import laplacian, make_grid, make_tube, structure_power
+from gpcn.graphs import laplacian, make_grid, structure_power
 from gpcn.numcore import seeded_rng
 
-from tests.oracles import coarsen_from_scores, diffpool_coarsen, model_forward_reference
-
-
-class TestComposeProlongations:
-    def test_single_factor(self):
-        p = seeded_rng(0).normal(size=(5, 3))
-        assert np.array_equal(compose_prolongations([p]), p)
-
-    def test_empty_chain_is_identity(self):
-        assert np.array_equal(compose_prolongations([], n=4), np.eye(4))
-        with pytest.raises(ValueError):
-            compose_prolongations([])
-
-    def test_orthonormal_columns_compose(self):
-        rng = seeded_rng(1)
-        a = np.linalg.qr(rng.normal(size=(8, 5)))[0]
-        b = np.linalg.qr(rng.normal(size=(5, 3)))[0]
-        prod = compose_prolongations([a, b])
-        assert np.linalg.norm(prod.T @ prod - np.eye(3)) < 1e-6
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compose_prolongations([np.zeros((4, 3)), np.zeros((2, 2))])
+from tests.oracles import (
+    coarsen_from_scores,
+    diffpool_coarsen,
+    ensemble_input_gradient_reference,
+    model_forward_reference,
+)
 
 
 class TestGpcnForward:
@@ -206,32 +187,25 @@ class TestEnsembleInputGradient:
         assert np.abs(a - b).max() < 1e-12
 
     def test_matches_tape(self, tiny_hierarchy):
-        spec = build_from_table("gpcn3", tiny_hierarchy)
-        params = init_model_params(spec, 3, seeded_rng(22))
-        x = seeded_rng(23).normal(size=(spec.n_fine, 3))
-        ana = ensemble_input_gradient(spec, params, x)
-        tape = Tape()
-        xn = tape.variable(x)
-        out, _ = model_graph(tape, spec, params, xn)
-        tape.backward(tape.sum(out))
-        assert np.abs(ana - xn.grad).max() < 1e-10
+        # the tape gradient against the paper's rule, member by member
+        for name in ("single_gcn", "ensemble3", "ngcn3", "gpcn3", "a_gpcn3"):
+            spec = build_from_table(name, tiny_hierarchy)
+            params = init_model_params(spec, 3, seeded_rng(22))
+            x = seeded_rng(23).normal(size=(spec.n_fine, 3))
+            tape = ensemble_input_gradient(spec, params, x)
+            rule = ensemble_input_gradient_reference(spec, params, x)
+            assert np.abs(tape - rule).max() < 1e-10, name
 
-    def test_matches_finite_differences(self):
-        hier = make_hierarchy([make_tube(3, 4, 1), make_tube(3, 2, 0)])
-        spec = build_from_table("gpcn2", hier)
+    @pytest.mark.parametrize("name", ["ensemble2", "ngcn3", "gpcn2", "diffpool3"])
+    def test_matches_finite_differences(self, tiny_hierarchy, name):
+        spec = build_from_table(name, tiny_hierarchy)
         params = init_model_params(spec, 2, seeded_rng(24))
-        x = seeded_rng(25).normal(size=(12, 2))
+        x = seeded_rng(25).normal(size=(spec.n_fine, 2))
         ana = ensemble_input_gradient(spec, params, x)
         from tests.test_autodiff import finite_difference
 
         fd = finite_difference(lambda v: float(model_forward(spec, params, v).sum()), x)
         assert np.abs(ana - fd).max() / max(np.abs(fd).max(), 1e-10) < 1e-5
-
-    def test_rejects_other_kinds(self, tiny_hierarchy):
-        spec = build_from_table("ngcn3", tiny_hierarchy)
-        params = init_model_params(spec, 3, seeded_rng(26))
-        with pytest.raises(ValueError):
-            ensemble_input_gradient(spec, params, np.zeros((spec.n_fine, 3)))
 
 
 class TestBuildFromTable:
