@@ -77,16 +77,17 @@ class Tape:
             return _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
 
         def vjp_b(g):
+            if av.ndim > 2 and bv.ndim == 2:  # batched signal times weight: one GEMM
+                return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             return _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
 
         return self._record(out, (a, b), (vjp_a, vjp_b))
 
-    def spmm(self, z, x) -> Node:
-        """Sparse constant (StructureMatrix or scipy sparse) times a recorded
-        dense operand; supports a leading batch axis on x."""
-        out = _spmm(z, _value(x))
-        mt = (z.mat if isinstance(z, StructureMatrix) else z).T.tocsr()
-        return self._record(out, (x,), (lambda g: _spmm(mt, g),))
+    def spmm(self, z: StructureMatrix, x) -> Node:
+        """Sparse constant times a recorded dense operand; supports a leading
+        batch axis on x. The vjp multiplies by the cached Z^T."""
+        out = _spmm(z.mat, _value(x))
+        return self._record(out, (x,), (lambda g: _spmm(z.mat_t, g),))
 
     def add(self, a, b) -> Node:
         av, bv = _value(a), _value(b)

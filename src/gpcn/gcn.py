@@ -155,9 +155,11 @@ def _apply_activation(tape: Tape, name: str, node: Node) -> Node:
 
 
 def aggregate(tape: Tape, z, h) -> Node:
-    """Record Z @ h: a sparse product for a StructureMatrix, a dense one for
-    an array or a recorded node (a pooled structure matrix)."""
-    return tape.spmm(z, h) if isinstance(z, StructureMatrix) else tape.matmul(z, h)
+    """Record Z @ h: sparse for a StructureMatrix without a dense copy, dense
+    for its dense copy, an array or a recorded node (a pooled level)."""
+    if isinstance(z, StructureMatrix):
+        return tape.spmm(z, h) if z.dense is None else tape.matmul(z.dense, h)
+    return tape.matmul(z, h)
 
 
 def gcn_graph(tape: Tape, z, layers, x) -> Node:

@@ -239,17 +239,18 @@ def coarse_search(
     """Distance from every candidate tube to a fine graph.
 
     Candidates are ``make_tube(n_rings, k, p, w)`` over the Cartesian product
-    of the given ranges; rows come back as (k, p, seam_weight, distance) in
+    of the given ranges, each distinct value once (seam weights compare as
+    floats). Rows come back as (k, p, seam_weight, distance) in
     deterministic (k, p, w) order. Candidates whose offset is infeasible for
     ``n_rings`` are skipped. Every candidate is size-checked before the first
     distance; ``threads > 1`` computes the distances on that many processes.
     """
     cells = [
-        (k, p, float(w))
-        for k in sorted(k_range)
-        for p in sorted(p_range)
+        (k, p, w)
+        for k in sorted(set(k_range))
+        for p in sorted(set(p_range))
         if 0 <= p < n_rings
-        for w in sorted(seam_weights)
+        for w in sorted(set(map(float, seam_weights)))
     ]
     if not cells:
         raise ValueError(f"no candidate tubes: need k values and an offset below {n_rings}")

@@ -10,6 +10,7 @@ matrices and simulation tensors built elsewhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,7 +83,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class StructureMatrix:
-    """Sparse symmetric matrix used as the aggregation operator of a GCN."""
+    """Sparse matrix used as the aggregation operator of a GCN. Its CSR
+    transpose and, if it is more than half full, a dense copy are cached on
+    first use."""
 
     mat: sp.csr_matrix = field(repr=False)
 
@@ -102,6 +105,14 @@ class StructureMatrix:
 
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
+
+    @cached_property
+    def mat_t(self) -> sp.csr_matrix:
+        return self.mat.T.tocsr()
+
+    @cached_property
+    def dense(self) -> np.ndarray | None:
+        return self.toarray() if 2 * self.nnz > self.mat.shape[0] * self.mat.shape[1] else None
 
 
 def _merge_edges(acc: dict, u: int, v: int, w: float) -> None:

@@ -78,12 +78,12 @@ def relu(x):
 
 
 def sigmoid(x):
-    out = np.empty_like(np.asarray(x, dtype=float))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) on one copy; exp(-x) = inf gives the exact limit 0."""
+    out = np.negative(x, dtype=float)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def linear(x):

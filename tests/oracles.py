@@ -136,3 +136,15 @@ def bond_energy(k_eff: float, length: float, rest: float) -> float:
 def angle_energy(k_eff: float, theta: float, rest: float) -> float:
     """Harmonic angle energy k (theta - rest)^2, angles in radians."""
     return float(k_eff * (theta - rest) ** 2)
+
+
+def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
+    """Logistic function by sign: 1 / (1 + exp(-x)) where x >= 0 and
+    exp(x) / (1 + exp(x)) elsewhere, so no exp can overflow."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

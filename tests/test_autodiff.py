@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gpcn.autodiff import Tape
-from gpcn.graphs import laplacian, make_grid
+from gpcn.gcn import aggregate
+from gpcn.graphs import StructureMatrix, laplacian, make_grid
 from gpcn.numcore import seeded_rng
 
 
@@ -41,6 +43,28 @@ def check_against_fd(build, x, rtol=1e-5):
     assert np.abs(node.grad - fd).max() / scale < rtol
 
 
+def structure_cases():
+    """A sparse-stored Laplacian (41% full), a dense-stored one (75% full)
+    and a non-symmetric sparse matrix, so no vjp can assume Z = Z^T."""
+    sparse = laplacian(make_grid(3, 3))
+    dense = laplacian(make_grid(2, 2))
+    skew = StructureMatrix(
+        mat=sp.random(6, 6, density=0.3, format="csr", random_state=np.random.default_rng(7))
+    )
+    assert sparse.dense is None and dense.dense is not None and skew.dense is None
+    assert (skew.mat != skew.mat.T).nnz > 0
+    return sparse, dense, skew
+
+
+def check_structure_products(z, x):
+    """Tape spmm and aggregate (dense for a dense-stored z) match Z @ x and
+    finite differences."""
+    for product in (Tape.spmm, aggregate):
+        out = product(Tape(), z, x).value
+        assert np.abs(out - z.toarray() @ x).max() < 1e-12
+        check_against_fd(lambda t, v: mean_square(t, product(t, z, v)), x.copy())
+
+
 def test_quadratic_form_matches_fd():
     rng = seeded_rng(0)
     a = rng.normal(size=(4, 3))
@@ -62,6 +86,8 @@ class TestOpGradients:
         xb = self.rng.normal(size=(2, 3, 4))
         check_against_fd(lambda t, x: t.sum(t.matmul(a, x)), xb.copy())
         check_against_fd(lambda t, x: mean_square(t, t.matmul(x, xb)), a.copy())
+        w = self.rng.normal(size=(4, 2))  # a weight against a batched signal
+        check_against_fd(lambda t, v: mean_square(t, t.matmul(xb, v)), w.copy())
 
     def test_add_broadcast_bias(self):
         x = self.rng.normal(size=(4, 3))
@@ -75,14 +101,14 @@ class TestOpGradients:
         )
 
     def test_spmm(self):
-        z = laplacian(make_grid(2, 3))
-        x = self.rng.normal(size=(6, 2))
-        check_against_fd(lambda t, v: mean_square(t, t.spmm(z, v)), x.copy())
+        for z in structure_cases():
+            x = self.rng.normal(size=(z.n, 2))
+            check_structure_products(z, x)
 
     def test_spmm_batched(self):
-        z = laplacian(make_grid(2, 2))
-        xb = self.rng.normal(size=(3, 4, 2))
-        check_against_fd(lambda t, v: mean_square(t, t.spmm(z, v)), xb.copy())
+        for z in structure_cases():
+            xb = self.rng.normal(size=(3, z.n, 2))
+            check_structure_products(z, xb)
 
     def test_relu(self):
         x = self.rng.normal(size=(4, 4)) + 0.2  # keep entries away from the kink

@@ -158,7 +158,12 @@ class TestDiffPool:
 
 
 class TestForwardAgainstOracle:
-    @pytest.mark.parametrize("name", ["ensemble2", "ngcn3", "gpcn3", "a_gpcn3", "diffpool3"])
+    # Z^4, Z^8 and Z^16 of the 30-node tube (ngcn3, ngcn5) and the 6-node
+    # coarsest Laplacian (gpcn3, a_gpcn3) are more than half full, so those
+    # members aggregate with the dense copy; the reference multiplies in CSR
+    @pytest.mark.parametrize(
+        "name", ["ensemble2", "ngcn3", "ngcn5", "gpcn3", "a_gpcn3", "diffpool3"]
+    )
     def test_matches_numpy_reference(self, tiny_hierarchy, name):
         spec = build_from_table(name, tiny_hierarchy)
         params = init_model_params(spec, 3, seeded_rng(40))

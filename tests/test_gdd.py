@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -257,6 +258,20 @@ class TestCoarseSearch:
         a = coarse_search(fine, 4, k_range=(3,), p_range=(0, 1), seam_weights=(1.0,))
         b = coarse_search(fine, 4, k_range=(3,), p_range=(0, 1), seam_weights=(1.0,))
         assert a == b
+
+    def test_duplicate_values_make_one_candidate(self, monkeypatch):
+        # the package re-exports the function gdd under the module's name
+        gdd_module = importlib.import_module("gpcn.gdd")
+        calls = []
+
+        def counting_gdd(*args):
+            calls.append(args[0].name)
+            return gdd(*args)
+
+        monkeypatch.setattr(gdd_module, "gdd", counting_gdd)
+        rows = coarse_search(make_tube(4, 4, 1), 4, [3, 3], [0, 0], [1.0, 1])
+        assert [r[:3] for r in rows] == [(3, 0, 1.0)]
+        assert calls == ["Tube(4,3,0)"]
 
     def test_full_grid_cardinality(self):
         # the production search: ten turn counts, four offsets, two seam weights

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from gpcn.numcore import (
     sigmoid,
     spmm,
 )
+
+from tests.oracles import sigmoid_two_branch
 
 
 class TestProducts:
@@ -52,6 +56,15 @@ class TestActivations:
     def test_sigmoid_extremes_stable(self):
         out = sigmoid(np.array([-1000.0, 1000.0]))
         assert 0.0 <= out[0] < 1e-12 and 1.0 - 1e-12 < out[1] <= 1.0
+
+    def test_sigmoid_matches_two_branch_oracle(self):
+        # a grid plus +-709.8, just past where exp overflows, and +-745, where
+        # exp(-745) is the last subnormal
+        x = np.concatenate([np.linspace(-1000.0, 1000.0, 20001), [-745.0, 745.0, -709.8, 709.8]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(x)
+        assert np.abs(out - sigmoid_two_branch(x)).max() <= 2.3e-16
 
     def test_linear(self):
         x = np.array([1.5, -2.0])
