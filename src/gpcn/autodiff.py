@@ -77,8 +77,6 @@ class Tape:
             return _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
 
         def vjp_b(g):
-            if av.ndim > 2 and bv.ndim == 2:  # batched signal times weight: one GEMM
-                return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             return _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
 
         return self._record(out, (a, b), (vjp_a, vjp_b))

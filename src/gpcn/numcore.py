@@ -79,7 +79,7 @@ def relu(x):
 
 def sigmoid(x):
     """1 / (1 + exp(-x)) on one copy; exp(-x) = inf gives the exact limit 0."""
-    out = np.negative(x, dtype=float)
+    out = np.negative(x, out=np.empty(np.shape(x)))
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0

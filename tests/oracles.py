@@ -11,7 +11,26 @@ import numpy as np
 
 from gpcn.gcn import GcnLayerParams, GcnParams
 from gpcn.graphs import StructureMatrix
-from gpcn.numcore import ACTIVATIONS, row_softmax, spmm
+from gpcn.numcore import row_softmax, spmm
+
+
+def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
+    """Logistic function by sign: 1 / (1 + exp(-x)) where x >= 0 and
+    exp(x) / (1 + exp(x)) elsewhere, so no exp can overflow."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_ACTIVATIONS = {
+    "relu": lambda x: np.maximum(x, 0.0),
+    "sigmoid": sigmoid_two_branch,
+    "linear": lambda x: x,
+}
 
 
 def _aggregate(z, h):
@@ -28,7 +47,7 @@ def gcn_layer(z, x: np.ndarray, params: GcnLayerParams) -> np.ndarray:
         )
     xw = x @ params.w
     pre = (_aggregate(z, xw) if z is not None else xw) + params.b
-    return ACTIVATIONS[params.activation](pre)
+    return _ACTIVATIONS[params.activation](pre)
 
 
 def gcn_network(z, params: GcnParams, x: np.ndarray) -> np.ndarray:
@@ -136,15 +155,3 @@ def bond_energy(k_eff: float, length: float, rest: float) -> float:
 def angle_energy(k_eff: float, theta: float, rest: float) -> float:
     """Harmonic angle energy k (theta - rest)^2, angles in radians."""
     return float(k_eff * (theta - rest) ** 2)
-
-
-def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
-    """Logistic function by sign: 1 / (1 + exp(-x)) where x >= 0 and
-    exp(x) / (1 + exp(x)) elsewhere, so no exp can overflow."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out

@@ -64,7 +64,9 @@ class TestActivations:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = sigmoid(x)
+            out0 = sigmoid(np.array(-745.0))
         assert np.abs(out - sigmoid_two_branch(x)).max() <= 2.3e-16
+        assert out0.shape == () and abs(out0 - sigmoid_two_branch(np.array([-745.0]))[0]) <= 2.3e-16
 
     def test_linear(self):
         x = np.array([1.5, -2.0])
