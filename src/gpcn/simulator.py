@@ -17,6 +17,8 @@ canonical values they are expected to reproduce.
 from __future__ import annotations
 
 import itertools
+import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,26 +27,10 @@ from .numcore import NumericalError, seeded_rng
 from .serialize import dump_json, load_arrays, save_arrays, write_csv
 
 __all__ = [
-    "STRENGTH_PARAMS",
-    "REST_LENGTHS",
-    "REST_ANGLES_DEG",
-    "MtModel",
-    "SimConfig",
-    "SimState",
-    "Frame",
-    "Dataset",
-    "SimulationDiverged",
-    "build_geometry",
-    "forces_and_energy",
-    "initial_state",
-    "step",
-    "run_simulation",
-    "tip_deflection",
-    "generate_dataset",
-    "full_strength_grid",
-    "desk_strength_grid",
-    "save_dataset",
-    "load_dataset",
+    "STRENGTH_PARAMS", "REST_LENGTHS", "REST_ANGLES_DEG", "MtModel", "SimConfig", "SimState",
+    "Frame", "Dataset", "SimulationDiverged", "build_geometry", "forces_and_energy",
+    "initial_state", "step", "run_simulation", "tip_deflection", "generate_dataset",
+    "full_strength_grid", "desk_strength_grid", "save_dataset", "load_dataset",
 ]
 
 STRENGTH_PARAMS = ("LatAssoc", "LongAssoc", "LatAngle", "LongAngle", "QuadAngles")
@@ -71,10 +57,16 @@ MASS_DALTON = 50.0
 _REST_TOL = 1e-2
 # a run diverges once a coordinate exceeds this multiple of the lattice extent
 _GUARD_FACTOR = 20.0
+_MAX_BATCH = 64  # runs integrated as one stacked system; bounds memory on 7^5-run grids
 
 
 class SimulationDiverged(NumericalError):
-    """A particle left the guard volume; the run is unusable."""
+    """A particle left the guard volume; the run is unusable. ``runs`` maps
+    the index of each diverged run in the stepped state to its message."""
+
+    def __init__(self, runs: dict):
+        super().__init__("; ".join(runs.values()))
+        self.runs = runs
 
 
 @dataclass
@@ -92,6 +84,8 @@ class MtModel:
     angle_idx: np.ndarray  # (m_a, 3) with the vertex in the middle
     angle_kind: list
     angle_rest: np.ndarray  # (m_a,) radians, measured
+    # bincount targets of the widest batch scattered so far (see _scatter_tables)
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -112,33 +106,34 @@ class MtModel:
                 raise ValueError(f"unknown strength parameter {name!r}")
             if value <= 0:
                 raise ValueError(f"strength {name} must be positive, got {value}")
-        full = {name: 1.0 for name in STRENGTH_PARAMS}
-        full.update(strengths)
+        full = {**dict.fromkeys(STRENGTH_PARAMS, 1.0), **strengths}
         kb = np.array([full[_BOND_STRENGTH[kind]] for kind in self.bond_kind])
         ka = np.array([full[_ANGLE_STRENGTH[kind]] for kind in self.angle_kind])
         return kb, ka
 
 
-def _angle_geometry(pos, idx):
-    """Vectorized angle quantities for (i, vertex, k) index triples.
+def _dot(a, b):
+    """Row-wise dot product over the last axis of length 3, summed in the
+    order ``np.sum`` and ``np.linalg.norm`` use: (x0 + x1) + x2."""
+    p = a * b
+    return p[..., 0] + p[..., 1] + p[..., 2]
 
-    Used by both geometry construction and the force loop so the rest values
-    measured at build time are bitwise reproducible during integration.
-    """
-    u = pos[idx[:, 0]] - pos[idx[:, 1]]
-    v = pos[idx[:, 2]] - pos[idx[:, 1]]
-    lu = np.linalg.norm(u, axis=1)
-    lv = np.linalg.norm(v, axis=1)
-    uh = u / lu[:, None]
-    vh = v / lv[:, None]
-    cos = np.clip(np.sum(uh * vh, axis=1), -1.0, 1.0)
+
+def _angle_geometry(pos, idx):
+    """Vectorized angle quantities for (i, vertex, k) index triples, over any
+    leading run axes of ``pos``. Used by both geometry construction and the
+    force loop so the rest values measured at build time are bitwise
+    reproducible during integration."""
+    ends = np.take(pos, idx, axis=-2)
+    u = ends[..., 0, :] - ends[..., 1, :]
+    v = ends[..., 2, :] - ends[..., 1, :]
+    lu = np.sqrt(_dot(u, u))
+    lv = np.sqrt(_dot(v, v))
+    uh = u / lu[..., None]
+    vh = v / lv[..., None]
+    cos = np.clip(_dot(uh, vh), -1.0, 1.0)
     theta = np.arccos(cos)
     return theta, cos, uh, vh, lu, lv
-
-
-def _measured_angle(pos, a, b, c):
-    theta, *_ = _angle_geometry(pos, np.array([[a, b, c]]))
-    return float(theta[0])
 
 
 def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
@@ -197,12 +192,7 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
             return (i + offset, 0)
         return None
 
-    lat_prev = {}
-    for i in range(n_rings):
-        for j in range(k):
-            nxt = lat_next(i, j)
-            if nxt is not None:
-                lat_prev[nxt] = (i, j)
+    lat_prev = {nxt: (i, j) for i in range(n_rings) for j in range(k) if (nxt := lat_next(i, j))}
 
     angle_idx, angle_kind = [], []
     for i in range(n_rings):
@@ -217,16 +207,12 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
                 angle_idx.append((node(i - 1, j), node(i, j), node(i + 1, j)))
                 angle_kind.append("long_angle")
             lat_neighbors = [p for p in (prv, nxt) if p is not None]
-            long_neighbors = []
-            if i > 0:
-                long_neighbors.append((i - 1, j))
-            if i + 1 < n_rings:
-                long_neighbors.append((i + 1, j))
+            long_neighbors = [(i + di, j) for di in (-1, 1) if 0 <= i + di < n_rings]
             for ln in lat_neighbors:
                 for gn in long_neighbors:
-                    theta = _measured_angle(pos, node(*ln), node(*v), node(*gn))
-                    kind = "quad_acute" if np.degrees(theta) < 90.0 else "quad_obtuse"
                     angle_idx.append((node(*ln), node(*v), node(*gn)))
+                    theta = _angle_geometry(pos, np.array(angle_idx[-1:]))[0][0]
+                    kind = "quad_acute" if np.degrees(theta) < 90.0 else "quad_obtuse"
                     angle_kind.append(kind)
     angle_idx = np.array(angle_idx, dtype=int)
 
@@ -234,7 +220,7 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
     # group must be internally uniform; the canonical table applies to the
     # 13-column offset-3 lattice it was measured on
     d = pos[bond_idx[:, 1]] - pos[bond_idx[:, 0]]
-    bond_rest = np.linalg.norm(d, axis=1)
+    bond_rest = np.sqrt(_dot(d, d))
     angle_rest, *_ = _angle_geometry(pos, angle_idx)
     for kinds, rests in ((bond_kind, bond_rest), (angle_kind, np.degrees(angle_rest))):
         for kind in set(kinds):
@@ -257,68 +243,69 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
                     f"inconsistent geometry: {kind} rest {rest:.4f} deg "
                     f"vs expected {REST_ANGLES_DEG[kind]}"
                 )
-    return MtModel(
-        n_rings=n_rings,
-        k=k,
-        offset=offset,
-        positions=pos,
-        mass=MASS_DALTON,
-        bond_idx=bond_idx,
-        bond_kind=bond_kind,
-        bond_rest=bond_rest,
-        angle_idx=angle_idx,
-        angle_kind=angle_kind,
-        angle_rest=angle_rest,
-    )
+    return MtModel(n_rings, k, offset, pos, MASS_DALTON, bond_idx, bond_kind, bond_rest,
+                   angle_idx, angle_kind, angle_rest)
 
 
-def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.ndarray):
+def _scatter_tables(model: MtModel, runs: int):
+    """Flat bincount targets for ``runs`` stacked runs. Forces take the terms
+    as bonds to i, to j, angles to i, k, vertex; energies bonds to i, j,
+    angles to i, vertex, k; so each particle sums in one order at any batch
+    size. The widest batch's tables are kept and sliced for narrower ones."""
+    terms = 2 * len(model.bond_idx) + 3 * len(model.angle_idx)
+    force, energy = model._tables or ((), ())
+    if len(energy) < runs * terms:
+        (bi, bj), (ai, av, ak) = model.bond_idx.T, model.angle_idx.T
+        rows = model.n * np.arange(runs)[:, None]
+        force = (3 * (rows + np.concatenate([bi, bj, ai, ak, av]))[..., None] + np.arange(3)).ravel()
+        energy = (rows + np.concatenate([bi, bj, ai, av, ak])).ravel()
+        model._tables = (force, energy)
+    return force[: 3 * runs * terms], energy[: runs * terms]
+
+
+def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.ndarray, energy=True):
     """Analytic forces plus per-particle energy attribution.
 
-    Returns (forces (n,3), per_particle (n,), total). Bond energy splits half
-    to each endpoint, angle energy a third to each participant, so the
-    attribution sums exactly to the total. Angles whose arms are collinear to
-    machine precision contribute energy but zero force (finite fallback).
-    """
-    n = model.n
-    forces = np.zeros((n, 3))
-    per_particle = np.zeros(n)
+    ``pos`` is (n, 3), or (R, n, 3) for R runs with stiffness rows kb (R, m_b)
+    and ka (R, m_a). Returns (forces (n,3), per_particle (n,), total), with a
+    leading run axis on all three for R runs. Bond energy splits half to each
+    endpoint, angle energy a third to each participant, so the attribution
+    sums exactly to the total; ``energy=False`` skips it (None, None). Angles
+    whose arms are collinear to machine precision contribute energy but zero
+    force (finite fallback)."""
+    runs = pos.reshape(-1, model.n, 3)
+    force_idx, energy_idx = _scatter_tables(model, len(runs))
 
-    bi, bj = model.bond_idx[:, 0], model.bond_idx[:, 1]
-    d = pos[bj] - pos[bi]
-    r = np.linalg.norm(d, axis=1)
+    ends = np.take(runs, model.bond_idx, axis=1)
+    d = ends[:, :, 1] - ends[:, :, 0]
+    r = np.sqrt(_dot(d, d))
     safe_r = np.where(r > 1e-12, r, 1.0)
     dr = r - model.bond_rest
-    e_bond = kb * dr * dr
     fmag = np.where(r > 1e-12, 2.0 * kb * dr / safe_r, 0.0)
-    fvec = fmag[:, None] * d
-    np.add.at(forces, bi, fvec)
-    np.add.at(forces, bj, -fvec)
-    np.add.at(per_particle, bi, 0.5 * e_bond)
-    np.add.at(per_particle, bj, 0.5 * e_bond)
+    fvec = fmag[..., None] * d
 
-    ai, av, ak2 = model.angle_idx[:, 0], model.angle_idx[:, 1], model.angle_idx[:, 2]
-    theta, cos, uh, vh, lu, lv = _angle_geometry(pos, model.angle_idx)
+    theta, cos, uh, vh, lu, lv = _angle_geometry(runs, model.angle_idx)
     delta = theta - model.angle_rest
-    e_angle = ka * delta * delta
     sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
     ok = sin > 1e-12
     inv_sin = np.where(ok, 1.0 / np.where(ok, sin, 1.0), 0.0)
-    dth_da = (cos[:, None] * uh - vh) * (inv_sin / lu)[:, None]
-    dth_dc = (cos[:, None] * vh - uh) * (inv_sin / lv)[:, None]
-    coeff = (-2.0 * ka * delta)[:, None]
+    dth_da = (cos[..., None] * uh - vh) * (inv_sin / lu)[..., None]
+    dth_dc = (cos[..., None] * vh - uh) * (inv_sin / lv)[..., None]
+    coeff = (-2.0 * ka * delta)[..., None]
     fa = coeff * dth_da
     fc = coeff * dth_dc
-    np.add.at(forces, ai, fa)
-    np.add.at(forces, ak2, fc)
-    np.add.at(forces, av, -(fa + fc))
-    share = e_angle / 3.0
-    np.add.at(per_particle, ai, share)
-    np.add.at(per_particle, av, share)
-    np.add.at(per_particle, ak2, share)
+    terms = np.concatenate([fvec, -fvec, fa, fc, -(fa + fc)], axis=1)
+    forces = np.bincount(force_idx, weights=terms.ravel(), minlength=runs.size).reshape(pos.shape)
+    if not energy:
+        return forces, None, None
 
-    total = float(e_bond.sum() + e_angle.sum())
-    return forces, per_particle, total
+    e_bond = kb * dr * dr
+    e_angle = ka * delta * delta
+    half, share = 0.5 * e_bond, e_angle / 3.0
+    terms = np.concatenate([half, half, share, share, share], axis=1)
+    per_particle = np.bincount(energy_idx, weights=terms.ravel(), minlength=runs.size // 3)
+    total = e_bond.sum(axis=-1) + e_angle.sum(axis=-1)
+    return forces, per_particle.reshape(pos.shape[:-1]), total if pos.ndim == 3 else float(total[0])
 
 
 @dataclass
@@ -339,12 +326,21 @@ class SimConfig:
     feature_columns: int = 10  # 10 drops LatAngle from the inputs, 11 keeps all five
 
     def __post_init__(self):
+        counts = (self.ramp_steps, self.hold_steps, self.save_every)
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
+            raise ValueError(f"step counts must be integers, got {counts}")
         if self.ramp_steps < 1 or self.hold_steps < 0 or self.save_every < 1:
             raise ValueError("step counts must be positive")
-        if (self.ramp_steps + self.hold_steps) % self.save_every != 0:
+        if self.total_steps % self.save_every != 0:
             raise ValueError("save_every must divide the total step count")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "bond_k_base", "angle_k_base", "damping", "max_force", "temperature"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value is not None and value <= 0 and name not in ("max_force", "temperature"):
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.temperature is not None and self.temperature < 0:
+            raise ValueError(f"temperature must not be negative, got {self.temperature}")
         if self.feature_columns not in (10, 11):
             raise ValueError("feature_columns must be 10 or 11")
         for name, value in self.strengths.items():
@@ -369,19 +365,21 @@ class SimConfig:
         return target**2 * self.dt / (2.0 * mass * gamma)
 
     def feature_names(self):
-        coeffs = (
-            ("LatAssoc", "LongAssoc", "LongAngle", "QuadAngles")
-            if self.feature_columns == 10
-            else STRENGTH_PARAMS
-        )
+        coeffs = [p for p in STRENGTH_PARAMS if self.feature_columns == 11 or p != "LatAngle"]
         return ["px", "py", "pz", "vx", "vy", "vz", *coeffs]
 
 
 @dataclass
 class SimState:
+    """One run (n, 3) or R stacked runs (R, n, 3). ``forces`` caches the
+    conservative force at ``positions``: None until a step fills it (reset it
+    after moving positions by hand). A step that ends on a frame sets ``energy``."""
+
     positions: np.ndarray
     velocities: np.ndarray
     step_index: int = 0
+    forces: np.ndarray | None = None
+    energy: np.ndarray | None = None
 
 
 @dataclass
@@ -405,60 +403,60 @@ class Dataset:
 
 
 def initial_state(model: MtModel) -> SimState:
-    return SimState(
-        positions=model.positions.copy(),
-        velocities=np.zeros_like(model.positions),
-        step_index=0,
-    )
-
-
-def _ramp_force(config: SimConfig, step_index: int) -> float:
-    return min((step_index + 1) / config.ramp_steps, 1.0) * config.max_force
+    return SimState(positions=model.positions.copy(), velocities=np.zeros_like(model.positions))
 
 
 def step(model: MtModel, state: SimState, config: SimConfig, rng=None, *, _cache=None) -> SimState:
     """One velocity-Verlet step with clamps, ramped end load, and optional
-    Langevin forces (friction plus one noise draw per step)."""
+    Langevin forces (friction plus one noise draw per step and run), with
+    one conservative force evaluation, at the new positions.
+
+    A stacked state takes one generator per run in ``rng`` and stiffness
+    rows (R, m_b), (R, m_a) in ``_cache``. SimulationDiverged names every
+    run that left the guard volume; the step is complete for all of them.
+    """
     kb, ka = _cache if _cache is not None else _effective_stiffness(model, config)
-    clamp = model.clamp_set()
-    forced = model.forced_set()
-    mass = model.mass
-    dt = config.dt
-    gamma = 1.0 / config.resolved_damping()
-    kt = config.resolved_temperature(mass)
+    clamp, forced, mass, dt = model.clamp_set(), model.forced_set(), model.mass, config.dt
+    gamma, kt = 1.0 / config.resolved_damping(), config.resolved_temperature(mass)
+    pos, vel = state.positions, state.velocities
     noise = None
     if config.langevin and kt > 0.0:
         if rng is None:
             raise ValueError("langevin noise needs an rng")
         sigma = np.sqrt(2.0 * mass * gamma * kt / dt)
-        noise = sigma * rng.normal(size=state.positions.shape)
+        rngs = rng if pos.ndim == 3 else [rng]
+        noise = sigma * np.stack([g.normal(size=model.positions.shape) for g in rngs]).reshape(pos.shape)
+    if state.forces is None:
+        state.forces, _, _ = forces_and_energy(model, pos, kb, ka, energy=False)
 
-    def total_force(pos, vel, step_index):
-        f, _, _ = forces_and_energy(model, pos, kb, ka)
-        f[forced, 1] -= _ramp_force(config, step_index)
+    def total_force():
+        f = state.forces.copy()
+        f[..., forced, 1] -= min((state.step_index + 1) / config.ramp_steps, 1.0) * config.max_force
         if config.langevin:
             f -= mass * gamma * vel
             if noise is not None:
                 f += noise
         return f
 
-    pos, vel = state.positions, state.velocities
-    f = total_force(pos, vel, state.step_index)
-    vel += 0.5 * dt * f / mass
+    vel += 0.5 * dt * total_force() / mass
     pos += dt * vel
-    pos[clamp] = model.positions[clamp]
-    vel[clamp] = 0.0
-    f = total_force(pos, vel, state.step_index)
-    vel += 0.5 * dt * f / mass
-    vel[clamp] = 0.0
+    pos[..., clamp, :] = model.positions[clamp]
+    vel[..., clamp, :] = 0.0
+    frame = (state.step_index + 1) % config.save_every == 0
+    state.forces, state.energy, _ = forces_and_energy(model, pos, kb, ka, energy=frame)
+    vel += 0.5 * dt * total_force() / mass
+    vel[..., clamp, :] = 0.0
     state.step_index += 1
 
     guard = _GUARD_FACTOR * max(1.0, np.abs(model.positions).max())
-    if not np.isfinite(pos).all() or np.abs(pos).max() > guard:
-        raise SimulationDiverged(
-            f"simulation diverged at step {state.step_index}: "
-            f"max |coordinate| = {np.abs(pos[np.isfinite(pos)]).max() if np.isfinite(pos).any() else np.inf:.3g} nm"
-        )
+    runs = np.abs(pos.reshape(-1, model.n * 3))
+    messages = {}
+    for r in np.flatnonzero(~(runs.max(axis=1) <= guard)):  # NaN fails the comparison too
+        finite = runs[r][np.isfinite(runs[r])]
+        messages[int(r)] = (f"simulation diverged at step {state.step_index}: "
+                            f"max |coordinate| = {finite.max() if finite.size else np.inf:.3g} nm")
+    if messages:
+        raise SimulationDiverged(messages)
     return state
 
 
@@ -467,35 +465,50 @@ def _effective_stiffness(model: MtModel, config: SimConfig):
     return kb * config.bond_k_base, ka * config.angle_k_base
 
 
-def _make_frame(model: MtModel, state: SimState, config: SimConfig, kb, ka) -> Frame:
-    _, per_particle, _ = forces_and_energy(model, state.positions, kb, ka)
-    full = {name: 1.0 for name in STRENGTH_PARAMS}
-    full.update(config.strengths)
-    coeff_names = config.feature_names()[6:]
-    coeffs = np.tile([full[name] for name in coeff_names], (model.n, 1))
-    x = np.concatenate([state.positions, state.velocities, coeffs], axis=1)
-    return Frame(x=x, y=per_particle[:, None])
+def _integrate(model: MtModel, configs: list, seeds: list) -> list:
+    """Integrate one run per config (one protocol, own strengths and seed) as
+    one stacked system. Returns each run's frames, or the message of the step
+    at which it diverged; a diverged run leaves the stack at that step."""
+    config, live, rngs = configs[0], list(range(len(configs))), [seeded_rng(s) for s in seeds]
+    kb, ka = map(np.stack, zip(*(_effective_stiffness(model, c) for c in configs)))
+    state = SimState(np.repeat(model.positions[None], len(configs), axis=0),
+                     np.zeros((len(configs), model.n, 3)))
+    results = [[] for _ in configs]
+    for _ in range(config.total_steps):
+        try:
+            step(model, state, config, rngs, _cache=(kb, ka))
+        except SimulationDiverged as exc:
+            for i, message in exc.runs.items():
+                results[live[i]] = message
+            keep = [i for i in range(len(live)) if i not in exc.runs]
+            live, rngs, kb, ka = [live[i] for i in keep], [rngs[i] for i in keep], kb[keep], ka[keep]
+            for name in ("positions", "velocities", "forces", "energy"):
+                value = getattr(state, name)
+                setattr(state, name, None if value is None else value[keep])
+            if not live:
+                break
+        if state.step_index % config.save_every == 0:
+            for i, r in enumerate(live):
+                full = {**dict.fromkeys(STRENGTH_PARAMS, 1.0), **configs[r].strengths}
+                coeffs = np.tile([full[name] for name in config.feature_names()[6:]], (model.n, 1))
+                x = np.concatenate([state.positions[i], state.velocities[i], coeffs], axis=1)
+                results[r].append(Frame(x=x, y=state.energy[i][:, None]))
+    return results
 
 
 def run_simulation(model: MtModel, config: SimConfig, seed=0) -> list:
     """Integrate the load protocol and return a frame every ``save_every``
     steps (12 frames at the default settings)."""
-    cache = _effective_stiffness(model, config)
-    rng = seeded_rng(seed)
-    state = initial_state(model)
-    frames = []
-    for _ in range(config.total_steps):
-        state = step(model, state, config, rng, _cache=cache)
-        if state.step_index % config.save_every == 0:
-            frames.append(_make_frame(model, state, config, *cache))
+    (frames,) = _integrate(model, [config], [seed])
+    if isinstance(frames, str):
+        raise SimulationDiverged({0: frames})
     return frames
 
 
 def tip_deflection(model: MtModel, frame: Frame) -> float:
     """Mean displacement of the loaded rings against the resting geometry."""
     forced = model.forced_set()
-    moved = frame.x[forced, :3]
-    return float(np.linalg.norm(moved - model.positions[forced], axis=1).mean())
+    return float(np.linalg.norm(frame.x[forced, :3] - model.positions[forced], axis=1).mean())
 
 
 def full_strength_grid():
@@ -509,12 +522,18 @@ def desk_strength_grid():
     return {"LatAssoc": [0.1, 1.0, 1.9], "LongAssoc": [0.1, 1.0, 1.9]}
 
 
+_MANIFEST_FIELDS = (
+    "ramp_steps", "hold_steps", "dt", "save_every", "max_force", "bond_k_base", "angle_k_base", "langevin"
+)
+
+
 def generate_dataset(model: MtModel, param_grid: dict, config: SimConfig, seed=0) -> Dataset:
     """One run per grid combination, concatenated into a dataset.
 
     Combinations iterate in canonical parameter order with ascending values;
-    each run draws from an independent child seed. Diverged runs are recorded
-    in the manifest and excluded from the tensors.
+    each run draws from an independent child seed. Up to ``_MAX_BATCH`` runs
+    integrate together as one stacked system. Diverged runs are recorded in
+    the manifest and excluded from the tensors.
     """
     for name in param_grid:
         if name not in STRENGTH_PARAMS:
@@ -523,23 +542,22 @@ def generate_dataset(model: MtModel, param_grid: dict, config: SimConfig, seed=0
     if not varied:
         raise ValueError("param_grid must vary at least one strength parameter")
     combos = list(itertools.product(*(sorted(param_grid[name]) for name in varied)))
+    configs = [replace(config, strengths={**config.strengths, **dict(zip(varied, c))}) for c in combos]
     children = np.random.SeedSequence(seed).spawn(len(combos))
+    results = []
+    for start in range(0, len(configs), _MAX_BATCH):
+        batch = slice(start, start + _MAX_BATCH)
+        results += _integrate(model, configs[batch], children[batch])
 
     xs, ys, runs = [], [], []
-    for combo, child in zip(combos, children):
-        strengths = dict(config.strengths)
-        strengths.update(dict(zip(varied, combo)))
-        run_config = replace(config, strengths=strengths)
-        record = {"strengths": {k: float(v) for k, v in sorted(strengths.items())}}
-        try:
-            frames = run_simulation(model, run_config, seed=child)
-            record["status"] = "ok"
-            record["n_frames"] = len(frames)
+    for run_config, frames in zip(configs, results):
+        record = {"strengths": {k: float(v) for k, v in sorted(run_config.strengths.items())}}
+        if isinstance(frames, str):
+            record.update(status="diverged", error=frames)
+        else:
+            record.update(status="ok", n_frames=len(frames))
             xs.extend(f.x for f in frames)
             ys.extend(f.y for f in frames)
-        except SimulationDiverged as exc:
-            record["status"] = "diverged"
-            record["error"] = str(exc)
         runs.append(record)
     if not xs:
         raise NumericalError("every run diverged; no dataset produced")
@@ -550,34 +568,20 @@ def generate_dataset(model: MtModel, param_grid: dict, config: SimConfig, seed=0
         "offset": model.offset,
         "n_nodes": model.n,
         "feature_columns": config.feature_columns,
-        "column_names": SimConfig.feature_names(config),
+        "column_names": config.feature_names(),
         "grid": {name: [float(v) for v in sorted(param_grid[name])] for name in varied},
         "config": {
-            "ramp_steps": config.ramp_steps,
-            "hold_steps": config.hold_steps,
-            "dt": config.dt,
-            "save_every": config.save_every,
-            "max_force": config.max_force,
-            "bond_k_base": config.bond_k_base,
-            "angle_k_base": config.angle_k_base,
-            "langevin": config.langevin,
+            **{name: getattr(config, name) for name in _MANIFEST_FIELDS},
             "temperature": config.resolved_temperature(model.mass),
             "damping": config.resolved_damping(),
         },
         "runs": runs,
     }
-    return Dataset(
-        x=np.stack(xs),
-        y=np.stack(ys),
-        column_names=config.feature_names(),
-        manifest=manifest,
-    )
+    return Dataset(np.stack(xs), np.stack(ys), config.feature_names(), manifest)
 
 
 def save_dataset(dataset: Dataset, out_dir, fmt: str = "bin") -> None:
     """Write a dataset directory: manifest.json plus frames (bin or csv)."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     dump_json(os.path.join(out_dir, "manifest.json"), dataset.manifest)
     if fmt == "bin":
@@ -588,13 +592,11 @@ def save_dataset(dataset: Dataset, out_dir, fmt: str = "bin") -> None:
         )
     elif fmt == "csv":
         header = ["frame", "node", *dataset.column_names, "energy"]
-        rows = []
-        t, n, f = dataset.x.shape
-        for ti in range(t):
-            for ni in range(n):
-                rows.append(
-                    [ti, ni, *dataset.x[ti, ni].tolist(), float(dataset.y[ti, ni, 0])]
-                )
+        t, n, _ = dataset.x.shape
+        rows = [
+            [ti, ni, *dataset.x[ti, ni].tolist(), float(dataset.y[ti, ni, 0])]
+            for ti in range(t) for ni in range(n)
+        ]
         write_csv(os.path.join(out_dir, "frames.csv"), header, rows)
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")
@@ -602,9 +604,6 @@ def save_dataset(dataset: Dataset, out_dir, fmt: str = "bin") -> None:
 
 def load_dataset(out_dir) -> Dataset:
     """Read a dataset directory written by :func:`save_dataset` (either format)."""
-    import json
-    import os
-
     with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     bin_path = os.path.join(out_dir, "frames.bin")

@@ -7,11 +7,15 @@ input gradient follows the paper's rule: back-propagate by hand to the
 first pre-activation A_1, then apply Z^T (dE/dA_1) W_1^T.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 
 from gpcn.gcn import GcnLayerParams, GcnParams
 from gpcn.graphs import StructureMatrix
 from gpcn.numcore import row_softmax, spmm
+from gpcn.simulator import STRENGTH_PARAMS
 
 
 def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
@@ -155,3 +159,113 @@ def bond_energy(k_eff: float, length: float, rest: float) -> float:
 def angle_energy(k_eff: float, theta: float, rest: float) -> float:
     """Harmonic angle energy k (theta - rest)^2, angles in radians."""
     return float(k_eff * (theta - rest) ** 2)
+
+
+def forces_and_energy_reference(model, pos: np.ndarray, kb: np.ndarray, ka: np.ndarray):
+    """Forces (n, 3), per-particle energy (n,) and total of one configuration,
+    scattered term by term with ``np.add.at``: bonds to i then j, angles'
+    forces to the arms then the vertex, angles' energy to i, vertex, k."""
+    forces = np.zeros((model.n, 3))
+    per_particle = np.zeros(model.n)
+
+    bi, bj = model.bond_idx[:, 0], model.bond_idx[:, 1]
+    d = pos[bj] - pos[bi]
+    r = np.linalg.norm(d, axis=1)
+    safe_r = np.where(r > 1e-12, r, 1.0)
+    dr = r - model.bond_rest
+    e_bond = kb * dr * dr
+    fvec = np.where(r > 1e-12, 2.0 * kb * dr / safe_r, 0.0)[:, None] * d
+    np.add.at(forces, bi, fvec)
+    np.add.at(forces, bj, -fvec)
+    np.add.at(per_particle, bi, 0.5 * e_bond)
+    np.add.at(per_particle, bj, 0.5 * e_bond)
+
+    ai, av, ak = model.angle_idx[:, 0], model.angle_idx[:, 1], model.angle_idx[:, 2]
+    u, v = pos[ai] - pos[av], pos[ak] - pos[av]
+    lu, lv = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+    uh, vh = u / lu[:, None], v / lv[:, None]
+    cos = np.clip(np.sum(uh * vh, axis=1), -1.0, 1.0)
+    delta = np.arccos(cos) - model.angle_rest
+    e_angle = ka * delta * delta
+    sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
+    ok = sin > 1e-12
+    inv_sin = np.where(ok, 1.0 / np.where(ok, sin, 1.0), 0.0)
+    coeff = (-2.0 * ka * delta)[:, None]
+    fa = coeff * ((cos[:, None] * uh - vh) * (inv_sin / lu)[:, None])
+    fc = coeff * ((cos[:, None] * vh - uh) * (inv_sin / lv)[:, None])
+    np.add.at(forces, ai, fa)
+    np.add.at(forces, ak, fc)
+    np.add.at(forces, av, -(fa + fc))
+    share = e_angle / 3.0
+    np.add.at(per_particle, ai, share)
+    np.add.at(per_particle, av, share)
+    np.add.at(per_particle, ak, share)
+    return forces, per_particle, float(e_bond.sum() + e_angle.sum())
+
+
+def _run_reference(model, config, seed):
+    """One velocity-Verlet run that evaluates the force twice per step and
+    attributes energy at each saved frame: (frames, None) as (x, y) pairs,
+    or (None, message) when a coordinate leaves the guard volume."""
+    kb, ka = model.strength_vectors(config.strengths)
+    kb, ka = kb * config.bond_k_base, ka * config.angle_k_base
+    rng = np.random.Generator(np.random.PCG64(seed))
+    clamp, forced = model.clamp_set(), model.forced_set()
+    mass, dt = model.mass, config.dt
+    gamma = 1.0 / config.resolved_damping()
+    kt = config.resolved_temperature(mass)
+    guard = 20.0 * max(1.0, np.abs(model.positions).max())
+    full = dict.fromkeys(STRENGTH_PARAMS, 1.0)
+    full.update(config.strengths)
+    coeffs = np.tile([full[name] for name in config.feature_names()[6:]], (model.n, 1))
+    pos, vel = model.positions.copy(), np.zeros_like(model.positions)
+
+    def total_force(s, noise):
+        f = forces_and_energy_reference(model, pos, kb, ka)[0]
+        f[forced, 1] -= min((s + 1) / config.ramp_steps, 1.0) * config.max_force
+        if config.langevin:
+            f -= mass * gamma * vel
+            if noise is not None:
+                f += noise
+        return f
+
+    frames = []
+    for s in range(config.total_steps):
+        noise = None
+        if config.langevin and kt > 0.0:
+            noise = np.sqrt(2.0 * mass * gamma * kt / dt) * rng.normal(size=pos.shape)
+        vel += 0.5 * dt * total_force(s, noise) / mass
+        pos += dt * vel
+        pos[clamp] = model.positions[clamp]
+        vel[clamp] = 0.0
+        vel += 0.5 * dt * total_force(s, noise) / mass
+        vel[clamp] = 0.0
+        if not np.isfinite(pos).all() or np.abs(pos).max() > guard:
+            finite = np.abs(pos[np.isfinite(pos)])
+            worst = finite.max() if finite.size else np.inf
+            return None, f"simulation diverged at step {s + 1}: max |coordinate| = {worst:.3g} nm"
+        if (s + 1) % config.save_every == 0:
+            _, per_particle, _ = forces_and_energy_reference(model, pos, kb, ka)
+            frames.append((np.concatenate([pos, vel, coeffs], axis=1), per_particle[:, None]))
+    return frames, None
+
+
+def simulate_reference(model, param_grid: dict, config, seed=0):
+    """``generate_dataset`` one run at a time: (x, y, run records), with runs
+    in canonical parameter order and one child seed each."""
+    varied = [name for name in STRENGTH_PARAMS if name in param_grid]
+    combos = list(itertools.product(*(sorted(param_grid[name]) for name in varied)))
+    children = np.random.SeedSequence(seed).spawn(len(combos))
+    xs, ys, runs = [], [], []
+    for combo, child in zip(combos, children):
+        strengths = {**config.strengths, **dict(zip(varied, combo))}
+        record = {"strengths": {k: float(v) for k, v in sorted(strengths.items())}}
+        frames, error = _run_reference(model, replace(config, strengths=strengths), child)
+        if error is None:
+            record.update(status="ok", n_frames=len(frames))
+            xs.extend(x for x, _ in frames)
+            ys.extend(y for _, y in frames)
+        else:
+            record.update(status="diverged", error=error)
+        runs.append(record)
+    return np.stack(xs), np.stack(ys), runs

@@ -242,6 +242,14 @@ BAD_INPUTS = {
     "generate-sim-temperature-not-a-number": (
         "generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], temperature="hot")), []
     ),
+    "generate-sim-damping-zero": ("generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], damping=0.0)), []),
+    "generate-sim-damping-negative": (
+        "generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], damping=-5.0)), []
+    ),
+    "generate-sim-dt-nan": ("generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], dt=float("nan"))), []),
+    "generate-sim-temperature-negative": (
+        "generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], temperature=-1.0)), []
+    ),
     "train-total-epochs-not-an-integer": ("train", ({"schedule": {"total_epochs": 1.5}}, None), []),
     "train-batch-size-not-an-integer": (
         "train", ({"schedule": {"total_epochs": 1, "batch_size": 2.5}}, None), []

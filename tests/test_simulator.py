@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gpcn.simulator as simulator
 from gpcn.numcore import seeded_rng
 from gpcn.simulator import (
     REST_ANGLES_DEG,
@@ -20,7 +21,7 @@ from gpcn.simulator import (
     tip_deflection,
 )
 
-from tests.oracles import angle_energy, bond_energy
+from tests.oracles import angle_energy, bond_energy, forces_and_energy_reference, simulate_reference
 from tests.test_autodiff import finite_difference
 
 
@@ -109,6 +110,37 @@ class TestEnergies:
         _, per_particle, total = forces_and_energy(m, pos, *uniform_stiffness(m))
         assert abs(per_particle.sum() - total) < 1e-9 * max(total, 1.0)
 
+    def test_single_call_matches_add_at_reference_bitwise(self):
+        m = build_geometry(6, 13, 3)
+        rng = seeded_rng(15)
+        kb = rng.uniform(50.0, 150.0, size=len(m.bond_idx))
+        ka = rng.uniform(300.0, 700.0, size=len(m.angle_idx))
+        pos = m.positions + 0.1 * rng.normal(size=m.positions.shape)
+        forces, per_particle, total = forces_and_energy(m, pos, kb, ka)
+        ref = forces_and_energy_reference(m, pos, kb, ka)
+        assert forces.tobytes() == ref[0].tobytes()
+        assert per_particle.tobytes() == ref[1].tobytes()
+        assert isinstance(total, float) and total == ref[2]
+
+    def test_stacked_runs_match_single_calls_bitwise(self):
+        m = build_geometry(6, 13, 3)
+        rng = seeded_rng(16)
+        runs = 4
+        kb = rng.uniform(50.0, 150.0, size=(runs, len(m.bond_idx)))
+        ka = rng.uniform(300.0, 700.0, size=(runs, len(m.angle_idx)))
+        pos = m.positions + 0.1 * rng.normal(size=(runs, *m.positions.shape))
+        # a wider batch first, so the narrower call reads a sliced table
+        forces_and_energy(m, np.concatenate([pos, pos]), np.concatenate([kb, kb]), np.concatenate([ka, ka]))
+        forces, per_particle, total = forces_and_energy(m, pos, kb, ka)
+        assert forces.shape == pos.shape and per_particle.shape == (runs, m.n) and total.shape == (runs,)
+        for r in range(runs):
+            f1, e1, t1 = forces_and_energy(m, pos[r], kb[r], ka[r])
+            assert forces[r].tobytes() == f1.tobytes()
+            assert per_particle[r].tobytes() == e1.tobytes()
+            assert total[r] == t1
+        only, none, _ = forces_and_energy(m, pos, kb, ka, energy=False)
+        assert only.tobytes() == forces.tobytes() and none is None
+
     def test_collinear_angle_has_finite_fallback(self):
         m = build_geometry(4, 13, 3)
         forces, _, _ = forces_and_energy(m, m.positions, *uniform_stiffness(m))
@@ -152,6 +184,22 @@ class TestIntegration:
         clamp = m.clamp_set()
         for frame in frames:
             assert np.array_equal(frame.x[clamp, :3], m.positions[clamp])
+
+    def test_one_force_evaluation_per_step(self, monkeypatch):
+        calls = []
+        original = simulator.forces_and_energy
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("energy", True))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "forces_and_energy", counted)
+        m = build_geometry(4, 13, 3)
+        cfg = SimConfig(ramp_steps=40, hold_steps=20, save_every=10)
+        assert len(run_simulation(m, cfg, seed=17)) == 6
+        # the first step evaluates the start configuration too; energy only at frames
+        assert len(calls) == cfg.total_steps + 1
+        assert sum(calls) == 6
 
     def test_divergence_guard_raises(self):
         m = build_geometry(4, 13, 3)
@@ -213,6 +261,35 @@ class TestRunSimulation:
         assert cfg11.feature_names()[6:] == list(STRENGTH_PARAMS)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"ramp_steps": 500.0},
+            {"ramp_steps": 1999, "hold_steps": True},
+            {"save_every": "500"},
+            {"dt": 0.0},
+            {"dt": float("nan")},
+            {"max_force": float("inf")},
+            {"bond_k_base": -1.0},
+            {"angle_k_base": float("nan")},
+            {"damping": 0.0},
+            {"damping": -5.0},
+            {"damping": float("inf")},
+            {"temperature": -1.0},
+            {"temperature": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_rejects_invalid_settings(self, settings):
+        with pytest.raises(ValueError):
+            SimConfig(**settings)
+
+    def test_accepts_zero_temperature_and_load(self):
+        cfg = SimConfig(temperature=0.0, max_force=0.0, damping=2.0)
+        assert cfg.resolved_temperature(50.0) == 0.0 and cfg.resolved_damping() == 2.0
+
+
 class TestGenerateDataset:
     def test_desk_grid_cardinality(self, desk_dataset):
         _, data = desk_dataset
@@ -243,6 +320,16 @@ class TestGenerateDataset:
         statuses = [r["status"] for r in data.manifest["runs"]]
         assert statuses == ["ok", "diverged"]
         assert data.x.shape[0] == 4  # frames from the surviving run only
+
+    def test_matches_per_run_reference_bitwise(self):
+        m = build_geometry(4, 13, 3)
+        cfg = SimConfig(ramp_steps=200, hold_steps=200, save_every=100)
+        grid = {"LatAssoc": [0.5, 1.0, 1e6]}
+        data = generate_dataset(m, grid, cfg, seed=18)
+        x, y, runs = simulate_reference(m, grid, cfg, seed=18)
+        assert [r["status"] for r in runs] == ["ok", "ok", "diverged"]
+        assert data.x.tobytes() == x.tobytes() and data.y.tobytes() == y.tobytes()
+        assert data.manifest["runs"] == runs
 
     def test_rejects_unknown_parameter(self):
         m = build_geometry(4, 13, 3)
