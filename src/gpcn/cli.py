@@ -16,7 +16,8 @@ codes: a ``NumericalError`` exits 3, and any ``ValueError`` or ``OSError``
 exits 2 with one ``error: <message>`` line. The library raises
 ``ValueError`` for every argument it rejects, every argument passed here
 comes from the user, and every file opened or written is one the user
-named. Raw JSON types are checked where the config is read, so a
+named. Every JSON value is type-checked with ``serialize.check_value``, here
+or by the config dataclass it fills, and nothing is coerced, so a
 ``TypeError`` is never mapped and stays a bug.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import ensembles, graphs, simulator, training
 from .gdd import coarse_search, gdd as run_gdd, limit_curve
 from .numcore import NumericalError
-from .serialize import dump_json, save_arrays, write_csv
+from .serialize import check_value, dump_json, save_arrays, write_csv
 
 __all__ = ["main"]
 
@@ -46,14 +47,8 @@ class ConfigError(ValueError):
     """Bad or unknown configuration content (exit code 2)."""
 
 
-def _object(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    return obj
-
-
 def _require_keys(obj: dict, allowed, where: str) -> None:
-    unknown = set(_object(obj, where)) - set(allowed)
+    unknown = set(check_value("dict", obj, where)) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys in {where}: {', '.join(sorted(unknown))}")
 
@@ -82,57 +77,31 @@ def _write_manifest(out, command: str, config, seed=None) -> None:
     )
 
 
-def _number(cast, value, where: str):
-    """``cast(value)`` for a config value that must be numeric."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+def _numbers(kind: str, values, where: str) -> list:
+    """A config list whose entries are all of ``kind``, unchanged."""
+    return [check_value(kind, v, f"{where} entry") for v in check_value("list", values, where)]
 
 
-def _numbers(cast, values, where: str) -> list:
-    """A config list of numbers, cast and sorted."""
-    if not isinstance(values, (list, range)):
-        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
-    return sorted(_number(cast, v, where) for v in values)
+_TUBE_KINDS = {"n_rings": "int", "k": "int", "offset": "int", "seam_weight": "float"}
 
 
-_TUBE_CASTS = {"n_rings": int, "k": int, "offset": int, "seam_weight": float}
+def _tube_args(d, where: str, defaults: dict) -> list:
+    """The values of a tube spec for the keys of ``defaults``, in order, each
+    checked against its kind; a default of None makes a key required."""
+    _require_keys(d, defaults, where)
+    d = {**defaults, **d}
+    return [check_value(_TUBE_KINDS[key], d[key], f"{where} {key}") for key in defaults]
 
 
-def _tube_from_dict(d: dict, where: str) -> graphs.Graph:
-    _require_keys(d, _TUBE_CASTS, where)
-    d = {"seam_weight": 1.0, **d}
-    try:
-        args = [_number(cast, d[key], f"{where} {key}") for key, cast in _TUBE_CASTS.items()]
-    except KeyError as exc:
-        raise ConfigError(f"{where} is missing {exc.args[0]!r}")
-    return graphs.make_tube(*args)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# dataclass field annotation -> (JSON type test, what the message asks for)
-_FIELD_TYPES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_number, "a number"),
-    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-}
+def _tube_from_dict(d, where: str) -> graphs.Graph:
+    spec = {"n_rings": None, "k": None, "offset": None, "seam_weight": 1.0}
+    return graphs.make_tube(*_tube_args(d, where, spec))
 
 
 def _fields_config(cls, d, where: str, skip=()) -> dict:
     """A config object whose keys are fields of dataclass ``cls`` (less
-    ``skip``), each value of its field's JSON type; returned unchanged."""
-    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in skip}
-    _require_keys(d, types, where)
-    for key, value in d.items():
-        test, wanted = _FIELD_TYPES[types[key]]
-        if not test(value):
-            raise ConfigError(f"{where} {key} must be {wanted}, got {value!r}")
+    ``skip``); the dataclass checks the values."""
+    _require_keys(d, {f.name for f in dataclasses.fields(cls)} - set(skip), where)
     return d
 
 
@@ -143,27 +112,16 @@ def _fields_config(cls, d, where: str, skip=()) -> dict:
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"tube", "sim", "grid", "strengths", "seed"}, "config")
-    tube_cfg = config.get("tube", {})
-    _require_keys(tube_cfg, {"n_rings", "k", "offset"}, "tube")
-    seed = args.seed if args.seed is not None else _number(int, config.get("seed", 0), "seed")
-    grid = config.get("grid", {})
-    if not isinstance(grid, dict) or not grid:
-        raise ConfigError("grid must map strength parameters to value lists")
+    seed = args.seed if args.seed is not None else check_value("int", config.get("seed", 0), "seed")
+    grid = check_value("dict", config.get("grid", {}), "grid")
     for key, values in grid.items():
-        if not values or min(_numbers(float, values, f"grid {key!r}")) <= 0:
-            raise ConfigError(f"grid: strength {key!r} needs positive values")
-    strengths = _object(config.get("strengths", {}), "strengths")
+        check_value("list", values, f"grid {key!r}")
     sim_cfg = simulator.SimConfig(
-        strengths={
-            key: _number(float, value, f"strengths {key!r}") for key, value in strengths.items()
-        },
+        strengths=config.get("strengths", {}),
         **_fields_config(simulator.SimConfig, config.get("sim", {}), "sim", skip={"strengths"}),
     )
-    model = simulator.build_geometry(
-        n_rings=_number(int, tube_cfg.get("n_rings", 12), "tube n_rings"),
-        k=_number(int, tube_cfg.get("k", 13), "tube k"),
-        offset=_number(int, tube_cfg.get("offset", 3), "tube offset"),
-    )
+    tube = _tube_args(config.get("tube", {}), "tube", {"n_rings": 12, "k": 13, "offset": 3})
+    model = simulator.build_geometry(*tube)
     data = simulator.generate_dataset(model, grid, sim_cfg, seed=seed)
     out = _out_dir(args)
     simulator.save_dataset(data, out, fmt=args.format)
@@ -181,25 +139,13 @@ def cmd_generate(args) -> int:
 # gdd / coarse-search / limit-curve
 
 
-def _alpha(value) -> float:
-    """The diffusion-distance scale: a finite positive number."""
-    try:
-        alpha = float(value)
-    except (TypeError, ValueError):
-        alpha = float("nan")
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ConfigError(f"alpha must be a finite positive number, got {value!r}")
-    return alpha
-
-
 def _read_graph(path) -> graphs.Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return graphs.graph_from_edgelist(fh.read(), name=os.path.basename(path))
 
 
 def cmd_gdd(args) -> int:
-    alpha = _alpha(args.alpha)
-    result = run_gdd(_read_graph(args.graph_a), _read_graph(args.graph_b), alpha=alpha)
+    result = run_gdd(_read_graph(args.graph_a), _read_graph(args.graph_b), args.alpha)
     print(f"{result.distance!r}")
     if args.out is not None:
         out = _out_dir(args)
@@ -213,10 +159,10 @@ def cmd_gdd(args) -> int:
             save_arrays(
                 os.path.join(out, "prolongation.bin"),
                 {"p": result.p},
-                {"alpha": alpha, "objective": result.objective},
+                {"alpha": args.alpha, "objective": result.objective},
             )
         _write_manifest(
-            out, "gdd", {"graph_a": args.graph_a, "graph_b": args.graph_b, "alpha": alpha}
+            out, "gdd", {"graph_a": args.graph_a, "graph_b": args.graph_b, "alpha": args.alpha}
         )
     return EXIT_OK
 
@@ -229,11 +175,11 @@ def cmd_coarse_search(args) -> int:
         "config",
     )
     fine = _tube_from_dict(config.get("fine", {}), "fine")
-    n_rings = _number(int, config.get("candidate_rings", fine.n // 26), "candidate_rings")
-    k_values = _numbers(int, config.get("k_values", range(3, 13)), "k_values")
-    p_values = _numbers(int, config.get("p_values", range(4)), "p_values")
-    seam_weights = _numbers(float, config.get("seam_weights", [1.0, 2.0]), "seam_weights")
-    alpha = _alpha(config.get("alpha", 1.0))
+    n_rings = check_value("int", config.get("candidate_rings", fine.n // 26), "candidate_rings")
+    k_values = _numbers("int", config.get("k_values", list(range(3, 13))), "k_values")
+    p_values = _numbers("int", config.get("p_values", list(range(4))), "p_values")
+    seam_weights = _numbers("float", config.get("seam_weights", [1.0, 2.0]), "seam_weights")
+    alpha = config.get("alpha", 1.0)
     rows = coarse_search(fine, n_rings, k_values, p_values, seam_weights, alpha, args.threads)
     out = _out_dir(args)
     write_csv(os.path.join(out, "coarse_search.csv"), ["k", "p", "seam_weight", "distance"], rows)
@@ -246,12 +192,9 @@ def cmd_coarse_search(args) -> int:
 def cmd_limit_curve(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"n_values", "k", "alpha"}, "config")
-    n_values = _numbers(int, config.get("n_values", range(4, 11)), "n_values")
-    if not n_values:
-        raise ConfigError("n_values must contain integers >= 2")
-    k = _number(int, config.get("k", 13), "k")
-    alpha = _alpha(config.get("alpha", 1.0))
-    rows = limit_curve(n_values, k=k, alpha=alpha)
+    n_values = _numbers("int", config.get("n_values", list(range(4, 11))), "n_values")
+    k = check_value("int", config.get("k", 13), "k")
+    rows = limit_curve(n_values, k=k, alpha=config.get("alpha", 1.0))
     out = _out_dir(args)
     write_csv(os.path.join(out, "limit_curve.csv"), ["n", "family", "distance"], rows)
     _write_manifest(out, "limit-curve", config)
@@ -278,19 +221,14 @@ def _hierarchy_from_config(value) -> ensembles.Hierarchy:
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"dataset", "model", "hierarchy", "schedule", "seed"}, "config")
-    if not isinstance(config.get("dataset"), str):
-        raise ConfigError("config needs a 'dataset' directory")
+    dataset = check_value("str", config.get("dataset"), "dataset")
     schedule = training.ScheduleSpec(
         **_fields_config(training.ScheduleSpec, config.get("schedule", {}), "schedule")
     )
-    seed = args.seed if args.seed is not None else _number(int, config.get("seed", 0), "seed")
-    data = simulator.load_dataset(config["dataset"])
+    seed = args.seed if args.seed is not None else check_value("int", config.get("seed", 0), "seed")
+    data = simulator.load_dataset(dataset)
     name = config.get("model", "single_gcn")
     spec = ensembles.build_from_table(name, _hierarchy_from_config(config.get("hierarchy")))
-    if spec.n_fine != data.x.shape[1]:
-        raise ConfigError(
-            f"model fine scale has {spec.n_fine} nodes but the dataset has {data.x.shape[1]}"
-        )
     trainer = training.Trainer(spec, data, schedule, seed)
     record = trainer.run()
     out = _out_dir(args)

@@ -33,6 +33,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .graphs import Graph, StructureMatrix, laplacian, make_tube
 from .numcore import EigenSystem, eig_sym
+from .serialize import check_value
 
 __all__ = [
     "Assignment",
@@ -91,17 +92,21 @@ class Prolongation:
         return float(np.sqrt(max(self.objective, 0.0)))
 
 
+def _check_alpha(alpha: float) -> None:
+    """The diffusion-distance scale must be a finite positive number."""
+    if not check_value("float", alpha, "alpha") > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+
+
 def assignment_cost(lambda_coarse: float, lambda_fine: float, alpha: float) -> float:
     """Cost of pairing one coarse eigenvalue with one fine eigenvalue."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     d = lambda_coarse / alpha - alpha * lambda_fine
     return float(d * d)
 
 
 def _cost_matrix(lam_coarse: np.ndarray, lam_fine: np.ndarray, alpha: float) -> np.ndarray:
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     d = lam_coarse[:, None] / alpha - alpha * lam_fine[None, :]
     return d * d
 
@@ -173,8 +178,7 @@ def refine_orthogonal(
     ``_GRAD_TOL`` on the Riemannian gradient norm or after ``_MAX_ITERS``
     accepted steps; the objective is nonincreasing along the iterates.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     p = np.array(p0, dtype=float)
     gram_err = np.linalg.norm(p.T @ p - np.eye(p.shape[1]))
     if gram_err > 1e-6:
@@ -245,6 +249,7 @@ def coarse_search(
     ``n_rings`` are skipped. Every candidate is size-checked before the first
     distance; ``threads > 1`` computes the distances on that many processes.
     """
+    _check_alpha(alpha)
     cells = [
         (k, p, w)
         for k in sorted(set(k_range))
@@ -286,7 +291,7 @@ def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
     """
     from .graphs import make_grid
 
-    if min(n_values, default=2) < 2:
+    if min(n_values, default=1) < 2:
         raise ValueError("n_values must contain integers >= 2")
     rows = []
     for n in sorted(n_values):

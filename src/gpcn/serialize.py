@@ -1,5 +1,6 @@
 """Deterministic on-disk formats: a flat binary array container with a JSON
-shape manifest, and CSV writers with round-trip float formatting.
+shape manifest, CSV writers with round-trip float formatting, and the one
+type check every config value and config dataclass field passes.
 
 The container is a single file: magic, header length, UTF-8 JSON header
 (sorted keys), then the raw little-endian array payloads back to back.
@@ -8,14 +9,52 @@ Writing the same arrays and metadata twice produces byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
 
-__all__ = ["save_arrays", "load_arrays", "write_csv", "dump_json"]
+__all__ = ["check_value", "check_fields", "save_arrays", "load_arrays", "write_csv", "dump_json"]
 
 _MAGIC = b"GPCNBIN1"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+
+
+# kind (a dataclass field annotation) -> (type test, what the message asks for);
+# nothing is coerced: 4.0 is not an integer, "5" and true are not numbers
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "a JSON object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+}
+
+
+def check_value(kind: str, value, where: str):
+    """``value`` unchanged if it is of ``kind`` (a key of ``_KINDS``), else
+    ValueError naming ``where``."""
+    test, wanted = _KINDS[kind]
+    if not test(value):
+        raise ValueError(f"{where} must be {wanted}, got {value!r}")
+    return value
+
+
+def check_fields(obj) -> None:
+    """Check every field of a dataclass instance against its annotation."""
+    for f in dataclasses.fields(obj):
+        check_value(f.type, getattr(obj, f.name), f.name)
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .numcore import NumericalError, seeded_rng
-from .serialize import dump_json, load_arrays, save_arrays, write_csv
+from .serialize import check_fields, check_value, dump_json, load_arrays, save_arrays, write_csv
 
 __all__ = [
     "STRENGTH_PARAMS", "REST_LENGTHS", "REST_ANGLES_DEG", "MtModel", "SimConfig", "SimState",
@@ -69,6 +69,16 @@ class SimulationDiverged(NumericalError):
         self.runs = runs
 
 
+def _check_strengths(strengths: dict) -> dict:
+    """``strengths`` if it maps strength parameter names to positive numbers."""
+    for name, value in strengths.items():
+        if name not in STRENGTH_PARAMS:
+            raise ValueError(f"unknown strength parameter {name!r}")
+        if not check_value("float", value, f"strength {name}") > 0:
+            raise ValueError(f"strength {name} must be positive, got {value}")
+    return strengths
+
+
 @dataclass
 class MtModel:
     """Static description of the lattice: geometry plus interaction tables."""
@@ -101,12 +111,7 @@ class MtModel:
 
     def strength_vectors(self, strengths: dict):
         """Effective per-interaction stiffness for one parameter setting."""
-        for name, value in strengths.items():
-            if name not in STRENGTH_PARAMS:
-                raise ValueError(f"unknown strength parameter {name!r}")
-            if value <= 0:
-                raise ValueError(f"strength {name} must be positive, got {value}")
-        full = {**dict.fromkeys(STRENGTH_PARAMS, 1.0), **strengths}
+        full = {**dict.fromkeys(STRENGTH_PARAMS, 1.0), **_check_strengths(strengths)}
         kb = np.array([full[_BOND_STRENGTH[kind]] for kind in self.bond_kind])
         ka = np.array([full[_ANGLE_STRENGTH[kind]] for kind in self.angle_kind])
         return kb, ka
@@ -326,28 +331,20 @@ class SimConfig:
     feature_columns: int = 10  # 10 drops LatAngle from the inputs, 11 keeps all five
 
     def __post_init__(self):
-        counts = (self.ramp_steps, self.hold_steps, self.save_every)
-        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
-            raise ValueError(f"step counts must be integers, got {counts}")
+        check_fields(self)
         if self.ramp_steps < 1 or self.hold_steps < 0 or self.save_every < 1:
             raise ValueError("step counts must be positive")
         if self.total_steps % self.save_every != 0:
             raise ValueError("save_every must divide the total step count")
-        for name in ("dt", "bond_k_base", "angle_k_base", "damping", "max_force", "temperature"):
+        for name in ("dt", "bond_k_base", "angle_k_base", "damping"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value is not None and value <= 0 and name not in ("max_force", "temperature"):
+            if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.temperature is not None and self.temperature < 0:
             raise ValueError(f"temperature must not be negative, got {self.temperature}")
         if self.feature_columns not in (10, 11):
             raise ValueError("feature_columns must be 10 or 11")
-        for name, value in self.strengths.items():
-            if name not in STRENGTH_PARAMS:
-                raise ValueError(f"unknown strength parameter {name!r}")
-            if not (value > 0):
-                raise ValueError(f"strength {name} must be positive, got {value}")
+        _check_strengths(self.strengths)
 
     @property
     def total_steps(self) -> int:
@@ -535,9 +532,11 @@ def generate_dataset(model: MtModel, param_grid: dict, config: SimConfig, seed=0
     integrate together as one stacked system. Diverged runs are recorded in
     the manifest and excluded from the tensors.
     """
-    for name in param_grid:
-        if name not in STRENGTH_PARAMS:
-            raise ValueError(f"unknown strength parameter {name!r}")
+    for name, values in param_grid.items():
+        if len(values) == 0:
+            raise ValueError(f"grid strength {name!r} needs at least one value")
+        for value in values:
+            _check_strengths({name: value})
     varied = [name for name in STRENGTH_PARAMS if name in param_grid]
     if not varied:
         raise ValueError("param_grid must vary at least one strength parameter")
@@ -615,11 +614,13 @@ def load_dataset(out_dir) -> Dataset:
     csv_path = os.path.join(out_dir, "frames.csv")
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",")
-    column_names = header[2:-1]
-    n = int(data[:, 1].max()) + 1
-    t = int(data[:, 0].max()) + 1
-    feats = len(column_names)
-    x = data[:, 2 : 2 + feats].reshape(t, n, feats)
+        rows = fh.readlines()
+    data = np.loadtxt(rows, delimiter=",") if rows else np.empty(0)
+    if data.ndim != 2 or data.shape[1] != len(header):
+        raise ValueError(f"{csv_path}: needs two or more rows of {len(header)} values after the header")
+    t, n = int(data[:, 0].max()) + 1, int(data[:, 1].max()) + 1
+    if len(data) != t * n:
+        raise ValueError(f"{csv_path}: {len(data)} rows are not {t} frames of {n} nodes")
+    x = data[:, 2:-1].reshape(t, n, len(header) - 3)
     y = data[:, -1].reshape(t, n, 1)
-    return Dataset(x=x, y=y, column_names=column_names, manifest=manifest)
+    return Dataset(x=x, y=y, column_names=header[2:-1], manifest=manifest)

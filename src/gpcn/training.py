@@ -35,7 +35,7 @@ import numpy as np
 from .autodiff import Tape
 from .ensembles import ModelSpec, init_model_params, model_forward, model_graph
 from .numcore import AdamState, adam_step, seeded_rng
-from .serialize import write_csv
+from .serialize import check_fields, write_csv
 from .simulator import Dataset
 
 __all__ = [
@@ -247,6 +247,7 @@ class ScheduleSpec:
     smoothing_forward: str = "full"  # or "partial": coarser-levels-only output
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("joint", "gamma_cycle", "coarse_to_fine"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (0 <= self.gamma <= 3):
@@ -322,6 +323,10 @@ class Trainer:
     """Owns parameters, optimizer state, data split, and the ledger for one run."""
 
     def __init__(self, spec: ModelSpec, data: Dataset, schedule: ScheduleSpec, seed):
+        if spec.n_fine != data.x.shape[1]:
+            raise ValueError(
+                f"model fine scale has {spec.n_fine} nodes but the dataset has {data.x.shape[1]}"
+            )
         if schedule.kind == "gamma_cycle" and spec.n_levels < 2:
             raise ValueError("gamma cycles need a multiscale model")
         self.spec = spec

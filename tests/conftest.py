@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from gpcn.ensembles import desk_hierarchy, make_hierarchy
 from gpcn.graphs import make_tube
 from gpcn.numcore import seeded_rng
 from gpcn.simulator import Dataset, SimConfig, build_geometry, desk_strength_grid, generate_dataset
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

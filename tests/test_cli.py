@@ -7,6 +7,7 @@ import pytest
 from gpcn.cli import _build_parser, main
 from gpcn.graphs import graph_to_edgelist, make_grid, make_tube
 from gpcn.serialize import load_arrays, save_arrays
+from gpcn.simulator import load_dataset, save_dataset
 from gpcn.training import flops_gcn_layer
 
 
@@ -182,6 +183,19 @@ def _keep_one_frame(dataset):
     save_arrays(dataset / "frames.bin", {name: a[:1] for name, a in arrays.items()}, meta)
 
 
+def _csv_lines(keep):
+    """Rewrite the dataset as frames.csv and keep its first ``keep`` lines."""
+
+    def damage(dataset):
+        data = load_dataset(dataset)
+        (dataset / "frames.bin").unlink()
+        save_dataset(data, dataset, fmt="csv")
+        frames = dataset / "frames.csv"
+        frames.write_text("".join(frames.read_text().splitlines(keepends=True)[:keep]))
+
+    return damage
+
+
 # case -> (command, payload, extra arguments). The payload is bad edge-list
 # text for gdd; for flops, which reads no config, the text of a file already
 # at the --out path, or None; a config for the other commands; and for train
@@ -216,6 +230,11 @@ BAD_INPUTS = {
     "flops-features-zero": ("flops", None, ["--model", "single_gcn", "--features", "0"]),
     "flops-unknown-model": ("flops", None, ["--model", "vit"]),
     "flops-out-is-a-file": ("flops", "", ["--model", "single_gcn"]),
+    "limit-curve-n-not-an-integer": ("limit-curve", {"n_values": [4.9], "k": 5}, []),
+    "limit-curve-k-not-an-integer": ("limit-curve", {"n_values": [2], "k": 3.9}, []),
+    "limit-curve-alpha-nan": ("limit-curve", {"n_values": [2], "k": 5, "alpha": float("nan")}, []),
+    "coarse-search-k-a-string": ("coarse-search", dict(SEARCH_CONFIG, k_values=["3"]), []),
+    "coarse-search-rings-a-bool": ("coarse-search", dict(SEARCH_CONFIG, candidate_rings=True), []),
     "limit-curve-config-not-an-object": ("limit-curve", [2, 3], []),
     "coarse-search-fine-not-an-object": ("coarse-search", dict(SEARCH_CONFIG, fine=5), []),
     "generate-tube-not-an-object": ("generate", dict(GEN_CONFIG, tube=5), []),
@@ -234,6 +253,11 @@ BAD_INPUTS = {
     ),
     "generate-grid-not-a-number": ("generate", dict(GEN_CONFIG, grid={"LatAssoc": ["x"]}), []),
     "generate-seed-not-a-number": ("generate", dict(GEN_CONFIG, seed="x"), []),
+    "generate-seed-a-bool": ("generate", dict(GEN_CONFIG, seed=True), []),
+    "generate-tube-rings-not-an-integer": (
+        "generate", dict(GEN_CONFIG, tube={"n_rings": 4.0, "k": 13, "offset": 3}), []
+    ),
+    "generate-strength-a-string": ("generate", dict(GEN_CONFIG, strengths={"LatAssoc": "1"}), []),
     "generate-sim-steps-not-integers": (
         "generate",
         dict(GEN_CONFIG, sim={"ramp_steps": 200.5, "hold_steps": 199.5, "save_every": 100}),
@@ -258,6 +282,9 @@ BAD_INPUTS = {
     "train-truncated-frames": ("train", ({}, _truncate_frames), []),
     "train-no-manifest": ("train", ({}, _drop_manifest), []),
     "train-one-frame-dataset": ("train", ({}, _keep_one_frame), []),
+    "train-csv-header-only": ("train", ({}, _csv_lines(1)), []),
+    "train-csv-one-row": ("train", ({}, _csv_lines(2)), []),
+    "train-seed-not-an-integer": ("train", ({"seed": 1.5}, None), []),
     "train-schedule-not-an-object": ("train", ({"schedule": 5}, None), []),
     "train-hierarchy-entry-not-an-object": ("train", ({"hierarchy": [5]}, None), []),
     "train-hierarchy-coarse-to-fine": (

@@ -233,6 +233,11 @@ class TestGdd:
         with pytest.raises(ValueError):
             gdd(make_grid(2, 3), make_grid(1, 2))
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, "1"], ids=repr)
+    def test_rejects_alpha_that_is_not_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            gdd(make_grid(1, 2), make_grid(2, 3), alpha=alpha)
+
     def test_prolongation_validates(self):
         with pytest.raises(ValueError):
             Prolongation(p=np.ones((3, 2)), alpha=1.0, objective=0.0)
@@ -294,3 +299,7 @@ class TestLimitCurve:
             # to the long tube at this scale
             assert abs(tube - grid) > 5e-3
             assert grid < tube
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="n_values"):
+            limit_curve([])

@@ -278,6 +278,11 @@ class TestSimConfig:
             {"damping": float("inf")},
             {"temperature": -1.0},
             {"temperature": float("nan")},
+            {"feature_columns": 10.0},
+            {"langevin": "no"},
+            {"dt": "x"},
+            {"strengths": {"LatAssoc": "x"}},
+            {"temperature": True},
         ],
         ids=repr,
     )
@@ -335,6 +340,11 @@ class TestGenerateDataset:
         m = build_geometry(4, 13, 3)
         with pytest.raises(ValueError):
             generate_dataset(m, {"Bogus": [1.0]}, SimConfig(), seed=0)
+
+    def test_rejects_a_parameter_without_values(self):
+        m = build_geometry(4, 13, 3)
+        with pytest.raises(ValueError, match="at least one value"):
+            generate_dataset(m, {"LatAssoc": [1.0], "LongAssoc": []}, SimConfig(), seed=0)
 
     def test_determinism(self):
         m = build_geometry(4, 13, 3)

@@ -149,6 +149,10 @@ class TestSplitAndNormalize:
         stats, _, _ = normalize_dataset(small_dataset, train_idx)
         assert np.abs(stats.x_mean - small_dataset.x[train_idx].mean(axis=0)).max() == 0.0
 
+    def test_rejects_a_dataset_of_another_node_count(self, hier):
+        with pytest.raises(ValueError, match="30 nodes but the dataset has 29"):
+            train(tiny_spec(hier), synthetic_dataset(n_nodes=29), ScheduleSpec(total_epochs=0), seed=0)
+
     def test_trainer_leaves_the_dataset_unchanged(self, hier, small_dataset):
         before = copy.deepcopy(small_dataset)
         Trainer(tiny_spec(hier), small_dataset, ScheduleSpec(), seed=0)
@@ -419,3 +423,10 @@ class TestScheduleValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ScheduleSpec(kind="warmup")
+
+    @pytest.mark.parametrize(
+        "settings", [{"total_epochs": 1.5}, {"batch_size": 2.5}, {"gamma": True}], ids=repr
+    )
+    def test_rejects_values_of_the_wrong_type(self, settings):
+        with pytest.raises(ValueError):
+            ScheduleSpec(**settings)
