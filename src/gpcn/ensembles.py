@@ -18,8 +18,8 @@ to the fine scale are built.
 
 Levels are ordered fine to coarse; level 0 is the prediction scale.
 Parameter ownership follows that order: level i owns its filter stack plus
-the prolongation (or pooling module) that introduces it, which is what the
-schedule-driven trainers mask on.
+the prolongation (or pooling module) that introduces it, which is what
+:meth:`ModelParams.bind` binds for the levels a training step updates.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ class ModelSpec:
 
 @dataclass
 class ModelParams:
-    """Trainable state: per-level filter stacks, prolongation copies, pooling
-    modules (diffpool only)."""
+    """Trainable state: per-level filter stacks, prolongation copies (adaptive
+    gpcn only; a frozen gpcn reads its spec's), pooling modules (diffpool
+    only). The arrays may be tape nodes in a copy made by :meth:`bind`."""
 
     levels: list
     prolongations: list = field(default_factory=list)
@@ -129,6 +130,19 @@ class ModelParams:
         for owner in range(len(self.levels)):
             out.extend(self.owned_arrays(owner))
         return out
+
+    def bind(self, tape: Tape, owners) -> "ModelParams":
+        """A copy in which every array owned by a level in ``owners`` is a
+        tape variable; the other arrays stay constants of the forward."""
+
+        def binder(owner):
+            return tape.variable if owner in owners else (lambda arr: arr)
+
+        return ModelParams(
+            levels=[gp.map(binder(i)) for i, gp in enumerate(self.levels)],
+            prolongations=[binder(i + 1)(p) for i, p in enumerate(self.prolongations)],
+            pools=[pool.map(binder(i + 1)) for i, pool in enumerate(self.pools)],
+        )
 
 
 @dataclass(frozen=True)
@@ -236,10 +250,10 @@ def build_from_table(name: str, hierarchy: Hierarchy) -> ModelSpec:
 
 
 def init_model_params(spec: ModelSpec, in_features: int, rng) -> ModelParams:
-    """Initialize filters level by level; prolongations copy their optimized
-    initial values, pooling modules get Glorot filters."""
+    """Initialize filters level by level; adaptive prolongations copy their
+    optimized initial values, pooling modules get Glorot filters."""
     levels = [init_gcn_params(lvl, in_features, rng) for lvl in spec.levels]
-    prolongations = [np.array(p, dtype=float) for p in spec.prolongations]
+    prolongations = [np.array(p, dtype=float) for p in spec.prolongations if spec.adaptive]
     pools = []
     if spec.kind == "diffpool":
         for i in range(spec.n_levels - 1):
@@ -254,7 +268,7 @@ def init_model_params(spec: ModelSpec, in_features: int, rng) -> ModelParams:
     return ModelParams(levels=levels, prolongations=prolongations, pools=pools)
 
 
-def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=None, train=False):
+def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=None) -> Node:
     """Record the full ensemble forward pass.
 
     Every kind runs one level loop. Level i has a structure matrix Z_i, an
@@ -266,36 +280,24 @@ def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=
       S_i is the row-softmaxed pooling convolution of level i-1
 
     The level's member reads (Z_i, X_i); its output, lifted by L_i, is added
-    to the sum. Returns (output node, bindings); bindings are (owner_level,
-    name, array, node) rows for every parameter turned into a tape variable.
-    ``level_mask`` restricts the sum to a subset of levels (their members
-    still project through every intervening prolongation or pooling step);
-    the loop stops at the coarsest active level.
+    to the sum, whose node is returned. Gradients reach only the parameters
+    that :meth:`ModelParams.bind` made tape variables. A frozen gpcn reads
+    its prolongations from ``spec``. ``level_mask`` restricts the sum to a
+    subset of levels (their members still project through every
+    intervening prolongation or pooling step); the loop stops at the
+    coarsest active level.
     """
     active = set(range(spec.n_levels)) if level_mask is None else set(level_mask)
     if not active:
         raise ValueError("level mask must keep at least one level")
-    bindings: list = []
-
-    def bind(owner, name, arr):
-        if not train:
-            return arr
-        node = tape.variable(arr)
-        bindings.append((owner, name, arr, node))
-        return node
-
     x = x if isinstance(x, Node) else np.asarray(x, dtype=float)
-    prolongations = [
-        bind(i + 1, f"prolong{i}", p) if spec.adaptive else p
-        for i, p in enumerate(params.prolongations)
-    ]
+    prolongations = params.prolongations if spec.adaptive else spec.prolongations
     z, xi, lift = spec.levels[0].z, x, None
     out = None
     for i, lvl in enumerate(spec.levels[: max(active) + 1]):
         if i > 0 and spec.kind == "diffpool":
             pool = params.pools[i - 1]
-            pw, pb = bind(i, f"pool{i - 1}_w", pool.w), bind(i, f"pool{i - 1}_b", pool.b)
-            s = tape.row_softmax(tape.add(aggregate(tape, z, tape.matmul(xi, pw)), pb))
+            s = tape.row_softmax(tape.add(aggregate(tape, z, tape.matmul(xi, pool.w)), pool.b))
             st = tape.transpose(s)
             xi = tape.matmul(st, xi)
             z = tape.matmul(st, aggregate(tape, z, s))
@@ -306,27 +308,24 @@ def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=
                 p = prolongations[i - 1]
                 if lift is None:
                     lift = p
-                elif isinstance(p, Node):
+                elif isinstance(lift, Node) or isinstance(p, Node):
                     lift = tape.matmul(lift, p)
-                else:  # frozen prolongations compose off the tape
+                else:  # constant prolongations compose off the tape
                     lift = lift @ p
         if i not in active:
             continue
-        layers = params.levels[i].layers(lambda name, arr: bind(i, f"level{i}_{name}", arr))
         if spec.kind == "gpcn" and lift is not None:
             lift_t = tape.transpose(lift) if isinstance(lift, Node) else lift.T
             xi = tape.matmul(lift_t, x)
-        member = gcn_graph(tape, z, layers, xi)
+        member = gcn_graph(tape, z, params.levels[i], xi)
         contrib = member if lift is None else tape.matmul(lift, member)
         out = contrib if out is None else tape.add(out, contrib)
-    return out, bindings
+    return out
 
 
 def model_forward(spec: ModelSpec, params: ModelParams, x, level_mask=None) -> np.ndarray:
     """Ensemble forward pass to the fine-scale n-by-1 output (batch axis ok)."""
-    tape = Tape()
-    out, _ = model_graph(tape, spec, params, x, level_mask=level_mask, train=False)
-    return out.value
+    return model_graph(Tape(), spec, params, x, level_mask=level_mask).value
 
 
 def ensemble_input_gradient(spec: ModelSpec, params: ModelParams, x) -> np.ndarray:
@@ -342,8 +341,7 @@ def ensemble_input_gradient(spec: ModelSpec, params: ModelParams, x) -> np.ndarr
         raise ValueError("ensemble_input_gradient expects a single n-by-F signal")
     tape = Tape()
     x_node = tape.variable(x)
-    out, _ = model_graph(tape, spec, params, x_node)
-    tape.backward(tape.sum(out))
+    tape.backward(tape.sum(model_graph(tape, spec, params, x_node)))
     return x_node.grad
 
 
@@ -376,6 +374,8 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
     """Self-contained model checkpoint: parameters, prolongations, structure
     matrices, and the architecture manifest (with every layer's activation)."""
     arrays = dict(params.all_arrays())
+    if not spec.adaptive:
+        arrays.update((f"prolong{i}", p) for i, p in enumerate(spec.prolongations))
     for i, lvl in enumerate(spec.levels):
         if lvl.z is not None:
             arrays.update(_csr_arrays(f"z{i}", lvl.z))
@@ -384,7 +384,7 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
         "name": spec.name,
         "adaptive": spec.adaptive,
         "radii": list(spec.radii),
-        "n_prolongations": len(params.prolongations),
+        "n_prolongations": len(spec.prolongations),
         "n_pools": len(params.pools),
         "levels": [
             {
@@ -402,7 +402,8 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
 
 
 def load_checkpoint(path):
-    """Restore (spec, params) from :func:`save_checkpoint` output."""
+    """Restore (spec, params) from :func:`save_checkpoint` output; params
+    get their own prolongation copies only when adaptive."""
     arrays, meta = load_arrays(path)
 
     def layer(prefix, activation):
@@ -439,4 +440,5 @@ def load_checkpoint(path):
         name=meta["name"],
     )
     pools = [layer(f"pool{i}", "linear") for i in range(meta["n_pools"])]
+    prolongations = [np.array(p) for p in prolongations] if spec.adaptive else []
     return spec, ModelParams(levels=level_params, prolongations=prolongations, pools=pools)

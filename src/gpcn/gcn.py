@@ -56,6 +56,9 @@ class GcnLayerParams:
                 f"bias shape {self.b.shape} does not match output width {self.w.shape[1]}"
             )
 
+    def map(self, fn) -> "GcnLayerParams":
+        return GcnLayerParams(w=fn(self.w), b=fn(self.b), activation=self.activation)
+
 
 @dataclass(frozen=True)
 class GcnSpec:
@@ -109,16 +112,12 @@ class GcnParams:
             out.append((f"dense{i}_b", layer.b))
         return out
 
-    def layers(self, bind=lambda name, arr: arr):
-        """The (gcn, dense) lists of (w, b, activation) triples that
-        :func:`gcn_graph` reads. ``bind(name, array)`` may swap each array,
-        named as in :meth:`arrays`, for a tape variable."""
-        return tuple(
-            [
-                (bind(f"{kind}{i}_w", layer.w), bind(f"{kind}{i}_b", layer.b), layer.activation)
-                for i, layer in enumerate(stack)
-            ]
-            for kind, stack in (("gcn", self.gcn), ("dense", self.dense))
+    def map(self, fn) -> "GcnParams":
+        """A copy with ``fn`` applied to every filter and bias in the order of
+        :meth:`arrays`, for example :meth:`Tape.variable`."""
+        return GcnParams(
+            gcn=[layer.map(fn) for layer in self.gcn],
+            dense=[layer.map(fn) for layer in self.dense],
         )
 
 
@@ -162,28 +161,27 @@ def aggregate(tape: Tape, z, h) -> Node:
     return tape.matmul(z, h)
 
 
-def gcn_graph(tape: Tape, z, layers, x) -> Node:
+def gcn_graph(tape: Tape, z, params: GcnParams, x) -> Node:
     """Record the network's forward pass on a tape and return the output node.
 
-    ``layers`` is the (gcn, dense) pair of (w, b, activation) triples that
-    :meth:`GcnParams.layers` gives; w and b are arrays or tape nodes. ``z`` is
+    The filters and biases of ``params`` are arrays or tape nodes. ``z`` is
     the structure matrix of the convolution layers.
     """
-    gcn_layers, dense_layers = layers
     h = x
     outs = []
-    for w, b, act in gcn_layers:
-        h = _apply_activation(tape, act, tape.add(aggregate(tape, z, tape.matmul(h, w)), b))
+    for layer in params.gcn:
+        h = tape.add(aggregate(tape, z, tape.matmul(h, layer.w)), layer.b)
+        h = _apply_activation(tape, layer.activation, h)
         outs.append(h)
     h = outs[0] if len(outs) == 1 else tape.concat(outs, axis=-1)
-    for w, b, act in dense_layers:
-        h = _apply_activation(tape, act, tape.add(tape.matmul(h, w), b))
+    for layer in params.dense:
+        h = _apply_activation(tape, layer.activation, tape.add(tape.matmul(h, layer.w), layer.b))
     return h
 
 
 def gcn_forward(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
     """Forward pass to the n-by-1 output; accepts a leading batch axis."""
-    return gcn_graph(Tape(), spec.z, params.layers(), np.asarray(x, dtype=float)).value
+    return gcn_graph(Tape(), spec.z, params, np.asarray(x, dtype=float)).value
 
 
 def energy_input_gradient(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
@@ -194,5 +192,5 @@ def energy_input_gradient(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np
         raise ValueError("energy_input_gradient expects a single n-by-F signal")
     tape = Tape()
     x_node = tape.variable(x)
-    tape.backward(tape.sum(gcn_graph(tape, spec.z, params.layers(), x_node)))
+    tape.backward(tape.sum(gcn_graph(tape, spec.z, params, x_node)))
     return x_node.grad

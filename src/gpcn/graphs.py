@@ -33,7 +33,7 @@ class Graph:
     """Weighted undirected graph: node count plus a canonical edge list.
 
     Edges are stored as (u, v, weight) with u < v, sorted by (u, v).
-    No self loops, no duplicate pairs, strictly positive weights.
+    No self loops, no duplicate pairs, finite positive weights.
     """
 
     n: int
@@ -50,8 +50,8 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             if u == v:
                 raise ValueError(f"self loop at node {u}")
-            if w <= 0:
-                raise ValueError(f"edge ({u},{v}) has nonpositive weight {w}")
+            if not 0 < w < np.inf:
+                raise ValueError(f"edge ({u},{v}) weight {w} is not finite and positive")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
@@ -136,7 +136,7 @@ def make_tube(n_rings: int, k_per_turn: int, offset: int, seam_weight: float = 1
         raise ValueError("tube needs n_rings >= 2 and k_per_turn >= 2")
     if not (0 <= offset < n_rings):
         raise ValueError(f"offset must satisfy 0 <= offset < n_rings, got {offset}")
-    if seam_weight <= 0:
+    if not seam_weight > 0:
         raise ValueError(f"seam_weight must be positive, got {seam_weight}")
 
     k = k_per_turn

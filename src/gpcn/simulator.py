@@ -621,6 +621,8 @@ def load_dataset(out_dir) -> Dataset:
     t, n = int(data[:, 0].max()) + 1, int(data[:, 1].max()) + 1
     if len(data) != t * n:
         raise ValueError(f"{csv_path}: {len(data)} rows are not {t} frames of {n} nodes")
+    if not np.array_equal(data[:, :2], np.indices((t, n)).reshape(2, -1).T):
+        raise ValueError(f"{csv_path}: rows are not ordered by frame, then node")
     x = data[:, 2:-1].reshape(t, n, len(header) - 3)
     y = data[:, -1].reshape(t, n, 1)
     return Dataset(x=x, y=y, column_names=header[2:-1], manifest=manifest)

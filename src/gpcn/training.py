@@ -43,7 +43,6 @@ __all__ = [
     "flops_gcn_layer",
     "flops_dense",
     "flops_project",
-    "FlopsLedger",
     "layer_flops",
     "member_flops",
     "model_forward_flops",
@@ -90,20 +89,6 @@ def flops_project(n: int, m: int, k: int) -> int:
     if min(n, m, k) < 1:
         raise ValueError("flops arguments must be positive")
     return n * m * k
-
-
-class FlopsLedger:
-    """Monotone cumulative operation-cost counter with a per-category split."""
-
-    def __init__(self):
-        self.total = 0
-        self.by_category = {}
-
-    def add(self, category: str, count: int) -> None:
-        if count < 0:
-            raise ValueError("ledger counts must be nonnegative")
-        self.total += int(count)
-        self.by_category[category] = self.by_category.get(category, 0) + int(count)
 
 
 def _nnz(level) -> int:
@@ -320,7 +305,8 @@ def best_val_at_budget(record: RunRecord, budget: int) -> float:
 
 
 class Trainer:
-    """Owns parameters, optimizer state, data split, and the ledger for one run."""
+    """Owns parameters, optimizer state, data split, and the FLOPs ledger
+    (``flops``, the cost-model total charged so far) for one run."""
 
     def __init__(self, spec: ModelSpec, data: Dataset, schedule: ScheduleSpec, seed):
         if spec.n_fine != data.x.shape[1]:
@@ -345,7 +331,7 @@ class Trainer:
             owner: AdamState.for_params([arr for _, arr in self.params.owned_arrays(owner)])
             for owner in range(spec.n_levels)
         }
-        self.ledger = FlopsLedger()
+        self.flops = 0
         self.record = RunRecord(model_name=spec.name or spec.kind, seed=int(seed))
         self._best_val = np.inf
 
@@ -362,30 +348,22 @@ class Trainer:
                 replace=False,
             )
             tape = Tape()
-            out, bindings = model_graph(
-                tape, self.spec, self.params, self.x_train[idx],
-                level_mask=forward_mask, train=True,
-            )
+            bound = self.params.bind(tape, update)
+            out = model_graph(tape, self.spec, bound, self.x_train[idx], level_mask=forward_mask)
             loss = tape.mse(out, self.y_train[idx])
             losses.append(float(loss.value))
             if not np.isfinite(loss.value):
                 self.record.diverged = True
                 return float(loss.value)
             tape.backward(loss)
-            grads = {name: node.grad for _, name, _, node in bindings}
             for owner in sorted(update):
-                named = self.params.owned_arrays(owner)
-                arrays = [arr for _, arr in named]
-                grad_list = [
-                    grads.get(name) if grads.get(name) is not None else np.zeros_like(arr)
-                    for name, arr in named
-                ]
-                adam_step(self.adam[owner], arrays, grad_list)
-            _, breakdown = model_forward_flops(
+                arrays = [arr for _, arr in self.params.owned_arrays(owner)]
+                grads = [node.grad for _, node in bound.owned_arrays(owner)]
+                adam_step(self.adam[owner], arrays, grads)
+            cost, _ = model_forward_flops(
                 self.spec, self.in_features, level_mask=forward_mask, batch=len(idx)
             )
-            for category, cost in breakdown.items():
-                self.ledger.add(category, 3 * cost)  # forward plus backward at 2x
+            self.flops += 3 * cost  # forward plus backward at 2x
         return float(np.mean(losses))
 
     def _evaluate(self, epoch: int, train_nmse: float, forward_mask=None) -> float:
@@ -397,7 +375,7 @@ class Trainer:
         self._best_val = min(self._best_val, val)
         self.record.points.append(
             EvalPoint(
-                flops=self.ledger.total,
+                flops=self.flops,
                 epoch=epoch,
                 train_nmse=train_nmse,
                 best_val_nmse=self._best_val,

@@ -102,6 +102,11 @@ def input_gradient_rule(z, params: GcnParams, x: np.ndarray, g_out: np.ndarray) 
     return g_h
 
 
+def _prolongations(spec, params):
+    """The trained copies of an adaptive gpcn, the spec's own when frozen."""
+    return params.prolongations if spec.adaptive else spec.prolongations
+
+
 def ensemble_input_gradient_reference(spec, params, x: np.ndarray) -> np.ndarray:
     """Gradient of the summed ensemble output for the fixed-lift kinds
     (plain_ensemble, ngcn, gpcn): sum_i L_i rule_i(L_i^T x, L_i^T 1), where
@@ -111,7 +116,7 @@ def ensemble_input_gradient_reference(spec, params, x: np.ndarray) -> np.ndarray
     total = np.zeros_like(x)
     for i, lvl in enumerate(spec.levels):
         if i > 0 and spec.kind == "gpcn":
-            lift = lift @ params.prolongations[i - 1]
+            lift = lift @ _prolongations(spec, params)[i - 1]
         g_out = lift.T @ np.ones((spec.n_fine, 1))
         total += lift @ input_gradient_rule(lvl.z, params.levels[i], lift.T @ x, g_out)
     return total
@@ -144,7 +149,7 @@ def model_forward_reference(spec, params, x: np.ndarray, level_mask=None) -> np.
         elif i > 0:
             z = lvl.z
             if spec.kind == "gpcn":
-                lift = lift @ params.prolongations[i - 1]
+                lift = lift @ _prolongations(spec, params)[i - 1]
                 xi = lift.T @ x
         if i in keep:
             total = total + lift @ gcn_network(z, params.levels[i], xi)

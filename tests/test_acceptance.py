@@ -164,15 +164,15 @@ def test_criterion_4_gradient_suite():
     target = seeded_rng(105).normal(size=(30, 1))
 
     tape = Tape()
-    out, bindings = model_graph(tape, spec, params, x, train=True)
-    tape.backward(tape.mse(out, target))
+    bound = params.bind(tape, range(spec.n_levels))
+    tape.backward(tape.mse(model_graph(tape, spec, bound, x), target))
 
     def loss():
         return float(np.mean((model_forward(spec, params, x) - target) ** 2))
 
     h = 1e-5
     checked_p_entries = 0
-    for owner, name, arr, node in bindings:
+    for (name, arr), (_, node) in zip(params.all_arrays(), bound.all_arrays()):
         grad = node.grad if node.grad is not None else np.zeros_like(arr)
         fd = np.zeros_like(arr)
         for idx in range(arr.size):

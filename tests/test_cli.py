@@ -183,15 +183,16 @@ def _keep_one_frame(dataset):
     save_arrays(dataset / "frames.bin", {name: a[:1] for name, a in arrays.items()}, meta)
 
 
-def _csv_lines(keep):
-    """Rewrite the dataset as frames.csv and keep its first ``keep`` lines."""
+def _csv_lines(edit):
+    """Rewrite the dataset as frames.csv and replace its lines, the header
+    first, by ``edit(lines)``."""
 
     def damage(dataset):
         data = load_dataset(dataset)
         (dataset / "frames.bin").unlink()
         save_dataset(data, dataset, fmt="csv")
         frames = dataset / "frames.csv"
-        frames.write_text("".join(frames.read_text().splitlines(keepends=True)[:keep]))
+        frames.write_text("".join(edit(frames.read_text().splitlines(keepends=True))))
 
     return damage
 
@@ -204,6 +205,8 @@ BAD_INPUTS = {
     "gdd-malformed-header": ("gdd", "three\n0 1 1.0\n", []),
     "gdd-node-out-of-range": ("gdd", "3\n0 5 1.0\n", []),
     "gdd-nonpositive-weight": ("gdd", "3\n0 1 -1.0\n", []),
+    "gdd-nan-weight": ("gdd", "3\n0 1 nan\n1 2 1.0\n", []),
+    "gdd-inf-weight": ("gdd", "3\n0 1 inf\n1 2 1.0\n", []),
     "gdd-alpha-zero": ("gdd", None, ["--alpha", "0"]),
     "gdd-alpha-nan": ("gdd", None, ["--alpha", "nan"]),
     "limit-curve-alpha-zero": ("limit-curve", {"n_values": [2], "k": 5, "alpha": 0}, []),
@@ -282,8 +285,12 @@ BAD_INPUTS = {
     "train-truncated-frames": ("train", ({}, _truncate_frames), []),
     "train-no-manifest": ("train", ({}, _drop_manifest), []),
     "train-one-frame-dataset": ("train", ({}, _keep_one_frame), []),
-    "train-csv-header-only": ("train", ({}, _csv_lines(1)), []),
-    "train-csv-one-row": ("train", ({}, _csv_lines(2)), []),
+    "train-csv-header-only": ("train", ({}, _csv_lines(lambda lines: lines[:1])), []),
+    "train-csv-one-row": ("train", ({}, _csv_lines(lambda lines: lines[:2])), []),
+    "train-csv-rows-reversed": ("train", ({}, _csv_lines(lambda lines: lines[:1] + lines[:0:-1])), []),
+    "train-csv-first-row-for-last": (
+        "train", ({}, _csv_lines(lambda lines: lines[:-1] + lines[1:2])), []
+    ),
     "train-seed-not-an-integer": ("train", ({"seed": 1.5}, None), []),
     "train-schedule-not-an-object": ("train", ({"schedule": 5}, None), []),
     "train-hierarchy-entry-not-an-object": ("train", ({"hierarchy": [5]}, None), []),
@@ -301,6 +308,8 @@ BAD_INPUTS = {
 }
 
 
+# a warning would print a second stderr line outside pytest
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, request, case):
     command, payload, extra = BAD_INPUTS[case]

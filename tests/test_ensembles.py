@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,10 +152,10 @@ class TestDiffPool:
         params = init_model_params(spec, 3, seeded_rng(18))
         x = seeded_rng(19).normal(size=(spec.n_fine, 3))
         tape = CountingTape()
-        model_graph(tape, spec, params, x, level_mask={0}, train=True)
+        model_graph(tape, spec, params.bind(tape, {0, 1, 2}), x, level_mask={0})
         assert tape.softmaxes == 0
         tape = CountingTape()
-        model_graph(tape, spec, params, x, level_mask={1}, train=True)
+        model_graph(tape, spec, params.bind(tape, {0, 1, 2}), x, level_mask={1})
         assert tape.softmaxes == 1
 
 
@@ -170,6 +172,9 @@ class TestForwardAgainstOracle:
         rng = seeded_rng(41)
         for _, arr in params.all_arrays():  # nonzero biases, moved prolongations
             arr += 0.1 * rng.normal(size=arr.shape)
+        if not spec.adaptive:  # moved copies: the hierarchy fixture is shared
+            moved = [p + 0.1 * rng.normal(size=p.shape) for p in spec.prolongations]
+            spec = dataclasses.replace(spec, prolongations=moved)
         x = rng.normal(size=(spec.n_fine, 3))
         masks = [None, {0, spec.n_levels - 1}] + [{i} for i in range(spec.n_levels)]
         for mask in masks:
@@ -252,15 +257,15 @@ class TestParameterGradientSpotChecks:
         target = seeded_rng(29).normal(size=(spec.n_fine, 1))
 
         tape = Tape()
-        out, bindings = model_graph(tape, spec, params, x, train=True)
-        tape.backward(tape.mse(out, target))
+        bound = params.bind(tape, range(spec.n_levels))
+        tape.backward(tape.mse(model_graph(tape, spec, bound, x), target))
 
         def loss():
             return float(np.mean((model_forward(spec, params, x) - target) ** 2))
 
         rng = seeded_rng(30)
         h = 1e-5
-        flat = [(arr, node) for _, _, arr, node in bindings]
+        flat = [(arr, node) for (_, arr), (_, node) in zip(params.all_arrays(), bound.all_arrays())]
         for _ in range(20):
             arr, node = flat[int(rng.integers(len(flat)))]
             idx = int(rng.integers(arr.size))

@@ -114,17 +114,9 @@ class TestParameterGradients:
         target = seeded_rng(14).normal(size=(6, 1))
 
         tape = Tape()
-        layers = []
-        nodes = []
-        for stack in (params.gcn, params.dense):
-            bound = []
-            for layer in stack:
-                wn, bn = tape.variable(layer.w), tape.variable(layer.b)
-                nodes.append((layer.w, wn))
-                nodes.append((layer.b, bn))
-                bound.append((wn, bn, layer.activation))
-            layers.append(bound)
-        out = gcn_graph(tape, spec.z, tuple(layers), x)
+        bound = params.map(tape.variable)
+        nodes = [(arr, node) for (_, arr), (_, node) in zip(params.arrays(), bound.arrays())]
+        out = gcn_graph(tape, spec.z, bound, x)
         tape.backward(tape.mse(out, target))
 
         def loss_with(arr, idx, value):

@@ -60,6 +60,8 @@ class TestMakeTube:
             make_tube(3, 3, 3, 1.0)  # offset >= n_rings
         with pytest.raises(ValueError):
             make_tube(3, 3, 1, 0.0)  # nonpositive seam weight
+        with pytest.raises(ValueError, match="seam_weight"):
+            make_tube(3, 4, 1, float("nan"))
         with pytest.raises(ValueError):
             make_tube(1, 3, 0, 1.0)
 
@@ -145,6 +147,11 @@ class TestGraphValidation:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             Graph(n=2, edges=((0, 1, -1.0),))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            Graph(n=3, edges=((0, 1, weight),))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gpcn.ensembles import build_from_table, make_hierarchy
+from gpcn.autodiff import Tape
+from gpcn.ensembles import build_from_table, init_model_params, make_hierarchy
 from gpcn.gcn import GcnSpec
 from gpcn.graphs import make_tube
 from gpcn.numcore import seeded_rng
 from gpcn.training import (
-    FlopsLedger,
     ScheduleSpec,
     Trainer,
     best_val_at_budget,
@@ -74,16 +74,6 @@ class TestFlopsModel:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             flops_gcn_layer(0, 1, 1, 1)
-
-    def test_ledger_is_monotone_and_additive(self):
-        ledger = FlopsLedger()
-        ledger.add("gcn_layer", 10)
-        ledger.add("dense", 5)
-        ledger.add("gcn_layer", 2)
-        assert ledger.total == 17
-        assert ledger.by_category == {"gcn_layer": 12, "dense": 5}
-        with pytest.raises(ValueError):
-            ledger.add("dense", -1)
 
     def test_single_gcn_hand_sum(self, hier):
         spec = build_from_table("single_gcn", hier)
@@ -297,6 +287,53 @@ class TestGammaCycle:
             seed=12,
         )
         assert len(record.points) == 4
+
+
+class TestBinding:
+    """Only the levels an epoch updates become tape variables, and a frozen
+    gpcn's prolongations stay in its spec."""
+
+    @staticmethod
+    def count_variables(monkeypatch):
+        made = []
+        variable = Tape.variable
+        monkeypatch.setattr(Tape, "variable", lambda tape, v: made.append(v) or variable(tape, v))
+        return made
+
+    def test_only_updated_level_is_bound(self, hier, small_dataset, monkeypatch):
+        spec = tiny_spec(hier, "gpcn3")
+        schedule = ScheduleSpec(total_epochs=1, batches_per_epoch=3, batch_size=4)
+        trainer = Trainer(spec, small_dataset, schedule, seed=11)
+        made = self.count_variables(monkeypatch)
+        trainer._train_epoch(update_levels={0})
+        assert len(made) == 3 * len(trainer.params.owned_arrays(0))
+
+    def test_frozen_prolongations_live_in_the_spec(self, hier, small_dataset):
+        spec = tiny_spec(hier, "gpcn3")
+        before = [p.tobytes() for p in spec.prolongations]
+        assert init_model_params(spec, 4, seeded_rng(0)).prolongations == []
+        trainer = Trainer(spec, small_dataset, ScheduleSpec(total_epochs=2, batches_per_epoch=2), seed=3)
+        for owner in range(spec.n_levels):
+            n_filters = len(trainer.params.levels[owner].arrays())
+            assert len(trainer.adam[owner].m) == n_filters
+        trainer.run()
+        assert [p.tobytes() for p in spec.prolongations] == before
+
+    def test_adaptive_middle_level_alone(self, hier, small_dataset, monkeypatch):
+        spec = tiny_spec(hier, "a_gpcn3")
+        schedule = ScheduleSpec(total_epochs=1, batches_per_epoch=2, batch_size=4)
+        trainer = Trainer(spec, small_dataset, schedule, seed=12)
+        before = {
+            owner: [arr.copy() for _, arr in trainer.params.owned_arrays(owner)]
+            for owner in range(spec.n_levels)
+        }
+        made = self.count_variables(monkeypatch)
+        trainer._train_epoch(update_levels={1})
+        assert len(made) == 2 * len(trainer.params.owned_arrays(1))
+        for owner, arrays in before.items():
+            now = [arr for _, arr in trainer.params.owned_arrays(owner)]
+            same = [a.tobytes() == b.tobytes() for a, b in zip(arrays, now)]
+            assert all(same) if owner != 1 else not any(same), owner
 
 
 class TestCoarseToFine:
