@@ -8,7 +8,14 @@ three steps:
 1. eigendecompose both Laplacians,
 2. match the spectra by solving a rectangular linear assignment problem
    with cost ``(lam_coarse / alpha - alpha * lam_fine)**2``,
-3. lift the optimal subpermutation to P = U_fine Pt U_coarse^T.
+3. lift the optimal subpermutation to P = U_fine Pt U_coarse^T, which is
+   the product of the assigned columns of the two eigenbases.
+
+The fine graph's spectrum may be passed to :func:`gdd` instead of computed.
+:func:`coarse_search` and :func:`limit_curve` compare several coarse graphs
+with one fine graph, so each decomposes every distinct fine Laplacian once
+per call and hands the spectrum to each :func:`gdd`. Nothing is kept
+between calls.
 
 At fixed alpha the lifted assignment is optimal. Rotating into the
 eigenbases, Q = U_fine^T P U_coarse has orthonormal columns and the objective
@@ -128,22 +135,20 @@ def rlap_solve(cost: np.ndarray) -> Assignment:
     return Assignment(pairs=pairs, total_cost=total)
 
 
-def subpermutation(assignment: Assignment, n_fine: int, n_coarse: int) -> np.ndarray:
-    """0/1 matrix with orthonormal columns selecting the assigned eigenmodes."""
-    pt = np.zeros((n_fine, n_coarse))
-    for j, l in assignment.pairs:
-        pt[l, j] = 1.0
-    return pt
-
-
 def warm_start(e_coarse: EigenSystem, e_fine: EigenSystem, a: Assignment) -> np.ndarray:
-    """Lift an eigenmode assignment to the map U_fine Pt U_coarse^T."""
+    """Lift an eigenmode assignment to the map U_fine Pt U_coarse^T.
+
+    Pt is the 0/1 subpermutation with Pt[l, j] = 1 for each pair (j, l), so
+    the product is the assigned fine eigenvectors times the assigned coarse
+    ones, gathered in pair order.
+    """
     n_c, n_f = e_coarse.n, e_fine.n
     for j, l in a.pairs:
         if not (0 <= j < n_c and 0 <= l < n_f):
             raise ValueError(f"assignment pair ({j},{l}) out of range")
-    pt = subpermutation(a, n_f, n_c)
-    return e_fine.u @ pt @ e_coarse.u.T
+    coarse_idx = [j for j, _ in a.pairs]
+    fine_idx = [l for _, l in a.pairs]
+    return e_fine.u[:, fine_idx] @ e_coarse.u[:, coarse_idx].T
 
 
 def _objective(p, l_coarse, l_fine_mat, alpha):
@@ -211,20 +216,36 @@ def refine_orthogonal(
     return Prolongation(p=p, alpha=alpha, objective=f, trace=tuple(trace))
 
 
-def gdd(g_coarse: Graph, g_fine: Graph, alpha: float = 1.0) -> Prolongation:
+def gdd(
+    g_coarse: Graph,
+    g_fine: Graph,
+    alpha: float = 1.0,
+    *,
+    fine_spectrum: EigenSystem | None = None,
+) -> Prolongation:
     """Eigendecompose, assign, lift.
 
     Returns the lifted assignment as a :class:`Prolongation`: its
     ``objective`` is the assignment cost and its ``distance`` is the linear
     graph diffusion distance at this ``alpha`` (see the module docstring).
     ``trace`` is empty.
+
+    ``fine_spectrum``, when given, must be ``eig_sym(laplacian(g_fine))``
+    and is used in its place, so a caller comparing many coarse graphs with
+    one fine graph decomposes it once; the result is the same either way.
+    :func:`coarse_search` and :func:`limit_curve` pass it, decomposing each
+    fine Laplacian once per call.
     """
     if g_coarse.n > g_fine.n:
         raise ValueError(
             f"first graph must not be larger: {g_coarse.n} > {g_fine.n}"
         )
+    if fine_spectrum is not None and fine_spectrum.n != g_fine.n:
+        raise ValueError(
+            f"fine spectrum has {fine_spectrum.n} eigenpairs, the fine graph {g_fine.n} nodes"
+        )
     e_coarse = eig_sym(laplacian(g_coarse))
-    e_fine = eig_sym(laplacian(g_fine))
+    e_fine = eig_sym(laplacian(g_fine)) if fine_spectrum is None else fine_spectrum
     cost = _cost_matrix(e_coarse.lambdas, e_fine.lambdas, alpha)
     assignment = rlap_solve(cost)
     p = warm_start(e_coarse, e_fine, assignment)
@@ -247,7 +268,9 @@ def coarse_search(
     floats). Rows come back as (k, p, seam_weight, distance) in
     deterministic (k, p, w) order. Candidates whose offset is infeasible for
     ``n_rings`` are skipped. Every candidate is size-checked before the first
-    distance; ``threads > 1`` computes the distances on that many processes.
+    distance. The fine Laplacian is decomposed once and its spectrum reused
+    by every candidate; ``threads > 1`` computes the distances on that many
+    processes, each sent the fine graph and its spectrum once at start-up.
     """
     _check_alpha(alpha)
     cells = [
@@ -265,29 +288,46 @@ def coarse_search(
             raise ValueError(
                 f"candidate {cand.name} has {cand.n} nodes, more than the {g_fine.n} of the fine graph"
             )
-    n = len(cands)
+    spectrum = eig_sym(laplacian(g_fine))
     if threads <= 1:
-        distances = list(map(_distance, cands, [g_fine] * n, [alpha] * n))
+        distances = [gdd(c, g_fine, alpha, fine_spectrum=spectrum).distance for c in cands]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         spawn = multiprocessing.get_context("spawn")  # fork is unsafe once BLAS has threads
-        with ProcessPoolExecutor(max_workers=threads, mp_context=spawn) as pool:
-            distances = list(pool.map(_distance, cands, [g_fine] * n, [alpha] * n))
+        with ProcessPoolExecutor(
+            max_workers=threads,
+            mp_context=spawn,
+            initializer=_init_worker,
+            initargs=(g_fine, spectrum),
+        ) as pool:
+            distances = list(pool.map(_distance, cands, [alpha] * len(cands)))
     return [cell + (dist,) for cell, dist in zip(cells, distances)]
 
 
-def _distance(g_coarse: Graph, g_fine: Graph, alpha: float) -> float:
+# (fine graph, its spectrum) in a coarse_search worker process; set once per
+# worker by _init_worker, so the spectrum is not pickled with every task
+_worker_fine = None
+
+
+def _init_worker(g_fine: Graph, fine_spectrum: EigenSystem) -> None:
+    global _worker_fine
+    _worker_fine = (g_fine, fine_spectrum)
+
+
+def _distance(g_coarse: Graph, alpha: float) -> float:
     # a worker process returns the distance only, not the prolongation
-    return gdd(g_coarse, g_fine, alpha).distance
+    g_fine, spectrum = _worker_fine
+    return gdd(g_coarse, g_fine, alpha, fine_spectrum=spectrum).distance
 
 
 def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
     """Distance of tube and grid families to a twice-as-long offset tube.
 
-    For each n, compares Tube(n, k, 1) and Grid(n, k) against Tube(2n, k, 3);
-    rows are (n, family, distance) ordered by n then family name.
+    For each n, compares Tube(n, k, 1) and Grid(n, k) against Tube(2n, k, 3),
+    whose Laplacian is decomposed once for both; rows are (n, family,
+    distance) ordered by n then family name.
     """
     from .graphs import make_grid
 
@@ -298,6 +338,7 @@ def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
         fine = make_tube(2 * n, k, 3)
         tube = make_tube(n, k, 1)
         grid = make_grid(n, k)
-        rows.append((n, "grid", gdd(grid, fine, alpha).distance))
-        rows.append((n, "tube", gdd(tube, fine, alpha).distance))
+        spectrum = eig_sym(laplacian(fine))
+        rows.append((n, "grid", gdd(grid, fine, alpha, fine_spectrum=spectrum).distance))
+        rows.append((n, "tube", gdd(tube, fine, alpha, fine_spectrum=spectrum).distance))
     return rows

@@ -340,6 +340,12 @@ class Trainer:
         update = (
             set(range(self.spec.n_levels)) if update_levels is None else set(update_levels)
         )
+        if forward_mask is not None and not update <= set(forward_mask):
+            # a level the forward never reaches gets no gradient for ADAM to apply
+            raise ValueError(
+                f"update levels {sorted(update - set(forward_mask))} are outside "
+                f"the forward mask {sorted(forward_mask)}"
+            )
         losses = []
         for _ in range(self.schedule.batches_per_epoch):
             idx = self.rng.choice(

@@ -156,6 +156,15 @@ def model_forward_reference(spec, params, x: np.ndarray, level_mask=None) -> np.
     return total
 
 
+def subpermutation(assignment, n_fine: int, n_coarse: int) -> np.ndarray:
+    """0/1 matrix with orthonormal columns selecting the assigned eigenmodes:
+    Pt[l, j] = 1 for each (coarse j, fine l) pair of the assignment."""
+    pt = np.zeros((n_fine, n_coarse))
+    for j, l in assignment.pairs:
+        pt[l, j] = 1.0
+    return pt
+
+
 def bond_energy(k_eff: float, length: float, rest: float) -> float:
     """Harmonic association energy k (length - rest)^2."""
     return float(k_eff * (length - rest) ** 2)

@@ -13,11 +13,12 @@ from gpcn.gdd import (
     limit_curve,
     refine_orthogonal,
     rlap_solve,
-    subpermutation,
     warm_start,
 )
 from gpcn.graphs import Graph, laplacian, make_grid, make_tube, relabel
 from gpcn.numcore import eig_sym, seeded_rng
+
+from tests.oracles import subpermutation
 
 
 def random_graph(rng, n, extra_edges=2):
@@ -151,6 +152,20 @@ class TestWarmStart:
         pt = subpermutation(a, 4, 2)
         assert pt[2, 0] == 1.0 and pt[0, 1] == 1.0 and pt.sum() == 2.0
 
+    def test_gather_equals_subpermutation_product(self):
+        # a 0/1 factor with one 1 per column only copies entries, so the
+        # gathered lift is bit-for-bit the product through the dense matrix
+        e1 = eig_sym(laplacian(make_tube(5, 7, 1)))
+        e2 = eig_sym(laplacian(make_tube(10, 7, 3)))
+        a = rlap_solve((e1.lambdas[:, None] - e2.lambdas[None, :]) ** 2)
+        expected = e2.u @ subpermutation(a, e2.n, e1.n) @ e1.u.T
+        assert np.array_equal(warm_start(e1, e2, a), expected)
+
+    def test_rejects_pair_out_of_range(self):
+        e = eig_sym(laplacian(make_grid(1, 3)))
+        with pytest.raises(ValueError, match="out of range"):
+            warm_start(e, e, Assignment(pairs=((0, 3),), total_cost=0.0))
+
 
 class TestRefineOrthogonal:
     def test_identity_input_stays(self):
@@ -242,6 +257,31 @@ class TestGdd:
         with pytest.raises(ValueError):
             Prolongation(p=np.ones((3, 2)), alpha=1.0, objective=0.0)
 
+    def test_given_fine_spectrum_gives_the_same_result(self):
+        coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
+        given = gdd(coarse, fine, fine_spectrum=eig_sym(laplacian(fine)))
+        own = gdd(coarse, fine)
+        assert np.array_equal(given.p, own.p)
+        assert given.objective == own.objective
+
+    def test_rejects_fine_spectrum_of_another_size(self):
+        coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
+        with pytest.raises(ValueError, match="fine spectrum"):
+            gdd(coarse, fine, fine_spectrum=eig_sym(laplacian(coarse)))
+
+
+def count_eig_sym(monkeypatch):
+    """Count eig_sym calls made through the gdd module's global name."""
+    gdd_module = importlib.import_module("gpcn.gdd")
+    calls = []
+
+    def counting_eig_sym(m):
+        calls.append(m.n)
+        return eig_sym(m)
+
+    monkeypatch.setattr(gdd_module, "eig_sym", counting_eig_sym)
+    return calls
+
 
 class TestCoarseSearch:
     def test_exact_candidate_wins(self):
@@ -269,14 +309,26 @@ class TestCoarseSearch:
         gdd_module = importlib.import_module("gpcn.gdd")
         calls = []
 
-        def counting_gdd(*args):
+        def counting_gdd(*args, **kwargs):
             calls.append(args[0].name)
-            return gdd(*args)
+            return gdd(*args, **kwargs)
 
         monkeypatch.setattr(gdd_module, "gdd", counting_gdd)
         rows = coarse_search(make_tube(4, 4, 1), 4, [3, 3], [0, 0], [1.0, 1])
         assert [r[:3] for r in rows] == [(3, 0, 1.0)]
         assert calls == ["Tube(4,3,0)"]
+
+    def test_fine_laplacian_decomposed_once(self, monkeypatch):
+        calls = count_eig_sym(monkeypatch)
+        fine = make_tube(6, 5, 1)
+        rows = coarse_search(fine, 3, k_range=(3, 4), p_range=(0, 1), seam_weights=(1.0, 2.0))
+        assert len(calls) == len(rows) + 1
+        assert calls.count(fine.n) == 1
+
+    def test_worker_processes_match_in_process(self):
+        fine = relabel(make_tube(6, 5, 1), seeded_rng(13).permutation(30).tolist())
+        kwargs = dict(k_range=(3, 4, 5), p_range=(0, 1), seam_weights=(1.0,))
+        assert coarse_search(fine, 3, **kwargs, threads=2) == coarse_search(fine, 3, **kwargs)
 
     def test_full_grid_cardinality(self):
         # the production search: ten turn counts, four offsets, two seam weights
@@ -299,6 +351,13 @@ class TestLimitCurve:
             # to the long tube at this scale
             assert abs(tube - grid) > 5e-3
             assert grid < tube
+
+    def test_each_long_tube_decomposed_once(self, monkeypatch):
+        calls = count_eig_sym(monkeypatch)
+        n_values = [3, 4, 5]
+        limit_curve(n_values, k=5)
+        assert len(calls) == 3 * len(n_values)
+        assert sorted(n for n in calls if n in (30, 40, 50)) == [30, 40, 50]
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="n_values"):

@@ -336,6 +336,16 @@ class TestBinding:
             assert all(same) if owner != 1 else not any(same), owner
 
 
+    def test_update_level_outside_forward_mask_rejected(self, hier, small_dataset):
+        trainer = Trainer(
+            tiny_spec(hier), small_dataset,
+            ScheduleSpec(total_epochs=1, batches_per_epoch=2, batch_size=4), seed=14,
+        )
+        with pytest.raises(ValueError, match=r"update levels \[1\] are outside the forward mask \[0\]"):
+            trainer._train_epoch(update_levels={1}, forward_mask={0})
+        assert all(state.t == 0 for state in trainer.adam.values())
+
+
 class TestCoarseToFine:
     def test_stages_advance_with_patience(self, hier, small_dataset):
         record = train(
