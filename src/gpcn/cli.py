@@ -175,12 +175,13 @@ def cmd_coarse_search(args) -> int:
         "config",
     )
     fine = _tube_from_dict(config.get("fine", {}), "fine")
-    n_rings = check_value("int", config.get("candidate_rings", fine.n // 26), "candidate_rings")
+    half_fine = config["fine"]["n_rings"] // 2  # an int, checked by _tube_from_dict
+    n_rings = check_value("int", config.get("candidate_rings", half_fine), "candidate_rings")
     k_values = _numbers("int", config.get("k_values", list(range(3, 13))), "k_values")
     p_values = _numbers("int", config.get("p_values", list(range(4))), "p_values")
     seam_weights = _numbers("float", config.get("seam_weights", [1.0, 2.0]), "seam_weights")
     alpha = config.get("alpha", 1.0)
-    rows = coarse_search(fine, n_rings, k_values, p_values, seam_weights, alpha, args.threads)
+    rows = coarse_search(fine, n_rings, k_values, p_values, seam_weights, alpha)
     out = _out_dir(args)
     write_csv(os.path.join(out, "coarse_search.csv"), ["k", "p", "seam_weight", "distance"], rows)
     _write_manifest(out, "coarse-search", config)
@@ -273,7 +274,6 @@ _OPTIONS = {
     "seed": {"type": int, "help": "seed override"},
     "out": {"help": "output directory"},
     "format": {"choices": ("csv", "bin"), "default": "csv"},
-    "threads": {"type": int, "default": 1, "help": "worker processes"},
     "alpha": {"type": float, "default": 1.0},
     "model": {"required": True},
     "hierarchy": {"default": "desk"},
@@ -284,9 +284,7 @@ _OPTIONS = {
 _COMMANDS = {
     "generate": (cmd_generate, "config seed out format", "simulate a dataset over a strength grid"),
     "gdd": (cmd_gdd, "alpha out format", "diffusion distance between two edge-list graphs"),
-    "coarse-search": (
-        cmd_coarse_search, "config out threads", "distance table over candidate coarse tubes"
-    ),
+    "coarse-search": (cmd_coarse_search, "config out", "distance table over candidate coarse tubes"),
     "limit-curve": (cmd_limit_curve, "config out", "tube/grid family distances vs tube length"),
     "train": (cmd_train, "config seed out", "train a named model on a dataset directory"),
     "flops": (

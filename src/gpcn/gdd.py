@@ -14,8 +14,8 @@ three steps:
 The fine graph's spectrum may be passed to :func:`gdd` instead of computed.
 :func:`coarse_search` and :func:`limit_curve` compare several coarse graphs
 with one fine graph, so each decomposes every distinct fine Laplacian once
-per call and hands the spectrum to each :func:`gdd`. Nothing is kept
-between calls.
+per call and hands the spectrum to each :func:`gdd`, all in the calling
+process. Nothing is kept between calls.
 
 At fixed alpha the lifted assignment is optimal. Rotating into the
 eigenbases, Q = U_fine^T P U_coarse has orthonormal columns and the objective
@@ -45,7 +45,6 @@ from .serialize import check_value
 __all__ = [
     "Assignment",
     "Prolongation",
-    "assignment_cost",
     "rlap_solve",
     "warm_start",
     "refine_orthogonal",
@@ -103,13 +102,6 @@ def _check_alpha(alpha: float) -> None:
     """The diffusion-distance scale must be a finite positive number."""
     if not check_value("float", alpha, "alpha") > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-
-
-def assignment_cost(lambda_coarse: float, lambda_fine: float, alpha: float) -> float:
-    """Cost of pairing one coarse eigenvalue with one fine eigenvalue."""
-    _check_alpha(alpha)
-    d = lambda_coarse / alpha - alpha * lambda_fine
-    return float(d * d)
 
 
 def _cost_matrix(lam_coarse: np.ndarray, lam_fine: np.ndarray, alpha: float) -> np.ndarray:
@@ -259,7 +251,6 @@ def coarse_search(
     p_range,
     seam_weights=(1.0, 2.0),
     alpha: float = 1.0,
-    threads: int = 1,
 ):
     """Distance from every candidate tube to a fine graph.
 
@@ -269,10 +260,11 @@ def coarse_search(
     deterministic (k, p, w) order. Candidates whose offset is infeasible for
     ``n_rings`` are skipped. Every candidate is size-checked before the first
     distance. The fine Laplacian is decomposed once and its spectrum reused
-    by every candidate; ``threads > 1`` computes the distances on that many
-    processes, each sent the fine graph and its spectrum once at start-up.
+    by every candidate; every distance is computed in the calling process.
     """
     _check_alpha(alpha)
+    if n_rings < 2:
+        raise ValueError(f"candidate ring count n_rings must be at least 2, got {n_rings}")
     cells = [
         (k, p, w)
         for k in sorted(set(k_range))
@@ -289,37 +281,10 @@ def coarse_search(
                 f"candidate {cand.name} has {cand.n} nodes, more than the {g_fine.n} of the fine graph"
             )
     spectrum = eig_sym(laplacian(g_fine))
-    if threads <= 1:
-        distances = [gdd(c, g_fine, alpha, fine_spectrum=spectrum).distance for c in cands]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        spawn = multiprocessing.get_context("spawn")  # fork is unsafe once BLAS has threads
-        with ProcessPoolExecutor(
-            max_workers=threads,
-            mp_context=spawn,
-            initializer=_init_worker,
-            initargs=(g_fine, spectrum),
-        ) as pool:
-            distances = list(pool.map(_distance, cands, [alpha] * len(cands)))
-    return [cell + (dist,) for cell, dist in zip(cells, distances)]
-
-
-# (fine graph, its spectrum) in a coarse_search worker process; set once per
-# worker by _init_worker, so the spectrum is not pickled with every task
-_worker_fine = None
-
-
-def _init_worker(g_fine: Graph, fine_spectrum: EigenSystem) -> None:
-    global _worker_fine
-    _worker_fine = (g_fine, fine_spectrum)
-
-
-def _distance(g_coarse: Graph, alpha: float) -> float:
-    # a worker process returns the distance only, not the prolongation
-    g_fine, spectrum = _worker_fine
-    return gdd(g_coarse, g_fine, alpha, fine_spectrum=spectrum).distance
+    return [
+        cell + (gdd(c, g_fine, alpha, fine_spectrum=spectrum).distance,)
+        for cell, c in zip(cells, cands)
+    ]
 
 
 def limit_curve(n_values, k: int = 13, alpha: float = 1.0):

@@ -608,9 +608,16 @@ def load_dataset(out_dir) -> Dataset:
     bin_path = os.path.join(out_dir, "frames.bin")
     if os.path.exists(bin_path):
         arrays, meta = load_arrays(bin_path)
-        return Dataset(
-            x=arrays["x"], y=arrays["y"], column_names=meta["column_names"], manifest=manifest
-        )
+        x, y = arrays.get("x"), arrays.get("y")
+        names = meta.get("column_names") if isinstance(meta, dict) else None
+        if (
+            x is None or y is None or not isinstance(names, list) or x.ndim != 3
+            or y.shape != x.shape[:2] + (1,) or len(names) != x.shape[2]
+        ):
+            raise ValueError(
+                f"{bin_path}: needs x (frames, nodes, F), y (frames, nodes, 1) and F column_names"
+            )
+        return Dataset(x=x, y=y, column_names=names, manifest=manifest)
     csv_path = os.path.join(out_dir, "frames.csv")
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")

@@ -156,6 +156,13 @@ def model_forward_reference(spec, params, x: np.ndarray, level_mask=None) -> np.
     return total
 
 
+def assignment_cost(lambda_coarse: float, lambda_fine: float, alpha: float) -> float:
+    """Cost of pairing one coarse eigenvalue with one fine eigenvalue, one
+    entry at a time, to check the package's vectorized cost matrix."""
+    d = lambda_coarse / alpha - alpha * lambda_fine
+    return float(d * d)
+
+
 def subpermutation(assignment, n_fine: int, n_coarse: int) -> np.ndarray:
     """0/1 matrix with orthonormal columns selecting the assigned eigenmodes:
     Pt[l, j] = 1 for each (coarse j, fine l) pair of the assignment."""

@@ -29,7 +29,7 @@ from gpcn.ensembles import (
     model_graph,
 )
 from gpcn.gcn import GcnSpec, energy_input_gradient, gcn_forward, init_gcn_params
-from gpcn.gdd import assignment_cost, gdd, limit_curve, rlap_solve, warm_start
+from gpcn.gdd import gdd, limit_curve, rlap_solve, warm_start
 from gpcn.graphs import laplacian, make_grid, make_tube
 from gpcn.numcore import eig_sym, seeded_rng
 from gpcn.simulator import (
@@ -53,7 +53,11 @@ from gpcn.training import (
 )
 
 from tests.conftest import synthetic_dataset
-from tests.oracles import ensemble_input_gradient_reference, input_gradient_rule
+from tests.oracles import (
+    assignment_cost,
+    ensemble_input_gradient_reference,
+    input_gradient_rule,
+)
 from tests.test_autodiff import finite_difference
 from tests.test_gdd import random_graph
 

@@ -132,21 +132,21 @@ class TestCoarseSearch:
         assert main(["coarse-search", "--config", cfg, "--out", str(b)]) == 0
         assert dir_bytes(a) == dir_bytes(b)
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "c.json",
-            {
-                "fine": {"n_rings": 4, "k": 4, "offset": 1},
-                "candidate_rings": 4,
-                "k_values": [3, 4],
-                "p_values": [0],
-                "seam_weights": [1.0],
-            },
-        )
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert main(["coarse-search", "--config", cfg, "--out", str(seq)]) == 0
-        assert main(["coarse-search", "--config", cfg, "--out", str(par), "--threads", "2"]) == 0
-        assert (seq / "coarse_search.csv").read_bytes() == (par / "coarse_search.csv").read_bytes()
+    def test_candidate_rings_default_to_half_the_fine_rings(self, tmp_path):
+        search = {
+            "fine": {"n_rings": 8, "k": 4, "offset": 1},
+            "k_values": [3, 4],
+            "p_values": [0, 1, 2, 3],
+            "seam_weights": [1.0],
+        }
+        default = write_json(tmp_path / "default.json", search)
+        four = write_json(tmp_path / "four.json", dict(search, candidate_rings=4))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["coarse-search", "--config", default, "--out", str(a)]) == 0
+        assert main(["coarse-search", "--config", four, "--out", str(b)]) == 0
+        rows = (a / "coarse_search.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * 4  # offset 3 is feasible only with 4 or more rings
+        assert (a / "coarse_search.csv").read_bytes() == (b / "coarse_search.csv").read_bytes()
 
 
 class TestLimitCurve:
@@ -178,9 +178,19 @@ def _drop_manifest(dataset):
     (dataset / "manifest.json").unlink()
 
 
-def _keep_one_frame(dataset):
-    arrays, meta = load_arrays(dataset / "frames.bin")
-    save_arrays(dataset / "frames.bin", {name: a[:1] for name, a in arrays.items()}, meta)
+def _edit_frames(edit):
+    """Rewrite frames.bin after ``edit(arrays, meta)`` changed them in place."""
+
+    def damage(dataset):
+        arrays, meta = load_arrays(dataset / "frames.bin")
+        edit(arrays, meta)
+        save_arrays(dataset / "frames.bin", arrays, meta)
+
+    return damage
+
+
+def _keep_one_frame(arrays, meta):
+    arrays.update({name: a[:1] for name, a in arrays.items()})
 
 
 def _csv_lines(edit):
@@ -211,6 +221,7 @@ BAD_INPUTS = {
     "gdd-alpha-nan": ("gdd", None, ["--alpha", "nan"]),
     "limit-curve-alpha-zero": ("limit-curve", {"n_values": [2], "k": 5, "alpha": 0}, []),
     "coarse-search-alpha-negative": ("coarse-search", dict(SEARCH_CONFIG, alpha=-1), []),
+    "coarse-search-one-candidate-ring": ("coarse-search", dict(SEARCH_CONFIG, candidate_rings=1), []),
     "coarse-search-candidates-exceed-fine": (
         "coarse-search", dict(SEARCH_CONFIG, candidate_rings=6), []
     ),
@@ -284,7 +295,15 @@ BAD_INPUTS = {
     "train-hierarchy-too-shallow": ("train", ({"model": "gpcn3"}, None), []),
     "train-truncated-frames": ("train", ({}, _truncate_frames), []),
     "train-no-manifest": ("train", ({}, _drop_manifest), []),
-    "train-one-frame-dataset": ("train", ({}, _keep_one_frame), []),
+    "train-one-frame-dataset": ("train", ({}, _edit_frames(_keep_one_frame)), []),
+    "train-bin-no-x": ("train", ({}, _edit_frames(lambda a, m: a.pop("x"))), []),
+    "train-bin-no-y": ("train", ({}, _edit_frames(lambda a, m: a.pop("y"))), []),
+    "train-bin-no-column-names": ("train", ({}, _edit_frames(lambda a, m: m.pop("column_names"))), []),
+    "train-bin-x-not-3d": ("train", ({}, _edit_frames(lambda a, m: a.update(x=a["x"][..., 0]))), []),
+    "train-bin-y-wrong-shape": ("train", ({}, _edit_frames(lambda a, m: a.update(y=a["y"][:, :-1]))), []),
+    "train-bin-column-names-short": (
+        "train", ({}, _edit_frames(lambda a, m: m.update(column_names=m["column_names"][:-1]))), []
+    ),
     "train-csv-header-only": ("train", ({}, _csv_lines(lambda lines: lines[:1])), []),
     "train-csv-one-row": ("train", ({}, _csv_lines(lambda lines: lines[:2])), []),
     "train-csv-rows-reversed": ("train", ({}, _csv_lines(lambda lines: lines[:1] + lines[:0:-1])), []),
@@ -465,7 +484,7 @@ def test_each_command_accepts_only_the_options_it_reads():
     assert options == {
         "generate": {"--config", "--seed", "--out", "--format"},
         "gdd": {"--alpha", "--out", "--format"},
-        "coarse-search": {"--config", "--out", "--threads"},
+        "coarse-search": {"--config", "--out"},
         "limit-curve": {"--config", "--out"},
         "train": {"--config", "--seed", "--out"},
         "flops": {"--model", "--hierarchy", "--features", "--out"},

@@ -7,7 +7,6 @@ import pytest
 from gpcn.gdd import (
     Assignment,
     Prolongation,
-    assignment_cost,
     coarse_search,
     gdd,
     limit_curve,
@@ -18,7 +17,7 @@ from gpcn.gdd import (
 from gpcn.graphs import Graph, laplacian, make_grid, make_tube, relabel
 from gpcn.numcore import eig_sym, seeded_rng
 
-from tests.oracles import subpermutation
+from tests.oracles import assignment_cost, subpermutation
 
 
 def random_graph(rng, n, extra_edges=2):
@@ -71,8 +70,9 @@ class TestAssignmentCost:
         assert abs(assignment_cost(-4.0, -1.0, np.sqrt(2.0)) - 2.0) < 1e-12
 
     def test_rejects_nonpositive_alpha(self):
+        g = make_tube(2, 2, 0)
         with pytest.raises(ValueError):
-            assignment_cost(0.0, 0.0, 0.0)
+            gdd(g, g, alpha=0.0)
 
 
 class TestRlapSolve:
@@ -325,10 +325,9 @@ class TestCoarseSearch:
         assert len(calls) == len(rows) + 1
         assert calls.count(fine.n) == 1
 
-    def test_worker_processes_match_in_process(self):
-        fine = relabel(make_tube(6, 5, 1), seeded_rng(13).permutation(30).tolist())
-        kwargs = dict(k_range=(3, 4, 5), p_range=(0, 1), seam_weights=(1.0,))
-        assert coarse_search(fine, 3, **kwargs, threads=2) == coarse_search(fine, 3, **kwargs)
+    def test_rejects_fewer_than_two_rings(self):
+        with pytest.raises(ValueError, match="candidate ring count"):
+            coarse_search(make_tube(4, 4, 1), 1, k_range=(3,), p_range=(0,))
 
     def test_full_grid_cardinality(self):
         # the production search: ten turn counts, four offsets, two seam weights

@@ -1,13 +1,14 @@
 """The benchmark's tracer patches functions by module and name (see
 perfbench/spans.py). A rename in the package would crash the traced run or
-leave a per-layer metric at zero without failing; this test runs a small
-traced train and simulation and checks that every patched layer recorded
-spans.
+leave a per-layer metric at zero without failing; these tests run a small
+traced train and simulation, and a small traced coarse search and limit
+curve, and check that every patched layer recorded spans.
 """
 
 from pathlib import Path
 
 from gpcn.ensembles import build_from_table, make_hierarchy
+from gpcn.gdd import coarse_search, limit_curve
 from gpcn.graphs import make_tube
 from gpcn.simulator import SimConfig, build_geometry, desk_strength_grid, generate_dataset
 from gpcn.training import ScheduleSpec, train
@@ -18,12 +19,16 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GPCN_OPS = ("matmul", "spmm", "add", "relu", "sigmoid", "concat", "transpose", "mse")
 
 
-def test_traced_run_records_every_patched_layer(monkeypatch):
+def _tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
     import workloads  # noqa: F401  (the runner imports it with the package)
 
-    tracer = spans.Tracer()
+    return spans.Tracer()
+
+
+def test_traced_run_records_every_patched_layer(monkeypatch):
+    tracer = _tracer(monkeypatch)
     tracer.install()
     try:
         data = generate_dataset(
@@ -54,3 +59,19 @@ def test_traced_run_records_every_patched_layer(monkeypatch):
     }
     expected |= {f"autodiff.{op}.{way}" for op in GPCN_OPS for way in ("fwd", "bwd")}
     assert expected <= names, sorted(expected - names)
+
+
+def test_traced_coarsening_records_every_gdd_layer(monkeypatch):
+    # the coarsen workload's spans exist only while every distance is
+    # computed in this process, through these module names
+    tracer = _tracer(monkeypatch)
+    tracer.install()
+    try:
+        rows = coarse_search(make_tube(4, 5, 1), 2, k_range=(3, 4), p_range=(0, 1))
+        rows += limit_curve([2, 3], k=4)
+    finally:
+        tracer.uninstall()
+    names = set(tracer.names)
+    expected = {"gdd.gdd", "numcore.eig_sym", "gdd.rlap_solve", "gdd.warm_start", "graphs.laplacian"}
+    assert expected <= names, sorted(expected - names)
+    assert tracer.names.count("gdd.gdd") == len(rows)
