@@ -5,6 +5,8 @@ topological order), so the backward pass is a single reversed sweep that
 accumulates each node's gradient exactly once. Operands that are plain
 ndarrays are treated as constants; only values wrapped by
 :meth:`Tape.variable` (or produced by recorded ops) receive gradients.
+Only nodes a variable reaches (``needs``) are recorded; an op on constants
+returns a bare unrecorded node, so a pass with no variables keeps no graph.
 
 Every op broadcasts the way numpy does, including a leading batch axis on
 matmul/spmm, so a whole batch of graph signals flows through one recorded
@@ -23,17 +25,18 @@ __all__ = ["Node", "Tape"]
 
 
 class Node:
-    """A recorded value: ndarray payload plus the closures that push gradient
-    back to its parents."""
+    """A tape value: ndarray payload plus the closures that push gradient back
+    to its parents (none for a constant, which the tape does not record)."""
 
-    __slots__ = ("value", "grad", "parents", "vjps", "tape")
+    __slots__ = ("value", "grad", "parents", "vjps", "tape", "needs")
 
-    def __init__(self, value, parents, vjps, tape):
+    def __init__(self, value, parents, vjps, tape, needs):
         self.value = value
         self.grad = None
         self.parents = parents
         self.vjps = vjps
         self.tape = tape
+        self.needs = needs  # this node or an ancestor is a variable
 
     @property
     def shape(self):
@@ -59,7 +62,9 @@ class Tape:
         self._nodes: list[Node] = []
 
     def _record(self, value, parents, vjps) -> Node:
-        node = Node(np.asarray(value, dtype=float), parents, vjps, self)
+        if parents and not any(isinstance(p, Node) and p.needs for p in parents):
+            return Node(np.asarray(value, dtype=float), (), (), self, False)  # constant op
+        node = Node(np.asarray(value, dtype=float), parents, vjps, self, True)
         self._nodes.append(node)
         return node
 
@@ -153,9 +158,10 @@ class Tape:
     # -- reverse sweep -----------------------------------------------------
 
     def backward(self, loss: Node) -> None:
-        """Accumulate gradients of a scalar loss into every recorded node."""
-        if not isinstance(loss, Node) or loss.tape is not self:
-            raise ValueError("loss was not recorded on this tape")
+        """Accumulate gradients of a scalar loss into every recorded node; no
+        vjp runs into a constant parent. A loss no variable reaches is refused."""
+        if not isinstance(loss, Node) or loss.tape is not self or not loss.needs:
+            raise ValueError("loss was not recorded on this tape (no variable reaches it)")
         if np.asarray(loss.value).size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         for node in self._nodes:
@@ -166,7 +172,7 @@ class Tape:
             if g is None:
                 continue
             for parent, vjp in zip(node.parents, node.vjps):
-                if not isinstance(parent, Node):
+                if not isinstance(parent, Node) or not parent.needs:
                     continue
                 contrib = vjp(g)
                 if parent.grad is None:

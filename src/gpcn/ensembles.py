@@ -305,18 +305,14 @@ def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=
         elif i > 0:
             z = lvl.z
             if spec.kind == "gpcn":
+                # products of constant prolongations need no gradient, so
+                # the tape keeps them off its graph
                 p = prolongations[i - 1]
-                if lift is None:
-                    lift = p
-                elif isinstance(lift, Node) or isinstance(p, Node):
-                    lift = tape.matmul(lift, p)
-                else:  # constant prolongations compose off the tape
-                    lift = lift @ p
+                lift = p if lift is None else tape.matmul(lift, p)
         if i not in active:
             continue
         if spec.kind == "gpcn" and lift is not None:
-            lift_t = tape.transpose(lift) if isinstance(lift, Node) else lift.T
-            xi = tape.matmul(lift_t, x)
+            xi = tape.matmul(tape.transpose(lift), x)
         member = gcn_graph(tape, z, params.levels[i], xi)
         contrib = member if lift is None else tape.matmul(lift, member)
         out = contrib if out is None else tape.add(out, contrib)

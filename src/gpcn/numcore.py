@@ -78,8 +78,10 @@ def relu(x):
 
 
 def sigmoid(x):
-    """1 / (1 + exp(-x)) on one copy; exp(-x) = inf gives the exact limit 0."""
+    """1 / (1 + exp(-x)) on one copy; exp(-x) = inf gives the exact limit 0.
+    -x is floored at -40 (1 + exp(-40) == 1), so exp never takes its slow underflow path."""
     out = np.negative(x, out=np.empty(np.shape(x)))
+    np.maximum(out, -40.0, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0

@@ -92,10 +92,18 @@ def _read_exact(fh, size: int, path) -> bytes:
     return data
 
 
+def _entry_ok(e) -> bool:
+    """A manifest entry as :func:`save_arrays` writes it (both dtypes are 8 bytes)."""
+    return (isinstance(e, dict) and isinstance(e.get("name"), str)
+            and e.get("dtype") in ("float64", "int64") and isinstance(e.get("shape"), list)
+            and all(_is_int(v) and v >= 0 for v in [e.get("offset"), e.get("nbytes"), *e["shape"]])
+            and e["nbytes"] == 8 * math.prod(e["shape"]))
+
+
 def load_arrays(path):
     """Read a container written by :func:`save_arrays`; returns (arrays, meta).
 
-    A damaged or truncated file raises ValueError."""
+    A damaged or truncated file, or a malformed header, raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -103,6 +111,9 @@ def load_arrays(path):
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, path))
         header = json.loads(_read_exact(fh, hlen, path).decode("utf-8"))
         payload = fh.read()
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list) and all(map(_entry_ok, header["arrays"]))):
+        raise ValueError(f"{path}: malformed gpcn binary container header")
     arrays = {}
     for entry in header["arrays"]:
         if entry["offset"] + entry["nbytes"] > len(payload):

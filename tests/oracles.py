@@ -30,6 +30,13 @@ def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def sigmoid_plain(x: np.ndarray) -> np.ndarray:
+    """Logistic function as its formula, 1 / (1 + exp(-x)), with exp's
+    overflow to inf and underflow to 0 allowed."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
 _ACTIVATIONS = {
     "relu": lambda x: np.maximum(x, 0.0),
     "sigmoid": sigmoid_two_branch,

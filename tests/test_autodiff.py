@@ -171,3 +171,45 @@ def test_constants_receive_no_gradient():
     loss = tape.sum(tape.matmul(x, const))
     tape.backward(loss)
     assert x.grad is not None
+
+
+def test_ops_on_constants_stay_off_the_tape():
+    tape = Tape()
+    a, b = np.arange(6.0).reshape(2, 3), np.ones((3, 2))
+    c = tape.relu(tape.matmul(a, b))
+    assert np.array_equal(c.value, np.maximum(a @ b, 0.0))
+    assert not c.needs and c.parents == () and c.vjps == ()
+    assert tape._nodes == []
+    x = tape.variable(np.ones((2, 2)))
+    y = tape.add(x, c)
+    assert x.needs and y.needs and tape._nodes == [x, y]
+
+
+def test_backward_calls_no_vjp_into_a_constant_parent():
+    tape = Tape()
+    x = tape.variable(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    const = tape.sigmoid(np.eye(2))  # no variable reaches it
+    y = tape.matmul(x, const)
+    calls = []
+
+    def spy(i, vjp):
+        def wrapped(g):
+            calls.append(i)
+            return vjp(g)
+
+        return wrapped
+
+    y.vjps = tuple(spy(i, vjp) for i, vjp in enumerate(y.vjps))
+    tape.backward(tape.sum(y))
+    assert calls == [0]
+    assert const.grad is None
+    assert np.array_equal(x.grad, np.ones((2, 2)) @ const.value.T)
+
+
+def test_backward_rejects_a_loss_no_variable_reaches():
+    tape = Tape()
+    x = tape.variable(np.ones(2))
+    loss = tape.sum(tape.relu(np.ones(2)))
+    with pytest.raises(ValueError, match="no variable reaches it"):
+        tape.backward(loss)
+    assert x.grad is None

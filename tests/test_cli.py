@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -189,6 +190,22 @@ def _edit_frames(edit):
     return damage
 
 
+def _edit_header(edit):
+    """Rewrite the JSON header of frames.bin after ``edit(header)`` changed it
+    in place; the payload is kept as it is."""
+
+    def damage(dataset):
+        frames = dataset / "frames.bin"
+        raw = frames.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        frames.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + hlen :])
+
+    return damage
+
+
 def _keep_one_frame(arrays, meta):
     arrays.update({name: a[:1] for name, a in arrays.items()})
 
@@ -303,6 +320,17 @@ BAD_INPUTS = {
     "train-bin-y-wrong-shape": ("train", ({}, _edit_frames(lambda a, m: a.update(y=a["y"][:, :-1]))), []),
     "train-bin-column-names-short": (
         "train", ({}, _edit_frames(lambda a, m: m.update(column_names=m["column_names"][:-1]))), []
+    ),
+    "train-bin-header-no-arrays": ("train", ({}, _edit_header(lambda h: h.pop("arrays"))), []),
+    "train-bin-entry-no-offset": ("train", ({}, _edit_header(lambda h: h["arrays"][0].pop("offset"))), []),
+    "train-bin-dtype-not-a-type": (
+        "train", ({}, _edit_header(lambda h: h["arrays"][0].update(dtype="foo"))), []
+    ),
+    "train-bin-shape-a-string": (
+        "train", ({}, _edit_header(lambda h: h["arrays"][0].update(shape="3"))), []
+    ),
+    "train-bin-nbytes-not-shape": (
+        "train", ({}, _edit_header(lambda h: h["arrays"][0].update(nbytes=8))), []
     ),
     "train-csv-header-only": ("train", ({}, _csv_lines(lambda lines: lines[:1])), []),
     "train-csv-one-row": ("train", ({}, _csv_lines(lambda lines: lines[:2])), []),

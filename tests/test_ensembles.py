@@ -308,3 +308,39 @@ class TestCheckpoints:
 
         assert activations(params2) == activations(params)
         assert np.array_equal(model_forward(spec2, params2, x), expected)
+
+
+class TestRecordedSubgraph:
+    @pytest.mark.parametrize("name", ["ensemble2", "ngcn3", "gpcn3", "a_gpcn3", "diffpool3"])
+    def test_forward_without_variables_records_nothing(self, tiny_hierarchy, name):
+        spec = build_from_table(name, tiny_hierarchy)
+        params = init_model_params(spec, 3, seeded_rng(50))
+        x = seeded_rng(51).normal(size=(4, spec.n_fine, 3))
+        tape = Tape()
+        out = model_graph(tape, spec, params, x)
+        assert tape._nodes == [] and not out.needs
+        assert np.array_equal(out.value, model_forward(spec, params, x))
+
+    @pytest.mark.parametrize("name", ["gpcn3", "a_gpcn3", "diffpool3"])
+    def test_one_level_gradients_match_joint_bits(self, tiny_hierarchy, name):
+        spec = build_from_table(name, tiny_hierarchy)
+        params = init_model_params(spec, 3, seeded_rng(52))
+        rng = seeded_rng(53)
+        x = rng.normal(size=(4, spec.n_fine, 3))
+        target = rng.normal(size=(4, spec.n_fine, 1))
+
+        def grads(owners):
+            tape = Tape()
+            bound = params.bind(tape, owners)
+            tape.backward(tape.mse(model_graph(tape, spec, bound, x), target))
+            return bound, len(tape._nodes)
+
+        joint, joint_nodes = grads(range(spec.n_levels))
+        for level in range(spec.n_levels):
+            alone, nodes = grads({level})
+            assert nodes < joint_nodes
+            got = [node.grad for _, node in alone.owned_arrays(level)]
+            want = [node.grad for _, node in joint.owned_arrays(level)]
+            assert len(got) == len(want) > 0
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (name, level)

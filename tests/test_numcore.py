@@ -17,7 +17,7 @@ from gpcn.numcore import (
     spmm,
 )
 
-from tests.oracles import sigmoid_two_branch
+from tests.oracles import sigmoid_plain, sigmoid_two_branch
 
 
 class TestProducts:
@@ -67,6 +67,36 @@ class TestActivations:
             out0 = sigmoid(np.array(-745.0))
         assert np.abs(out - sigmoid_two_branch(x)).max() <= 2.3e-16
         assert out0.shape == () and abs(out0 - sigmoid_two_branch(np.array([-745.0]))[0]) <= 2.3e-16
+
+    @staticmethod
+    def _sigmoid_sweep():
+        """A fine grid over [-1000, 1000] plus the infinities, both zeros, the
+        band where 1 + exp(-x) becomes 1, where exp overflows (709.8) and
+        where exp(-x) leaves the subnormals (745-746)."""
+        edges = [np.inf, 0.0, *np.linspace(36.0, 41.0, 501), 709.8, *np.linspace(745.0, 746.0, 101)]
+        edges = np.array(edges)
+        return np.concatenate([np.linspace(-1000.0, 1000.0, 4_000_001), edges, -edges])
+
+    def test_sigmoid_bit_identical_to_plain_formula(self):
+        x = self._sigmoid_sweep()
+        out = sigmoid(x)
+        assert np.array_equal(out, sigmoid_plain(x))
+        assert np.array_equal(np.signbit(out), np.signbit(sigmoid_plain(x)))
+
+    def test_sigmoid_exp_never_underflows(self):
+        # the floor at -40 keeps exp off its slow subnormal path. exp runs on
+        # the whole sweep before the divide, so an underflow in exp would
+        # raise first; only the divide may underflow, where the result is
+        # itself subnormal (x in about (-709.8, -708.4))
+        x = self._sigmoid_sweep()
+        want = sigmoid_plain(x)
+        normal = (want == 0.0) | (want >= np.finfo(float).tiny)
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow encountered in divide"):
+                sigmoid(x)
+            sigmoid(x[normal])
+        band = x[~normal]
+        assert band.size > 0 and band.min() > -709.8 and band.max() < -708.3
 
     def test_linear(self):
         x = np.array([1.5, -2.0])

@@ -1,10 +1,12 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gpcn.serialize import check_value
+from gpcn.serialize import check_value, load_arrays, save_arrays
 
 VALUES = st.one_of(
     st.integers(),
@@ -38,3 +40,57 @@ def test_int_and_float_kinds_take_numbers_without_coercion(value):
 def test_message_names_the_value():
     with pytest.raises(ValueError, match=r"^sim ramp_steps must be an integer, got 200\.5$"):
         check_value("int", 200.5, "sim ramp_steps")
+
+
+def _entry(**changes):
+    entry = {"name": "x", "dtype": "float64", "shape": [2, 3], "offset": 0, "nbytes": 48}
+    entry.update(changes)
+    return {k: v for k, v in entry.items() if v is not None}
+
+
+def _write_container(path, header, payload=bytes(48)):
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"GPCNBIN1" + struct.pack("<Q", len(text)) + text + payload)
+
+
+def test_round_trip(tmp_path):
+    path = tmp_path / "a.bin"
+    x, k = np.arange(6.0).reshape(2, 3), np.array([[-1, 2]], dtype=np.int64)
+    save_arrays(path, {"x": x, "k": k, "e": np.zeros((0, 4))}, {"note": 1})
+    arrays, meta = load_arrays(path)
+    assert meta == {"note": 1} and sorted(arrays) == ["e", "k", "x"]
+    assert np.array_equal(arrays["x"], x) and arrays["k"].dtype == np.int64
+    assert np.array_equal(arrays["k"], k) and arrays["e"].shape == (0, 4)
+    _write_container(path, {"meta": {}, "arrays": [_entry()]})
+    assert np.array_equal(load_arrays(path)[0]["x"], np.zeros((2, 3)))
+
+
+BAD_HEADERS = {
+    "not-an-object": [],
+    "no-arrays": {"meta": {}},
+    "arrays-not-a-list": {"meta": {}, "arrays": {"x": _entry()}},
+    "no-meta": {"arrays": [_entry()]},
+    "meta-not-an-object": {"meta": [], "arrays": [_entry()]},
+    "entry-not-an-object": {"meta": {}, "arrays": ["x"]},
+    "name-missing": {"meta": {}, "arrays": [_entry(name=None)]},
+    "name-not-a-string": {"meta": {}, "arrays": [_entry(name=3)]},
+    "dtype-unknown": {"meta": {}, "arrays": [_entry(dtype="foo")]},
+    "dtype-float32": {"meta": {}, "arrays": [_entry(dtype="float32", nbytes=24)]},
+    "dtype-a-list": {"meta": {}, "arrays": [_entry(dtype=["float64"])]},
+    "shape-a-string": {"meta": {}, "arrays": [_entry(shape="23")]},
+    "shape-negative": {"meta": {}, "arrays": [_entry(shape=[-2, -3])]},
+    "shape-float": {"meta": {}, "arrays": [_entry(shape=[2.0, 3])]},
+    "offset-missing": {"meta": {}, "arrays": [_entry(offset=None)]},
+    "offset-negative": {"meta": {}, "arrays": [_entry(offset=-8)]},
+    "offset-bool": {"meta": {}, "arrays": [_entry(offset=False)]},
+    "nbytes-missing": {"meta": {}, "arrays": [_entry(nbytes=None)]},
+    "nbytes-not-shape-size": {"meta": {}, "arrays": [_entry(nbytes=40)]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_malformed_header_raises_one_value_error(tmp_path, case):
+    path = tmp_path / "bad.bin"
+    _write_container(path, BAD_HEADERS[case])
+    with pytest.raises(ValueError, match=r"bad\.bin: malformed gpcn binary container header$"):
+        load_arrays(path)
