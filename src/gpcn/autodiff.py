@@ -10,7 +10,8 @@ returns a bare unrecorded node, so a pass with no variables keeps no graph.
 
 Every op broadcasts the way numpy does, including a leading batch axis on
 matmul/spmm, so a whole batch of graph signals flows through one recorded
-graph.
+graph. ``relu`` and ``sigmoid`` take a layer's bias row: act(a + b) is one
+node on one fresh array, and its two vjps share one pre-activation gradient.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ def _value(x):
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
 
 
+def _biased_act(fn, a, b):
+    """fn(a + b), or fn(a) without a bias, on one fresh array."""
+    if b is None:
+        return fn(_value(a))
+    pre = np.asarray(_value(a) + _value(b))  # a 0-d sum is a scalar otherwise
+    return fn(pre, out=pre)
+
+
 class Tape:
     def __init__(self):
         self._nodes: list[Node] = []
@@ -101,14 +110,41 @@ class Tape:
             (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(g, bv.shape)),
         )
 
-    def relu(self, a) -> Node:
-        av = _value(a)
-        out = _relu(av)
-        return self._record(out, (a,), (lambda g: g * (av > 0.0),))
+    def relu(self, a, b=None) -> Node:
+        """relu(a + b) on one fresh array; ``b`` is an optional bias."""
+        out = _biased_act(_relu, a, b)
+        return self._record_activation(out, a, b, lambda g: g * (out > 0.0))
 
-    def sigmoid(self, a) -> Node:
-        out = _sigmoid(_value(a))
-        return self._record(out, (a,), (lambda g: g * out * (1.0 - out),))
+    def sigmoid(self, a, b=None) -> Node:
+        """sigmoid(a + b) on one fresh array; ``b`` is an optional bias."""
+        out = _biased_act(_sigmoid, a, b)
+
+        def pre_grad(g):
+            d = g * out
+            d *= 1.0 - out
+            return d
+
+        return self._record_activation(out, a, b, pre_grad)
+
+    def _record_activation(self, out, a, b, pre_grad) -> Node:
+        """Record out = act(a + b); ``pre_grad(g)`` is the gradient of the
+        pre-activation, evaluated once per g for both parents."""
+        if b is None:
+            return self._record(out, (a,), (pre_grad,))
+        b_shape = np.shape(_value(b))
+        last = [None, None]  # the latest g and its pre_grad(g)
+
+        def vjp_a(g):
+            if last[0] is not g:
+                last[:] = g, pre_grad(g)
+            return last[1]
+
+        def vjp_b(g):
+            d = vjp_a(g)
+            gb = _unbroadcast(d, b_shape)
+            return gb.copy() if gb is d else gb  # a and b never share a gradient array
+
+        return self._record(out, (a, b), (vjp_a, vjp_b))
 
     def row_softmax(self, a) -> Node:
         out = _row_softmax(_value(a))

@@ -145,12 +145,13 @@ def init_gcn_params(spec: GcnSpec, in_features: int, rng) -> GcnParams:
     return GcnParams(gcn=gcn_layers, dense=dense_layers)
 
 
-def _apply_activation(tape: Tape, name: str, node: Node) -> Node:
+def _activate(tape: Tape, name: str, pre, b) -> Node:
+    """Record act(pre + b): one op for relu and sigmoid, a bias add for linear."""
     if name == "relu":
-        return tape.relu(node)
+        return tape.relu(pre, b)
     if name == "sigmoid":
-        return tape.sigmoid(node)
-    return node  # linear
+        return tape.sigmoid(pre, b)
+    return tape.add(pre, b)  # linear
 
 
 def aggregate(tape: Tape, z, h) -> Node:
@@ -170,12 +171,11 @@ def gcn_graph(tape: Tape, z, params: GcnParams, x) -> Node:
     h = x
     outs = []
     for layer in params.gcn:
-        h = tape.add(aggregate(tape, z, tape.matmul(h, layer.w)), layer.b)
-        h = _apply_activation(tape, layer.activation, h)
+        h = _activate(tape, layer.activation, aggregate(tape, z, tape.matmul(h, layer.w)), layer.b)
         outs.append(h)
     h = outs[0] if len(outs) == 1 else tape.concat(outs, axis=-1)
     for layer in params.dense:
-        h = _apply_activation(tape, layer.activation, tape.add(tape.matmul(h, layer.w), layer.b))
+        h = _activate(tape, layer.activation, tape.matmul(h, layer.w), layer.b)
     return h
 
 

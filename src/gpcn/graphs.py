@@ -174,11 +174,8 @@ def make_grid(rows: int, cols: int) -> Graph:
 
 def laplacian(g: Graph) -> StructureMatrix:
     """Graph Laplacian A - diag(A @ 1): rows sum to zero, negative semidefinite."""
-    a = g.adjacency().tolil()
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    for i in range(g.n):
-        a[i, i] = -deg[i]
-    return StructureMatrix(mat=a.tocsr())
+    a = g.adjacency()
+    return StructureMatrix(mat=a - sp.diags(a @ np.ones(g.n)))
 
 
 def structure_power(z: StructureMatrix, r: int) -> StructureMatrix:

@@ -73,14 +73,16 @@ def spmm(z, x: np.ndarray) -> np.ndarray:
 # activations
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    """max(x, 0) into ``out`` (a fresh array by default; ``out=x`` works in place)."""
+    return np.maximum(x, 0.0, out=np.empty(np.shape(x)) if out is None else out)
 
 
-def sigmoid(x):
-    """1 / (1 + exp(-x)) on one copy; exp(-x) = inf gives the exact limit 0.
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) in one pass over ``out`` (a fresh array by default;
+    ``out=x`` works in place); exp(-x) = inf gives the exact limit 0.
     -x is floored at -40 (1 + exp(-40) == 1), so exp never takes its slow underflow path."""
-    out = np.negative(x, out=np.empty(np.shape(x)))
+    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
     np.maximum(out, -40.0, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)

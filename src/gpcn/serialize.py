@@ -62,7 +62,7 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
     entries = []
     payload = bytearray()
     for name in arrays:
-        a = np.ascontiguousarray(arrays[name])
+        a = np.asarray(arrays[name])  # keeps a 0-d shape; tobytes() below is C order
         if a.dtype not in (np.dtype(np.float64), np.dtype(np.int64)):
             a = a.astype(np.float64)
         entries.append(

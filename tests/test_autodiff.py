@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from gpcn.autodiff import Tape
 from gpcn.gcn import aggregate
 from gpcn.graphs import StructureMatrix, laplacian, make_grid
-from gpcn.numcore import seeded_rng
+from gpcn.numcore import seeded_rng, sigmoid
 
 
 def mean_square(t, node):
@@ -213,3 +213,57 @@ def test_backward_rejects_a_loss_no_variable_reaches():
     with pytest.raises(ValueError, match="no variable reaches it"):
         tape.backward(loss)
     assert x.grad is None
+
+
+def biased_operands(seed=3):
+    """A (3, n, C) pre-activation and a (C,) bias, with every a + b at least
+    0.05 from relu's kink so the finite differences never cross it."""
+    rng = seeded_rng(seed)
+    a, b = rng.normal(size=(3, 4, 2)), rng.normal(size=(2,))
+    a[np.abs(a + b) < 0.05] += 0.1
+    return a, b
+
+
+@pytest.mark.parametrize("op", ["relu", "sigmoid"])
+def test_biased_activation_matches_fd(op):
+    a, b = biased_operands()
+    act = getattr(Tape, op)
+    check_against_fd(lambda t, v: mean_square(t, act(t, v, b)), a.copy())
+    check_against_fd(lambda t, v: mean_square(t, act(t, a, v)), b.copy())
+    tape = Tape()
+    av, bv = tape.variable(a), tape.variable(b)
+    tape.backward(mean_square(tape, act(tape, av, bv)))
+
+    def loss(x, y):
+        t = Tape()
+        return float(mean_square(t, act(t, x, y)).value)
+
+    for got, fd in ((av.grad, finite_difference(lambda x: loss(x, b), a.copy())),
+                    (bv.grad, finite_difference(lambda y: loss(a, y), b.copy()))):
+        assert np.abs(got - fd).max() / np.abs(fd).max() < 1e-5
+
+
+@pytest.mark.parametrize("op", ["relu", "sigmoid"])
+def test_biased_activation_is_bitwise_the_unfused_chain(op):
+    a, b = biased_operands(seed=4)
+    target = seeded_rng(5).normal(size=a.shape)
+    results = []
+    for fused in (True, False):
+        tape = Tape()
+        av, bv = tape.variable(a), tape.variable(b)
+        act = getattr(tape, op)
+        out = act(av, bv) if fused else act(tape.add(av, bv))
+        tape.backward(tape.mse(out, target))
+        results.append((out.value, av.grad, bv.grad))
+    for fused, unfused in zip(*results):
+        assert np.array_equal(fused, unfused)
+
+
+def test_biased_activation_of_constants_stays_off_the_tape():
+    tape = Tape()
+    a, b = biased_operands()
+    for want, node in ((np.maximum(a + b, 0.0), tape.relu(a, b)),
+                       (sigmoid(a + b), tape.sigmoid(a, b))):
+        assert np.array_equal(node.value, want)
+        assert not node.needs and node.parents == () and node.vjps == ()
+    assert tape._nodes == []

@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gpcn.graphs import (
     Graph,
@@ -109,6 +110,25 @@ class TestLaplacian:
             assert np.all(np.abs(rowsums) < 1e-12 * np.maximum(degrees, 1.0))
             eigs = np.linalg.eigvalsh(l.toarray())
             assert eigs.max() <= 1e-10
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Graphs of 1-12 nodes with any edge subset (isolated nodes included)."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.floats(1e-3, 1e3, allow_nan=False)
+    return Graph(n=n, edges=tuple((u, v, draw(weights)) for u, v in chosen))
+
+
+@given(weighted_graphs())
+def test_laplacian_is_adjacency_minus_degree(g):
+    a = g.adjacency()
+    deg = a @ np.ones(g.n)  # A @ 1, summed over each row's stored entries
+    l = laplacian(g).toarray()
+    assert np.array_equal(l, a.toarray() - np.diag(deg))
+    assert np.all(np.abs(l.sum(axis=1)) <= 1e-12 * np.maximum(deg, 1.0))
 
 
 class TestStructurePower:

@@ -98,6 +98,15 @@ class TestActivations:
         band = x[~normal]
         assert band.size > 0 and band.min() > -709.8 and band.max() < -708.3
 
+    def test_in_place_is_bitwise_the_fresh_result(self):
+        x = np.concatenate([np.linspace(-50.0, 50.0, 1001), [-0.0, np.inf, -np.inf]])
+        for act in (relu, sigmoid):
+            fresh, buf = act(x), x.copy()
+            assert act(buf, out=buf) is buf and np.array_equal(buf, fresh)
+            assert np.array_equal(np.signbit(buf), np.signbit(fresh))
+            zero_d = act(np.array(-1.5))
+            assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+
     def test_linear(self):
         x = np.array([1.5, -2.0])
         assert np.array_equal(linear(x), x)

@@ -65,6 +65,14 @@ def test_round_trip(tmp_path):
     assert np.array_equal(load_arrays(path)[0]["x"], np.zeros((2, 3)))
 
 
+def test_zero_d_round_trip(tmp_path):
+    path = tmp_path / "s.bin"
+    save_arrays(path, {"s": np.float64(2.5), "k": np.array(-3, dtype=np.int64)})
+    arrays, _ = load_arrays(path)
+    assert arrays["s"].shape == () and arrays["s"].dtype == np.float64 and arrays["s"] == 2.5
+    assert arrays["k"].shape == () and arrays["k"].dtype == np.int64 and arrays["k"] == -3
+
+
 BAD_HEADERS = {
     "not-an-object": [],
     "no-arrays": {"meta": {}},
