@@ -265,15 +265,16 @@ def coarse_search(
     _check_alpha(alpha)
     if n_rings < 2:
         raise ValueError(f"candidate ring count n_rings must be at least 2, got {n_rings}")
-    cells = [
-        (k, p, w)
-        for k in sorted(set(k_range))
-        for p in sorted(set(p_range))
-        if 0 <= p < n_rings
-        for w in sorted(set(map(float, seam_weights)))
-    ]
-    if not cells:
-        raise ValueError(f"no candidate tubes: need k values and an offset below {n_rings}")
+    ks = sorted(set(k_range))
+    ps = [p for p in sorted(set(p_range)) if 0 <= p < n_rings]
+    ws = sorted(set(map(float, seam_weights)))
+    if not ws:
+        raise ValueError("no candidate tubes: seam_weights is empty")
+    if not ks:
+        raise ValueError("no candidate tubes: k_values is empty")
+    if not ps:
+        raise ValueError(f"no candidate tubes: no offset in p_values is nonnegative and below {n_rings}")
+    cells = [(k, p, w) for k in ks for p in ps for w in ws]
     cands = [make_tube(n_rings, k, p, w) for k, p, w in cells]
     for cand in cands:
         if cand.n > g_fine.n:

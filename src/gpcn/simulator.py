@@ -12,6 +12,13 @@ Rest lengths and angles are measured from the constructed geometry itself
 (grouped by interaction kind), so the resting configuration has exactly zero
 potential energy; construction fails if those measurements drift from the
 canonical values they are expected to reproduce.
+
+Positions and forces are (n, 3), or (R, n, 3) for R stacked runs. The force
+evaluation works component-major: it copies the positions once into a
+contiguous (3, R, n) array and computes every bond and angle quantity as
+(3, R, m) or (R, m) rows, so numpy runs each elementwise op over whole rows
+instead of thousands of 3-element loops. Sums over components keep the
+(x0 + x1) + x2 order, so results are bitwise those of the (n, 3) formulas.
 """
 
 from __future__ import annotations
@@ -118,24 +125,26 @@ class MtModel:
 
 
 def _dot(a, b):
-    """Row-wise dot product over the last axis of length 3, summed in the
-    order ``np.sum`` and ``np.linalg.norm`` use: (x0 + x1) + x2."""
-    p = a * b
-    return p[..., 0] + p[..., 1] + p[..., 2]
+    """Dot product over the leading axis of length 3 of component-major
+    arrays (3, ...), summed in the order ``np.sum`` and ``np.linalg.norm``
+    use: (x0 + x1) + x2."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _angle_geometry(pos, idx):
-    """Vectorized angle quantities for (i, vertex, k) index triples, over any
-    leading run axes of ``pos``. Used by both geometry construction and the
-    force loop so the rest values measured at build time are bitwise
-    reproducible during integration."""
-    ends = np.take(pos, idx, axis=-2)
-    u = ends[..., 0, :] - ends[..., 1, :]
-    v = ends[..., 2, :] - ends[..., 1, :]
-    lu = np.sqrt(_dot(u, u))
-    lv = np.sqrt(_dot(v, v))
-    uh = u / lu[..., None]
-    vh = v / lv[..., None]
+def _angle_geometry(xyz, idx):
+    """Vectorized angle quantities for (i, vertex, k) index triples, from
+    component-major coordinates ``xyz`` (3, ..., n) with any run axes between.
+    The unit arm vectors come back as (3, ..., m), the rest as
+    (..., m). Used by both geometry construction and the force loop so the
+    rest values measured at build time are bitwise reproducible during
+    integration."""
+    uh, vertex, vh = (np.take(xyz, col, axis=-1) for col in idx.T)
+    uh -= vertex
+    vh -= vertex
+    lu = np.sqrt(_dot(uh, uh))
+    lv = np.sqrt(_dot(vh, vh))
+    uh /= lu
+    vh /= lv
     cos = np.clip(_dot(uh, vh), -1.0, 1.0)
     theta = np.arccos(cos)
     return theta, cos, uh, vh, lu, lv
@@ -216,17 +225,20 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
             for ln in lat_neighbors:
                 for gn in long_neighbors:
                     angle_idx.append((node(*ln), node(*v), node(*gn)))
-                    theta = _angle_geometry(pos, np.array(angle_idx[-1:]))[0][0]
-                    kind = "quad_acute" if np.degrees(theta) < 90.0 else "quad_obtuse"
-                    angle_kind.append(kind)
+                    angle_kind.append(None)  # acute or obtuse, classified below
     angle_idx = np.array(angle_idx, dtype=int)
 
     # rest values are measured from the geometry, grouped by kind, and each
     # group must be internally uniform; the canonical table applies to the
     # 13-column offset-3 lattice it was measured on
-    d = pos[bond_idx[:, 1]] - pos[bond_idx[:, 0]]
+    xyz = pos.T
+    d = np.take(xyz, bond_idx[:, 1], axis=-1) - np.take(xyz, bond_idx[:, 0], axis=-1)
     bond_rest = np.sqrt(_dot(d, d))
-    angle_rest, *_ = _angle_geometry(pos, angle_idx)
+    angle_rest, *_ = _angle_geometry(xyz, angle_idx)
+    angle_kind = [
+        kind or ("quad_acute" if np.degrees(rest) < 90.0 else "quad_obtuse")
+        for kind, rest in zip(angle_kind, angle_rest)
+    ]
     for kinds, rests in ((bond_kind, bond_rest), (angle_kind, np.degrees(angle_rest))):
         for kind in set(kinds):
             group = rests[np.array([k_ == kind for k_ in kinds])]
@@ -253,19 +265,21 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
 
 
 def _scatter_tables(model: MtModel, runs: int):
-    """Flat bincount targets for ``runs`` stacked runs. Forces take the terms
-    as bonds to i, to j, angles to i, k, vertex; energies bonds to i, j,
-    angles to i, vertex, k; so each particle sums in one order at any batch
-    size. The widest batch's tables are kept and sliced for narrower ones."""
-    terms = 2 * len(model.bond_idx) + 3 * len(model.angle_idx)
-    force, energy = model._tables or ((), ())
-    if len(energy) < runs * terms:
+    """Flat bincount targets for ``runs`` stacked runs. Force terms are laid
+    out component-major (3, R, T), so term (c, r, t) on particle p goes to
+    bin 3 (r n + p) + c of the (R, n, 3) result; energy terms are (R, T).
+    Forces take the terms as bonds to i, to j, angles to i, k, vertex;
+    energies bonds to i, j, angles to i, vertex, k; bincount adds in flat
+    order, so each particle sums in one order at any batch size. The widest
+    batch's tables are kept and sliced for narrower ones."""
+    if model._tables is None or model._tables[0].shape[1] < runs:
         (bi, bj), (ai, av, ak) = model.bond_idx.T, model.angle_idx.T
         rows = model.n * np.arange(runs)[:, None]
-        force = (3 * (rows + np.concatenate([bi, bj, ai, ak, av]))[..., None] + np.arange(3)).ravel()
-        energy = (rows + np.concatenate([bi, bj, ai, av, ak])).ravel()
+        force = 3 * (rows + np.concatenate([bi, bj, ai, ak, av])) + np.arange(3)[:, None, None]
+        energy = rows + np.concatenate([bi, bj, ai, av, ak])
         model._tables = (force, energy)
-    return force[: 3 * runs * terms], energy[: runs * terms]
+    force, energy = model._tables
+    return force[:, :runs].ravel(), energy[:runs].ravel()
 
 
 def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.ndarray, energy=True):
@@ -277,29 +291,38 @@ def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.nd
     endpoint, angle energy a third to each participant, so the attribution
     sums exactly to the total; ``energy=False`` skips it (None, None). Angles
     whose arms are collinear to machine precision contribute energy but zero
-    force (finite fallback)."""
+    force (finite fallback). Internally every vector is component-major
+    (3, R, m), one contiguous array per component, so each elementwise op
+    runs over whole rows instead of triples."""
     runs = pos.reshape(-1, model.n, 3)
     force_idx, energy_idx = _scatter_tables(model, len(runs))
+    xyz = np.ascontiguousarray(runs.transpose(2, 0, 1))
 
-    ends = np.take(runs, model.bond_idx, axis=1)
-    d = ends[:, :, 1] - ends[:, :, 0]
+    m_b, m_a = len(model.bond_idx), len(model.angle_idx)
+    terms = np.empty((3, len(runs), 2 * m_b + 3 * m_a))
+    to_i, to_j, to_a, to_c, to_vertex = np.split(terms, np.cumsum([m_b, m_b, m_a, m_a]), axis=-1)
+
+    d = np.take(xyz, model.bond_idx[:, 1], axis=-1) - np.take(xyz, model.bond_idx[:, 0], axis=-1)
     r = np.sqrt(_dot(d, d))
     safe_r = np.where(r > 1e-12, r, 1.0)
     dr = r - model.bond_rest
-    fmag = np.where(r > 1e-12, 2.0 * kb * dr / safe_r, 0.0)
-    fvec = fmag[..., None] * d
+    np.multiply(np.where(r > 1e-12, 2.0 * kb * dr / safe_r, 0.0), d, out=to_i)
+    np.negative(to_i, out=to_j)
 
-    theta, cos, uh, vh, lu, lv = _angle_geometry(runs, model.angle_idx)
+    theta, cos, uh, vh, lu, lv = _angle_geometry(xyz, model.angle_idx)
     delta = theta - model.angle_rest
     sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
     ok = sin > 1e-12
     inv_sin = np.where(ok, 1.0 / np.where(ok, sin, 1.0), 0.0)
-    dth_da = (cos[..., None] * uh - vh) * (inv_sin / lu)[..., None]
-    dth_dc = (cos[..., None] * vh - uh) * (inv_sin / lv)[..., None]
-    coeff = (-2.0 * ka * delta)[..., None]
-    fa = coeff * dth_da
-    fc = coeff * dth_dc
-    terms = np.concatenate([fvec, -fvec, fa, fc, -(fa + fc)], axis=1)
+    coeff = -2.0 * ka * delta
+    # coeff * (d theta / d arm), written into the force terms in place
+    for out, arm, other, length in ((to_a, uh, vh, lu), (to_c, vh, uh, lv)):
+        np.multiply(cos, arm, out=out)
+        out -= other
+        out *= inv_sin / length
+        out *= coeff
+    np.add(to_a, to_c, out=to_vertex)
+    np.negative(to_vertex, out=to_vertex)
     forces = np.bincount(force_idx, weights=terms.ravel(), minlength=runs.size).reshape(pos.shape)
     if not energy:
         return forces, None, None
@@ -471,6 +494,10 @@ def _integrate(model: MtModel, configs: list, seeds: list) -> list:
     state = SimState(np.repeat(model.positions[None], len(configs), axis=0),
                      np.zeros((len(configs), model.n, 3)))
     results = [[] for _ in configs]
+    coeffs = []  # each run's strength columns, constant over its frames
+    for c in configs:
+        full = {**dict.fromkeys(STRENGTH_PARAMS, 1.0), **c.strengths}
+        coeffs.append(np.tile([full[name] for name in config.feature_names()[6:]], (model.n, 1)))
     for _ in range(config.total_steps):
         try:
             step(model, state, config, rngs, _cache=(kb, ka))
@@ -486,9 +513,7 @@ def _integrate(model: MtModel, configs: list, seeds: list) -> list:
                 break
         if state.step_index % config.save_every == 0:
             for i, r in enumerate(live):
-                full = {**dict.fromkeys(STRENGTH_PARAMS, 1.0), **configs[r].strengths}
-                coeffs = np.tile([full[name] for name in config.feature_names()[6:]], (model.n, 1))
-                x = np.concatenate([state.positions[i], state.velocities[i], coeffs], axis=1)
+                x = np.concatenate([state.positions[i], state.velocities[i], coeffs[r]], axis=1)
                 results[r].append(Frame(x=x, y=state.energy[i][:, None]))
     return results
 

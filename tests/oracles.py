@@ -231,6 +231,25 @@ def forces_and_energy_reference(model, pos: np.ndarray, kb: np.ndarray, ka: np.n
     return forces, per_particle, float(e_bond.sum() + e_angle.sum())
 
 
+def angle_kinds_reference(model) -> list:
+    """Each angle's kind, one angle at a time: an arm is longitudinal when it
+    stays in the vertex's column; two longitudinal arms make a straight
+    angle, two lateral arms a pitch angle, and a mixed pair a lattice-cell
+    angle, acute below 90 degrees of its measured opening."""
+    kinds = []
+    for a, v, c in model.angle_idx:
+        longitudinal = [end % model.k == v % model.k for end in (a, c)]
+        if all(longitudinal):
+            kinds.append("long_angle")
+        elif not any(longitudinal):
+            kinds.append("lat_angle")
+        else:
+            u, w = model.positions[a] - model.positions[v], model.positions[c] - model.positions[v]
+            cos = np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))
+            kinds.append("quad_acute" if np.degrees(np.arccos(cos)) < 90.0 else "quad_obtuse")
+    return kinds
+
+
 def _run_reference(model, config, seed):
     """One velocity-Verlet run that evaluates the force twice per step and
     attributes energy at each saved frame: (frames, None) as (x, y) pairs,

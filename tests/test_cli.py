@@ -352,6 +352,17 @@ BAD_INPUTS = {
         ({"model": "single_gcn", "schedule": {"kind": "gamma_cycle", "total_epochs": 1}}, None),
         [],
     ),
+    "coarse-search-seam-weights-empty": ("coarse-search", dict(SEARCH_CONFIG, seam_weights=[]), []),
+    "coarse-search-k-values-empty": ("coarse-search", dict(SEARCH_CONFIG, k_values=[]), []),
+    "coarse-search-p-values-empty": ("coarse-search", dict(SEARCH_CONFIG, p_values=[]), []),
+}
+
+# cases whose one line must name the one input that left no candidate
+EMPTY_SEARCH_MESSAGES = {
+    "coarse-search-seam-weights-empty": "seam_weights is empty",
+    "coarse-search-k-values-empty": "k_values is empty",
+    "coarse-search-p-values-empty": "no offset in p_values is nonnegative and below 4",
+    "coarse-search-no-candidates": "no offset in p_values is nonnegative and below 4",
 }
 
 
@@ -389,6 +400,14 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, request, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_SEARCH_MESSAGES))
+def test_coarse_search_names_the_empty_input(tmp_path, capsys, case):
+    _, config, _ = BAD_INPUTS[case]
+    cfg = write_json(tmp_path / "c.json", config)
+    assert main(["coarse-search", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: no candidate tubes: {EMPTY_SEARCH_MESSAGES[case]}\n"
 
 
 @pytest.fixture(scope="module")

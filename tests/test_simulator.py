@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpcn.simulator as simulator
 from gpcn.numcore import seeded_rng
@@ -21,7 +22,13 @@ from gpcn.simulator import (
     tip_deflection,
 )
 
-from tests.oracles import angle_energy, bond_energy, forces_and_energy_reference, simulate_reference
+from tests.oracles import (
+    angle_energy,
+    angle_kinds_reference,
+    bond_energy,
+    forces_and_energy_reference,
+    simulate_reference,
+)
 from tests.test_autodiff import finite_difference
 
 
@@ -63,6 +70,44 @@ class TestGeometry:
             if v == interior:
                 counts[kind] = counts.get(kind, 0) + 1
         assert counts == {"lat_angle": 1, "long_angle": 1, "quad_acute": 2, "quad_obtuse": 2}
+
+
+@st.composite
+def tube_shapes(draw):
+    """(n_rings, k, offset) of a small tube that builds: the helical rise
+    must stay below the lateral rest length, so the offset is at most k."""
+    n_rings, k = draw(st.integers(2, 8)), draw(st.integers(3, 13))
+    return n_rings, k, draw(st.integers(0, min(n_rings - 1, k)))
+
+
+@settings(max_examples=40)
+@given(tube_shapes())
+def test_angle_kinds_match_per_angle_classification(shape):
+    m = build_geometry(*shape)
+    assert m.angle_kind == angle_kinds_reference(m)
+
+
+@settings(max_examples=40)
+@given(tube_shapes(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stacked_forces_match_add_at_reference_bitwise(shape, runs, seed):
+    m = build_geometry(*shape)
+    rng = seeded_rng(seed)
+    scale = rng.uniform(0.01, 0.5)
+    pos = m.positions + scale * rng.normal(size=(runs, *m.positions.shape))
+    kb = rng.uniform(10.0, 200.0, size=(runs, len(m.bond_idx)))
+    ka = rng.uniform(100.0, 900.0, size=(runs, len(m.angle_idx)))
+    if rng.integers(2):  # a wider batch first, so the call below reads a sliced table
+        wide = runs + 1 + int(rng.integers(3))
+        forces_and_energy(m, np.resize(pos, (wide, *m.positions.shape)),
+                          np.resize(kb, (wide, kb.shape[1])), np.resize(ka, (wide, ka.shape[1])))
+    forces, per_particle, total = forces_and_energy(m, pos, kb, ka)
+    for r in range(runs):
+        ref = forces_and_energy_reference(m, pos[r], kb[r], ka[r])
+        assert forces[r].tobytes() == ref[0].tobytes()
+        assert per_particle[r].tobytes() == ref[1].tobytes()
+        assert total[r] == ref[2]
+    only, none, no_total = forces_and_energy(m, pos, kb, ka, energy=False)
+    assert only.tobytes() == forces.tobytes() and none is None and no_total is None
 
 
 class TestEnergies:
