@@ -19,6 +19,11 @@ contiguous (3, R, n) array and computes every bond and angle quantity as
 (3, R, m) or (R, m) rows, so numpy runs each elementwise op over whole rows
 instead of thousands of 3-element loops. Sums over components keep the
 (x0 + x1) + x2 order, so results are bitwise those of the (n, 3) formulas.
+Every angle arm is a bond, so the angle pass gathers its unit arm vectors
+and lengths from the bond pass through a signed arm table built with the
+geometry. The force terms fill five contiguous (3, R, m) blocks, and one
+0/1 CSR matrix per batch size, cached on the model, sums them per particle
+in a fixed order, so stacked runs match single runs bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .numcore import NumericalError, seeded_rng
 from .serialize import check_fields, check_value, dump_json, load_arrays, save_arrays, write_csv
@@ -101,12 +108,18 @@ class MtModel:
     angle_idx: np.ndarray  # (m_a, 3) with the vertex in the middle
     angle_kind: list
     angle_rest: np.ndarray  # (m_a,) radians, measured
-    # bincount targets of the widest batch scattered so far (see _scatter_tables)
-    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    angle_arms: np.ndarray  # (m_a, 2) signed bond of each arm (see _arm_table)
+    # (runs, force matrix, energy matrix) of the latest batch (see _scatter_matrices)
+    _scatter: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def guard(self) -> float:
+        """Largest |coordinate| a run may reach before it counts as diverged."""
+        return _GUARD_FACTOR * max(1.0, np.abs(self.positions).max())
 
     def clamp_set(self) -> np.ndarray:
         """First two rings (the held end)."""
@@ -131,20 +144,40 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _angle_geometry(xyz, idx):
-    """Vectorized angle quantities for (i, vertex, k) index triples, from
-    component-major coordinates ``xyz`` (3, ..., n) with any run axes between.
-    The unit arm vectors come back as (3, ..., m), the rest as
-    (..., m). Used by both geometry construction and the force loop so the
-    rest values measured at build time are bitwise reproducible during
+def _arm_table(bond_idx, angle_idx, n):
+    """Signed bond of every angle arm, (m_a, 2) for the arms vertex -> i and
+    vertex -> k: b where bond b runs vertex -> end (d = x[end] - x[vertex]),
+    b + m_b where it runs end -> vertex. Looked up by searchsorted on
+    encoded (from, to) keys; raises ValueError for an arm that is no bond."""
+    keys = np.concatenate([bond_idx @ [n, 1], bond_idx @ [1, n]])
+    order = np.argsort(keys)
+    arms = n * angle_idx[:, [1, 1]] + angle_idx[:, [0, 2]]
+    at = order[np.minimum(np.searchsorted(keys, arms, sorter=order), len(keys) - 1)]
+    missing = keys[at] != arms
+    if missing.any():
+        a, c = np.argwhere(missing)[0]
+        raise ValueError(f"angle arm {angle_idx[a, 1]} -> {angle_idx[a, 2 * c]} is not a bond")
+    return at
+
+
+def _angle_geometry(d, r, arms):
+    """Vectorized angle quantities from the bond pass: component-major bond
+    vectors ``d`` (3, ..., m_b) with lengths ``r`` (..., m_b), and the signed
+    arm table of :func:`_arm_table`. Each arm is a unit bond vector d / r or
+    0 - d / r, and its length that bond's r. x[v] - x[i] is 0 - (x[i] - x[v])
+    exactly (equal coordinates give +0 both ways, where a negation would give
+    -0), and both have the same norm, so the arms are bitwise those taken
+    from positions.
+    The unit arm vectors come back as (3, ..., m_a), the rest as (..., m_a).
+    Used by both geometry construction and the force loop, so the rest
+    values measured at build time are bitwise reproducible during
     integration."""
-    uh, vertex, vh = (np.take(xyz, col, axis=-1) for col in idx.T)
-    uh -= vertex
-    vh -= vertex
-    lu = np.sqrt(_dot(uh, uh))
-    lv = np.sqrt(_dot(vh, vh))
-    uh /= lu
-    vh /= lv
+    m_b = r.shape[-1]
+    e = np.empty(d.shape[:-1] + (2 * m_b,))
+    np.divide(d, r, out=e[..., :m_b])
+    np.subtract(0.0, e[..., :m_b], out=e[..., m_b:])
+    uh, vh = (np.take(e, col, axis=-1) for col in arms.T)
+    lu, lv = (np.take(r, col, axis=-1, mode="wrap") for col in arms.T)  # b + m_b wraps to b
     cos = np.clip(_dot(uh, vh), -1.0, 1.0)
     theta = np.arccos(cos)
     return theta, cos, uh, vh, lu, lv
@@ -234,7 +267,8 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
     xyz = pos.T
     d = np.take(xyz, bond_idx[:, 1], axis=-1) - np.take(xyz, bond_idx[:, 0], axis=-1)
     bond_rest = np.sqrt(_dot(d, d))
-    angle_rest, *_ = _angle_geometry(xyz, angle_idx)
+    angle_arms = _arm_table(bond_idx, angle_idx, n)
+    angle_rest, *_ = _angle_geometry(d, bond_rest, angle_arms)
     angle_kind = [
         kind or ("quad_acute" if np.degrees(rest) < 90.0 else "quad_obtuse")
         for kind, rest in zip(angle_kind, angle_rest)
@@ -261,25 +295,34 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
                     f"vs expected {REST_ANGLES_DEG[kind]}"
                 )
     return MtModel(n_rings, k, offset, pos, MASS_DALTON, bond_idx, bond_kind, bond_rest,
-                   angle_idx, angle_kind, angle_rest)
+                   angle_idx, angle_kind, angle_rest, angle_arms)
 
 
-def _scatter_tables(model: MtModel, runs: int):
-    """Flat bincount targets for ``runs`` stacked runs. Force terms are laid
-    out component-major (3, R, T), so term (c, r, t) on particle p goes to
-    bin 3 (r n + p) + c of the (R, n, 3) result; energy terms are (R, T).
-    Forces take the terms as bonds to i, to j, angles to i, k, vertex;
-    energies bonds to i, j, angles to i, vertex, k; bincount adds in flat
-    order, so each particle sums in one order at any batch size. The widest
-    batch's tables are kept and sliced for narrower ones."""
-    if model._tables is None or model._tables[0].shape[1] < runs:
+def _scatter_matrices(model: MtModel, runs: int):
+    """0/1 CSR matrices that sum the force and energy terms of ``runs``
+    stacked runs. Force terms come block-major, five contiguous (3, R, m)
+    blocks: bonds to i, to j, angles to i, to k, to the vertex; term (c, r, t)
+    of a block on particle p is a column of row 3 (r n + p) + c of the
+    (R, n, 3) result. Energy terms are five (R, m) blocks: bonds to i, j,
+    angles to i, vertex, k. Each row lists its columns in ascending order,
+    and the matvec sums a row from 0.0 in that order, so every particle adds
+    its terms in one fixed order at any batch size: block by block, each in
+    interaction order. Built on the first force call of a batch size and
+    kept for the latest one only."""
+    if model._scatter is None or model._scatter[0] != runs:
         (bi, bj), (ai, av, ak) = model.bond_idx.T, model.angle_idx.T
         rows = model.n * np.arange(runs)[:, None]
-        force = 3 * (rows + np.concatenate([bi, bj, ai, ak, av])) + np.arange(3)[:, None, None]
-        energy = rows + np.concatenate([bi, bj, ai, av, ak])
-        model._tables = (force, energy)
-    force, energy = model._tables
-    return force[:, :runs].ravel(), energy[:runs].ravel()
+
+        def csr(blocks, n_rows):
+            target = np.concatenate([b.ravel() for b in blocks])
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(target, minlength=n_rows))])
+            cols = np.argsort(target, kind="stable")
+            return sp.csr_matrix((np.ones(len(target)), cols, indptr), shape=(n_rows, len(target)))
+
+        force = [3 * (rows + idx) + np.arange(3)[:, None, None] for idx in (bi, bj, ai, ak, av)]
+        energy = [rows + idx for idx in (bi, bj, ai, av, ak)]
+        model._scatter = (runs, csr(force, 3 * runs * model.n), csr(energy, runs * model.n))
+    return model._scatter[1:]
 
 
 def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.ndarray, energy=True):
@@ -293,14 +336,20 @@ def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.nd
     whose arms are collinear to machine precision contribute energy but zero
     force (finite fallback). Internally every vector is component-major
     (3, R, m), one contiguous array per component, so each elementwise op
-    runs over whole rows instead of triples."""
+    runs over whole rows instead of triples; the angle arms are the bond
+    vectors of the bond pass, and the force terms are written in place into
+    contiguous blocks that one cached sparse product sums per particle."""
     runs = pos.reshape(-1, model.n, 3)
-    force_idx, energy_idx = _scatter_tables(model, len(runs))
+    force_mat, energy_mat = _scatter_matrices(model, len(runs))
     xyz = np.ascontiguousarray(runs.transpose(2, 0, 1))
 
     m_b, m_a = len(model.bond_idx), len(model.angle_idx)
-    terms = np.empty((3, len(runs), 2 * m_b + 3 * m_a))
-    to_i, to_j, to_a, to_c, to_vertex = np.split(terms, np.cumsum([m_b, m_b, m_a, m_a]), axis=-1)
+    width = 3 * len(runs)
+    terms = np.empty(width * (2 * m_b + 3 * m_a))
+    to_i, to_j, to_a, to_c, to_vertex = (
+        block.reshape(3, len(runs), -1)
+        for block in np.split(terms, width * np.cumsum([m_b, m_b, m_a, m_a]))
+    )
 
     d = np.take(xyz, model.bond_idx[:, 1], axis=-1) - np.take(xyz, model.bond_idx[:, 0], axis=-1)
     r = np.sqrt(_dot(d, d))
@@ -309,7 +358,7 @@ def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.nd
     np.multiply(np.where(r > 1e-12, 2.0 * kb * dr / safe_r, 0.0), d, out=to_i)
     np.negative(to_i, out=to_j)
 
-    theta, cos, uh, vh, lu, lv = _angle_geometry(xyz, model.angle_idx)
+    theta, cos, uh, vh, lu, lv = _angle_geometry(d, r, model.angle_arms)
     delta = theta - model.angle_rest
     sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
     ok = sin > 1e-12
@@ -323,15 +372,15 @@ def forces_and_energy(model: MtModel, pos: np.ndarray, kb: np.ndarray, ka: np.nd
         out *= coeff
     np.add(to_a, to_c, out=to_vertex)
     np.negative(to_vertex, out=to_vertex)
-    forces = np.bincount(force_idx, weights=terms.ravel(), minlength=runs.size).reshape(pos.shape)
+    forces = (force_mat @ terms).reshape(pos.shape)
     if not energy:
         return forces, None, None
 
     e_bond = kb * dr * dr
     e_angle = ka * delta * delta
     half, share = 0.5 * e_bond, e_angle / 3.0
-    terms = np.concatenate([half, half, share, share, share], axis=1)
-    per_particle = np.bincount(energy_idx, weights=terms.ravel(), minlength=runs.size // 3)
+    terms = np.concatenate([half, half, share, share, share], axis=None)
+    per_particle = energy_mat @ terms
     total = e_bond.sum(axis=-1) + e_angle.sum(axis=-1)
     return forces, per_particle.reshape(pos.shape[:-1]), total if pos.ndim == 3 else float(total[0])
 
@@ -443,35 +492,38 @@ def step(model: MtModel, state: SimState, config: SimConfig, rng=None, *, _cache
     if config.langevin and kt > 0.0:
         if rng is None:
             raise ValueError("langevin noise needs an rng")
-        sigma = np.sqrt(2.0 * mass * gamma * kt / dt)
-        rngs = rng if pos.ndim == 3 else [rng]
-        noise = sigma * np.stack([g.normal(size=model.positions.shape) for g in rngs]).reshape(pos.shape)
+        noise = np.empty(pos.shape)
+        for g, out in zip(rng if pos.ndim == 3 else [rng], noise.reshape(-1, model.n, 3), strict=True):
+            g.standard_normal(out=out)
+        noise *= np.sqrt(2.0 * mass * gamma * kt / dt)
     if state.forces is None:
         state.forces, _, _ = forces_and_energy(model, pos, kb, ka, energy=False)
 
-    def total_force():
+    def half_kick():
+        """((0.5 dt) f) / mass for the total force f, computed in place."""
         f = state.forces.copy()
         f[..., forced, 1] -= min((state.step_index + 1) / config.ramp_steps, 1.0) * config.max_force
         if config.langevin:
             f -= mass * gamma * vel
             if noise is not None:
                 f += noise
+        f *= 0.5 * dt
+        f /= mass
         return f
 
-    vel += 0.5 * dt * total_force() / mass
+    vel += half_kick()
     pos += dt * vel
     pos[..., clamp, :] = model.positions[clamp]
     vel[..., clamp, :] = 0.0
     frame = (state.step_index + 1) % config.save_every == 0
     state.forces, state.energy, _ = forces_and_energy(model, pos, kb, ka, energy=frame)
-    vel += 0.5 * dt * total_force() / mass
+    vel += half_kick()
     vel[..., clamp, :] = 0.0
     state.step_index += 1
 
-    guard = _GUARD_FACTOR * max(1.0, np.abs(model.positions).max())
     runs = np.abs(pos.reshape(-1, model.n * 3))
     messages = {}
-    for r in np.flatnonzero(~(runs.max(axis=1) <= guard)):  # NaN fails the comparison too
+    for r in np.flatnonzero(~(runs.max(axis=1) <= model.guard)):  # NaN fails the comparison too
         finite = runs[r][np.isfinite(runs[r])]
         messages[int(r)] = (f"simulation diverged at step {state.step_index}: "
                             f"max |coordinate| = {finite.max() if finite.size else np.inf:.3g} nm")

@@ -80,6 +80,41 @@ def tube_shapes(draw):
     return n_rings, k, draw(st.integers(0, min(n_rings - 1, k)))
 
 
+def assert_arms_are_signed_bonds(m):
+    """Each angle arm (vertex -> i, vertex -> k) maps to a bond joining the
+    same two particles, flipped exactly when the bond runs end -> vertex, so
+    its signed bond vector (0 - d when flipped) is the arm's vector bit for bit."""
+    m_b = len(m.bond_idx)
+    assert m.angle_arms.shape == (len(m.angle_idx), 2)
+    assert ((0 <= m.angle_arms) & (m.angle_arms < 2 * m_b)).all()
+    tail, head = np.moveaxis(m.bond_idx[m.angle_arms % m_b], -1, 0)
+    flipped = m.angle_arms >= m_b
+    vertex, end = m.angle_idx[:, [1, 1]], m.angle_idx[:, [0, 2]]
+    assert np.array_equal(np.where(flipped, head, tail), vertex)
+    assert np.array_equal(np.where(flipped, tail, head), end)
+    d = m.positions[head] - m.positions[tail]
+    arm = m.positions[end] - m.positions[vertex]
+    assert np.where(flipped[..., None], 0.0 - d, d).tobytes() == arm.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(12, 13, 3), (48, 13, 3), (5, 7, 0), (8, 9, 4)])
+def test_angle_arms_are_signed_bonds(shape):
+    assert_arms_are_signed_bonds(build_geometry(*shape))
+
+
+@settings(max_examples=30)
+@given(tube_shapes())
+def test_angle_arms_are_signed_bonds_on_any_tube(shape):
+    assert_arms_are_signed_bonds(build_geometry(*shape))
+
+
+def test_arm_table_rejects_an_arm_that_is_no_bond():
+    bonds = np.array([[0, 1], [2, 1]])
+    assert simulator._arm_table(bonds, np.array([[0, 1, 2]]), 4).tolist() == [[2, 3]]
+    with pytest.raises(ValueError, match="3 is not a bond"):
+        simulator._arm_table(bonds, np.array([[0, 1, 3]]), 4)
+
+
 @settings(max_examples=40)
 @given(tube_shapes())
 def test_angle_kinds_match_per_angle_classification(shape):
@@ -185,6 +220,20 @@ class TestEnergies:
             assert total[r] == t1
         only, none, _ = forces_and_energy(m, pos, kb, ka, energy=False)
         assert only.tobytes() == forces.tobytes() and none is None
+
+    def test_changing_batch_sizes_match_add_at_reference_bitwise(self):
+        m = build_geometry(6, 13, 3)
+        rng = seeded_rng(19)
+        for runs in (3, 9, 3, 1):
+            kb = rng.uniform(50.0, 150.0, size=(runs, len(m.bond_idx)))
+            ka = rng.uniform(300.0, 700.0, size=(runs, len(m.angle_idx)))
+            pos = m.positions + 0.1 * rng.normal(size=(runs, *m.positions.shape))
+            forces, per_particle, total = forces_and_energy(m, pos, kb, ka)
+            for r in range(runs):
+                ref = forces_and_energy_reference(m, pos[r], kb[r], ka[r])
+                assert forces[r].tobytes() == ref[0].tobytes()
+                assert per_particle[r].tobytes() == ref[1].tobytes()
+                assert total[r] == ref[2]
 
     def test_collinear_angle_has_finite_fallback(self):
         m = build_geometry(4, 13, 3)
