@@ -6,10 +6,23 @@ column-orthonormal matrices P of the Frobenius mismatch between
 three steps:
 
 1. eigendecompose both Laplacians,
-2. match the spectra by solving a rectangular linear assignment problem
-   with cost ``(lam_coarse / alpha - alpha * lam_fine)**2``,
+2. match the ascending spectra by the order-preserving assignment of
+   least total cost ``(lam_coarse / alpha - alpha * lam_fine)**2``,
 3. lift the optimal subpermutation to P = U_fine Pt U_coarse^T, which is
    the product of the assigned columns of the two eigenbases.
+
+Step 2 is exact. With both spectra ascending, the cost (a_j - b_l)**2
+with a = lam_coarse / alpha and b = alpha * lam_fine is a Monge matrix: for
+j < j' and l < l', c(j, l) + c(j', l') <= c(j, l') + c(j', l), and the
+right side exceeds the left by 2 (a_j' - a_j)(b_l' - b_l) >= 0. Uncrossing
+two pairs of an injection never raises its cost, so some order-preserving
+injection is optimal. :func:`rlap_solve` finds the best one with a dynamic
+program over the coarse index: coarse j takes fine j + s with the shift s
+nondecreasing in j, so each row of the table is the previous row's running
+(prefix) minimum plus the row's band of costs, O(n_c (n_f - n_c + 1)) in
+all. Ties are broken by a fixed rule: walking back from the last coarse
+index, each coarse index takes the lowest fine index among its equal-cost
+choices.
 
 The fine graph's spectrum may be passed to :func:`gdd` instead of computed.
 :func:`coarse_search` and :func:`limit_curve` compare several coarse graphs
@@ -36,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graphs import Graph, StructureMatrix, laplacian, make_tube
 from .numcore import EigenSystem, eig_sym
@@ -104,43 +117,76 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
 
 
-def _cost_matrix(lam_coarse: np.ndarray, lam_fine: np.ndarray, alpha: float) -> np.ndarray:
+def _check_spectrum(lam, what: str) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1:
+        raise ValueError(f"{what} spectrum must be 1-D, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"{what} spectrum has non-finite entries")
+    if np.any(lam[1:] < lam[:-1]):
+        raise ValueError(f"{what} spectrum is not ascending")
+    return lam
+
+
+def rlap_solve(lam_coarse, lam_fine, alpha: float) -> Assignment:
+    """Least-cost order-preserving injection of a coarse spectrum into a fine one.
+
+    Both spectra must be ascending; the cost of pairing coarse j with fine l
+    is ``(lam_coarse[j] / alpha - alpha * lam_fine[l])**2``. No
+    order-crossing injection costs less (see the module docstring), so the
+    result is a minimum-cost rectangular assignment. Among equal-cost
+    choices the lowest fine index wins, walking back from the last coarse
+    index. Only the band of fine indices j..j + n_f - n_c that coarse j can
+    take is built, never the full cost matrix.
+    """
+    x = _check_spectrum(lam_coarse, "coarse")
+    y = _check_spectrum(lam_fine, "fine")
     _check_alpha(alpha)
-    d = lam_coarse[:, None] / alpha - alpha * lam_fine[None, :]
-    return d * d
-
-
-def rlap_solve(cost: np.ndarray) -> Assignment:
-    """Minimum-cost injection of rows into columns of a rectangular cost matrix."""
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
-    if cost.shape[0] > cost.shape[1]:
+    m, n = x.size, y.size
+    if m == 0 or m > n:
         raise ValueError(
-            f"rlap needs rows <= cols (injection direction), got {cost.shape}"
+            f"need 1 <= coarse size <= fine size for an injection, got {m} and {n}"
         )
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix has non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple((int(j), int(l)) for j, l in zip(rows, cols))
-    total = float(cost[rows, cols].sum())
+    w = n - m + 1
+    # best[j, s] starts as the cost of pairing coarse j with fine j + s and
+    # becomes the least cost of coarse 0..j with coarse j on fine j + s
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = alpha * sliding_window_view(y, w)[:m]
+        np.subtract(x[:, None] / alpha, best, out=best)
+        best *= best
+    if not np.all(np.isfinite(best)):
+        raise ValueError(f"assignment cost overflows at alpha={alpha!r}")
+    prefix_min = np.empty(w)
+    for prev, row in zip(best, best[1:]):
+        np.minimum.accumulate(prev, out=prefix_min)
+        row += prefix_min
+    shift = np.empty(m, dtype=np.intp)
+    s = w - 1
+    for j in range(m - 1, -1, -1):
+        s = int(best[j, : s + 1].argmin())  # first minimum: lowest fine index
+        shift[j] = s
+    fine = np.arange(m) + shift
+    d = x / alpha - alpha * y[fine]
+    total = float((d * d).sum())
+    pairs = tuple(zip(range(m), fine.tolist()))
     return Assignment(pairs=pairs, total_cost=total)
 
 
 def warm_start(e_coarse: EigenSystem, e_fine: EigenSystem, a: Assignment) -> np.ndarray:
     """Lift an eigenmode assignment to the map U_fine Pt U_coarse^T.
 
-    Pt is the 0/1 subpermutation with Pt[l, j] = 1 for each pair (j, l), so
-    the product is the assigned fine eigenvectors times the assigned coarse
-    ones, gathered in pair order.
+    Pt is the 0/1 subpermutation with Pt[l, j] = 1 for each pair (j, l). The
+    pairs must take coarse indices 0..n_c-1 in order, as :func:`rlap_solve`'s
+    do, so the product is the assigned fine eigenvectors, gathered in pair
+    order, times U_coarse^T.
     """
     n_c, n_f = e_coarse.n, e_fine.n
     for j, l in a.pairs:
         if not (0 <= j < n_c and 0 <= l < n_f):
             raise ValueError(f"assignment pair ({j},{l}) out of range")
-    coarse_idx = [j for j, _ in a.pairs]
-    fine_idx = [l for _, l in a.pairs]
-    return e_fine.u[:, fine_idx] @ e_coarse.u[:, coarse_idx].T
+    if [j for j, _ in a.pairs] != list(range(n_c)):
+        raise ValueError(f"assignment must pair coarse indices 0..{n_c - 1} in order")
+    return e_fine.u[:, [l for _, l in a.pairs]] @ e_coarse.u.T
 
 
 def _objective(p, l_coarse, l_fine_mat, alpha):
@@ -238,8 +284,7 @@ def gdd(
         )
     e_coarse = eig_sym(laplacian(g_coarse))
     e_fine = eig_sym(laplacian(g_fine)) if fine_spectrum is None else fine_spectrum
-    cost = _cost_matrix(e_coarse.lambdas, e_fine.lambdas, alpha)
-    assignment = rlap_solve(cost)
+    assignment = rlap_solve(e_coarse.lambdas, e_fine.lambdas, alpha)
     p = warm_start(e_coarse, e_fine, assignment)
     return Prolongation(p=p, alpha=alpha, objective=assignment.total_cost)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,22 +44,30 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
-        seen = set()
-        canon = []
-        for (u, v, w) in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u == v:
-                raise ValueError(f"self loop at node {u}")
-            if not 0 < w < np.inf:
-                raise ValueError(f"edge ({u},{v}) weight {w} is not finite and positive")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canon.append((key[0], key[1], float(w)))
-        canon.sort(key=lambda e: (e[0], e[1]))
-        object.__setattr__(self, "edges", tuple(canon))
+        if any(len(e) != 3 for e in self.edges):
+            raise ValueError("every edge must be a (u, v, weight) triple")
+        flat = np.fromiter(chain.from_iterable(self.edges), float, 3 * len(self.edges))
+        u, v, w = flat.reshape(-1, 3).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        ok = (lo == np.floor(lo)) & (hi == np.floor(hi)) & (0 <= lo) & (hi < self.n)
+        ok &= (lo != hi) & (0 < w) & (w < np.inf)
+        n_ok = len(ok) if ok.all() else int(ok.argmin())
+        # edges are checked in order, so a duplicate of an earlier edge that
+        # comes before the first invalid edge is the one reported
+        lo, hi, w = lo[:n_ok].astype(np.int64), hi[:n_ok].astype(np.int64), w[:n_ok]
+        key = lo * self.n + hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        dup = order[1:][key[1:] == key[:-1]]
+        if dup.size:
+            u, v, _ = self.edges[dup.min()]
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+        if n_ok < len(ok):
+            _check_edge(self.n, *self.edges[n_ok])
+        lo, hi, w = lo[order], hi[order], w[order]
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist())))
+        # the same edges as arrays, for building matrices and relabelling
+        object.__setattr__(self, "_columns", (lo, hi, w))
 
     @property
     def num_edges(self) -> int:
@@ -66,12 +75,7 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric weighted adjacency matrix in CSR form."""
-        if not self.edges:
-            return sp.csr_matrix((self.n, self.n))
-        u, v, w = zip(*self.edges)
-        u = np.asarray(u)
-        v = np.asarray(v)
-        w = np.asarray(w, dtype=float)
+        u, v, w = self._columns
         a = sp.coo_matrix(
             (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
             shape=(self.n, self.n),
@@ -79,6 +83,17 @@ class Graph:
         out = a.tocsr()
         out.sort_indices()
         return out
+
+
+def _check_edge(n: int, u, v, w) -> None:
+    """Raise the ValueError that the first invalid edge (u, v, w) earns."""
+    if not (float(u).is_integer() and float(v).is_integer()):
+        raise ValueError(f"edge ({u},{v}) has a node id that is not an integer")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"self loop at node {u}")
+    raise ValueError(f"edge ({u},{v}) weight {w} is not finite and positive")
 
 
 @dataclass(frozen=True)
@@ -115,13 +130,6 @@ class StructureMatrix:
         return self.toarray() if 2 * self.nnz > self.mat.shape[0] * self.mat.shape[1] else None
 
 
-def _merge_edges(acc: dict, u: int, v: int, w: float) -> None:
-    # coincident constructions (degenerate tubes with k=2) collapse to a
-    # single edge of summed weight, keeping the edge set a set
-    key = (min(u, v), max(u, v))
-    acc[key] = acc.get(key, 0.0) + w
-
-
 def make_tube(n_rings: int, k_per_turn: int, offset: int, seam_weight: float = 1.0) -> Graph:
     """Helical tube graph on ``n_rings * k_per_turn`` nodes.
 
@@ -140,36 +148,31 @@ def make_tube(n_rings: int, k_per_turn: int, offset: int, seam_weight: float = 1
         raise ValueError(f"seam_weight must be positive, got {seam_weight}")
 
     k = k_per_turn
-    acc: dict = {}
-    for i in range(n_rings):
-        for j in range(k):
-            node = i * k + j
-            if i + 1 < n_rings:
-                _merge_edges(acc, node, (i + 1) * k + j, 1.0)
-            if j + 1 < k:
-                _merge_edges(acc, node, i * k + j + 1, 1.0)
-        if i + offset < n_rings:
-            _merge_edges(acc, i * k + (k - 1), (i + offset) * k, seam_weight)
+    ids = np.arange(n_rings * k).reshape(n_rings, k)
+    seams = n_rings - offset
+    u = np.concatenate([ids[:-1].ravel(), ids[:, :-1].ravel(), ids[:seams, k - 1]])
+    v = np.concatenate([ids[1:].ravel(), ids[:, 1:].ravel(), ids[offset:, 0]])
+    w = np.concatenate([np.ones(u.size - seams), np.full(seams, float(seam_weight))])
+    # coincident constructions (degenerate tubes with k=2) collapse to a
+    # single edge of summed weight, keeping the edge set a set
+    key, pos = np.unique(np.minimum(u, v) * ids.size + np.maximum(u, v), return_inverse=True)
+    w = np.bincount(pos, weights=w)
     name = f"Tube({n_rings},{k},{offset})"
     if seam_weight != 1.0:
         name += f"[seam={seam_weight:g}]"
-    edges = tuple((u, v, w) for (u, v), w in acc.items())
-    return Graph(n=n_rings * k, edges=edges, name=name)
+    edges = tuple(zip((key // ids.size).tolist(), (key % ids.size).tolist(), w.tolist()))
+    return Graph(n=ids.size, edges=edges, name=name)
 
 
 def make_grid(rows: int, cols: int) -> Graph:
     """4-neighbor lattice on ``rows * cols`` nodes, unit weights, row-major ids."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs rows >= 1 and cols >= 1")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            node = i * cols + j
-            if j + 1 < cols:
-                edges.append((node, node + 1, 1.0))
-            if i + 1 < rows:
-                edges.append((node, node + cols, 1.0))
-    return Graph(n=rows * cols, edges=tuple(edges), name=f"Grid({rows},{cols})")
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:].ravel()])
+    edges = tuple(zip(u.tolist(), v.tolist(), [1.0] * u.size))
+    return Graph(n=ids.size, edges=edges, name=f"Grid({rows},{cols})")
 
 
 def laplacian(g: Graph) -> StructureMatrix:
@@ -193,7 +196,9 @@ def relabel(g: Graph, perm) -> Graph:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of range(n)")
-    edges = tuple((perm[u], perm[v], w) for (u, v, w) in g.edges)
+    u, v, w = g._columns
+    p = np.asarray(perm)
+    edges = tuple(zip(p[u].tolist(), p[v].tolist(), w.tolist()))
     return Graph(n=g.n, edges=edges, name=g.name + "~relabel")
 
 

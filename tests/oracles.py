@@ -11,8 +11,10 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from gpcn.gcn import GcnLayerParams, GcnParams
+from gpcn.gdd import Assignment
 from gpcn.graphs import StructureMatrix
 from gpcn.numcore import row_softmax, spmm
 from gpcn.simulator import STRENGTH_PARAMS
@@ -168,6 +170,57 @@ def assignment_cost(lambda_coarse: float, lambda_fine: float, alpha: float) -> f
     entry at a time, to check the package's vectorized cost matrix."""
     d = lambda_coarse / alpha - alpha * lambda_fine
     return float(d * d)
+
+
+def rlap_reference(cost: np.ndarray) -> Assignment:
+    """Minimum-cost injection of the rows of any cost matrix into its columns,
+    by the Hungarian method, to check the package's monotone assignment."""
+    rows, cols = linear_sum_assignment(cost)
+    pairs = tuple((int(j), int(l)) for j, l in zip(rows, cols))
+    return Assignment(pairs=pairs, total_cost=float(cost[rows, cols].sum()))
+
+
+def canonical_edges_reference(n: int, edges) -> tuple:
+    """The canonical edge tuple of ``Graph(n, edges)``, checking and keying
+    one edge at a time; the first invalid edge raises its ValueError."""
+    seen, canon = set(), []
+    for u, v, w in edges:
+        if not (float(u).is_integer() and float(v).is_integer()):
+            raise ValueError(f"edge ({u},{v}) has a node id that is not an integer")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self loop at node {u}")
+        if not 0 < w < np.inf:
+            raise ValueError(f"edge ({u},{v}) weight {w} is not finite and positive")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        canon.append((int(key[0]), int(key[1]), float(w)))
+    return tuple(sorted(canon))
+
+
+def tube_edges_reference(n_rings: int, k: int, offset: int, seam_weight: float) -> tuple:
+    """Canonical edges of ``make_tube``, built one node at a time from its
+    rule. Coincident constructions (k = 2) merge by adding their weights in
+    construction order: longitudinal, lateral, then the ring's seam edge."""
+    acc = {}
+
+    def add(u, v, w):
+        key = (min(u, v), max(u, v))
+        acc[key] = acc.get(key, 0.0) + w
+
+    for i in range(n_rings):
+        for j in range(k):
+            node = i * k + j
+            if i + 1 < n_rings:
+                add(node, node + k, 1.0)
+            if j + 1 < k:
+                add(node, node + 1, 1.0)
+        if i + offset < n_rings:
+            add(i * k + k - 1, (i + offset) * k, seam_weight)
+    return tuple(sorted((u, v, float(w)) for (u, v), w in acc.items()))
 
 
 def subpermutation(assignment, n_fine: int, n_coarse: int) -> np.ndarray:

@@ -89,7 +89,7 @@ def test_criterion_1_gdd_oracle_equivalence():
             total = row_sorted_total(cost, pairs)
             if total < best_total:
                 best_total, best_pairs = total, pairs
-        a = rlap_solve(cost)
+        a = rlap_solve(e1.lambdas, e2.lambdas, 1.0)
         assert row_sorted_total(cost, a.pairs) == best_total
         # full-objective oracle over all lifted subpermutations
         l1d, l2d = laplacian(g1).toarray(), laplacian(g2).toarray()
@@ -118,7 +118,7 @@ def test_criterion_2_upper_bound_chain():
         cost = np.array(
             [[assignment_cost(x, y, 1.0) for y in e2.lambdas] for x in e1.lambdas]
         )
-        a = rlap_solve(cost)
+        a = rlap_solve(e1.lambdas, e2.lambdas, 1.0)
         p0 = warm_start(e1, e2, a)
         m = p0 @ l1.toarray() - l2.toarray() @ p0
         warm_objective = float(np.sum(m * m))

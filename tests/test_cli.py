@@ -236,8 +236,10 @@ BAD_INPUTS = {
     "gdd-inf-weight": ("gdd", "3\n0 1 inf\n1 2 1.0\n", []),
     "gdd-alpha-zero": ("gdd", None, ["--alpha", "0"]),
     "gdd-alpha-nan": ("gdd", None, ["--alpha", "nan"]),
+    "gdd-alpha-overflows": ("gdd", None, ["--alpha", "1e200"]),
     "limit-curve-alpha-zero": ("limit-curve", {"n_values": [2], "k": 5, "alpha": 0}, []),
     "coarse-search-alpha-negative": ("coarse-search", dict(SEARCH_CONFIG, alpha=-1), []),
+    "coarse-search-alpha-overflows": ("coarse-search", dict(SEARCH_CONFIG, alpha=1e200), []),
     "coarse-search-one-candidate-ring": ("coarse-search", dict(SEARCH_CONFIG, candidate_rings=1), []),
     "coarse-search-candidates-exceed-fine": (
         "coarse-search", dict(SEARCH_CONFIG, candidate_rings=6), []

@@ -1,5 +1,8 @@
 import importlib
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from gpcn.gdd import (
 from gpcn.graphs import Graph, laplacian, make_grid, make_tube, relabel
 from gpcn.numcore import eig_sym, seeded_rng
 
-from tests.oracles import assignment_cost, subpermutation
+from tests.oracles import assignment_cost, rlap_reference, subpermutation
 
 
 def random_graph(rng, n, extra_edges=2):
@@ -75,40 +78,108 @@ class TestAssignmentCost:
             gdd(g, g, alpha=0.0)
 
 
+def random_spectrum(rng, n, share=()):
+    """Ascending nonpositive values, about a third of them repeats of a few
+    drawn values, plus any values in ``share`` (to tie with another spectrum)."""
+    pool = -rng.uniform(0.0, 8.0, size=max(1, n // 3))
+    lam = np.where(rng.random(n) < 0.35, rng.choice(pool, size=n), -rng.uniform(0.0, 8.0, size=n))
+    k = min(len(share), n)
+    if k:
+        lam[:k] = rng.choice(share, size=k, replace=False)
+    return np.sort(lam)
+
+
+def spectral_cost(x, y, alpha):
+    return np.array([[assignment_cost(a, b, alpha) for b in y] for a in x])
+
+
 class TestRlapSolve:
-    def test_identity_padded(self):
-        cost = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        a = rlap_solve(cost)
+    def test_equal_spectra_pair_in_order(self):
+        y = np.array([-3.0, -2.0, -2.0, 0.0])
+        a = rlap_solve(y, y, 1.0)
+        assert a.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
         assert a.total_cost == 0.0
-        assert all(j != l for j, l in a.pairs)
+
+    def test_identity_padded(self):
+        a = rlap_solve(np.array([-3.0, -1.0]), np.array([-3.0, -2.0, -1.0]), 1.0)
+        assert a.pairs == ((0, 0), (1, 2))
+        assert a.total_cost == 0.0
 
     def test_single_row(self):
-        a = rlap_solve(np.array([[5.0, 2.0, 7.0]]))
+        a = rlap_solve(np.array([-2.0]), np.array([-5.0, -2.1, -1.0]), 1.0)
         assert a.pairs == ((0, 1),)
-        assert a.total_cost == 2.0
+        d = -2.0 - -2.1
+        assert a.total_cost == d * d
+
+    def test_ties_take_the_lowest_fine_index(self):
+        assert rlap_solve(np.array([0.0]), np.array([-1.0, 1.0]), 1.0).pairs == ((0, 0),)
+        a = rlap_solve(np.array([0.0, 0.0]), np.array([-1.0, 1.0, 1.0]), 1.0)
+        assert a.pairs == ((0, 0), (1, 1))
+        a = rlap_solve(np.full(2, -1.0), np.full(4, -1.0), 2.0)
+        assert a.pairs == ((0, 0), (1, 1))
 
     def test_matches_brute_force(self):
         rng = seeded_rng(0)
-        cost = rng.uniform(size=(4, 6))
-        a = rlap_solve(cost)
-        assert abs(a.total_cost - brute_force_assignment(cost)) < 1e-12
+        y = random_spectrum(rng, 6)
+        x = random_spectrum(rng, 4, share=y)
+        for alpha in (0.5, 1.0, 2.0):
+            a = rlap_solve(x, y, alpha)
+            assert abs(a.total_cost - brute_force_assignment(spectral_cost(x, y, alpha))) < 1e-12
 
     def test_optimality_over_many_shapes(self):
         rng = seeded_rng(1)
         for _ in range(100):
             n_r = int(rng.integers(1, 6))
             n_c = int(rng.integers(n_r, 8))
-            cost = rng.uniform(size=(n_r, n_c))
-            a = rlap_solve(cost)
-            assert abs(a.total_cost - brute_force_assignment(cost)) < 1e-12
+            y = random_spectrum(rng, n_c)
+            x = random_spectrum(rng, n_r, share=y[: int(rng.integers(0, n_c + 1))])
+            for alpha in (0.5, 1.0, 2.0):
+                a = rlap_solve(x, y, alpha)
+                assert abs(a.total_cost - brute_force_assignment(spectral_cost(x, y, alpha))) < 1e-12
+
+    def test_total_equals_hungarian_over_random_spectral_shapes(self):
+        rng = seeded_rng(11)
+        for trial in range(200):
+            n_f = int(rng.integers(1, 60))
+            n_c = int(rng.integers(1, n_f + 1))
+            y = random_spectrum(rng, n_f)
+            x = random_spectrum(rng, n_c, share=y[: int(rng.integers(0, n_f + 1))])
+            alpha = (0.5, 1.0, 2.0)[trial % 3]
+            a = rlap_solve(x, y, alpha)
+            fine = [l for _, l in a.pairs]
+            assert [j for j, _ in a.pairs] == list(range(n_c))
+            assert fine == sorted(set(fine)) and 0 <= fine[0] and fine[-1] < n_f
+            ref = rlap_reference(spectral_cost(x, y, alpha)).total_cost
+            assert abs(a.total_cost - ref) <= 1e-12 * max(ref, 1.0)
+
+    @pytest.mark.parametrize(
+        "coarse, fine, alpha, message",
+        [
+            (np.zeros((2, 2)), np.zeros(4), 1.0, "coarse spectrum must be 1-D"),
+            (np.zeros(2), 0.0, 1.0, "fine spectrum must be 1-D"),
+            (np.array([np.nan]), np.zeros(2), 1.0, "coarse spectrum has non-finite"),
+            (np.zeros(1), np.array([-1.0, np.inf]), 1.0, "fine spectrum has non-finite"),
+            (np.array([0.0, -1.0]), np.zeros(3), 1.0, "coarse spectrum is not ascending"),
+            (np.zeros(0), np.zeros(2), 1.0, "1 <= coarse size"),
+            (np.zeros(1), np.zeros(2), 0.0, "alpha must be positive"),
+            (np.zeros(1), np.zeros(2), -1.0, "alpha must be positive"),
+            (np.zeros(1), np.zeros(2), float("inf"), "alpha"),
+            (np.array([-1.0]), np.array([-2.0, -1.0]), 1e200, r"overflows at alpha=1e\+200"),
+            (np.array([-1.0]), np.array([-2.0, -1.0]), 1e-200, "overflows"),
+        ],
+    )
+    def test_rejects_bad_input_with_one_line(self, coarse, fine, alpha, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            rlap_solve(coarse, fine, alpha)
+        assert "\n" not in str(exc.value)
 
     def test_rejects_wide_matrices(self):
-        with pytest.raises(ValueError):
-            rlap_solve(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="coarse size <= fine size"):
+            rlap_solve(np.zeros(3), np.zeros(2), 1.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            rlap_solve(np.array([[np.inf, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            rlap_solve(np.array([np.inf]), np.array([0.0, 1.0]), 1.0)
 
     def test_assignment_injectivity_enforced(self):
         with pytest.raises(ValueError):
@@ -127,10 +198,7 @@ class TestWarmStart:
         rng = seeded_rng(2)
         g1, g2 = random_graph(rng, 4), random_graph(rng, 7)
         e1, e2 = eig_sym(laplacian(g1)), eig_sym(laplacian(g2))
-        cost = np.array(
-            [[assignment_cost(x, y, 1.0) for y in e2.lambdas] for x in e1.lambdas]
-        )
-        p = warm_start(e1, e2, rlap_solve(cost))
+        p = warm_start(e1, e2, rlap_solve(e1.lambdas, e2.lambdas, 1.0))
         assert np.linalg.norm(p.T @ p - np.eye(4)) < 1e-10
 
     def test_warm_objective_equals_assignment_cost(self):
@@ -139,10 +207,7 @@ class TestWarmStart:
             g1, g2 = random_graph(rng, 4), random_graph(rng, 6)
             l1, l2 = laplacian(g1), laplacian(g2)
             e1, e2 = eig_sym(l1), eig_sym(l2)
-            cost = np.array(
-                [[assignment_cost(x, y, 1.0) for y in e2.lambdas] for x in e1.lambdas]
-            )
-            a = rlap_solve(cost)
+            a = rlap_solve(e1.lambdas, e2.lambdas, 1.0)
             p = warm_start(e1, e2, a)
             m = p @ l1.toarray() - l2.toarray() @ p
             assert abs(np.sum(m * m) - a.total_cost) < 1e-9
@@ -157,9 +222,15 @@ class TestWarmStart:
         # gathered lift is bit-for-bit the product through the dense matrix
         e1 = eig_sym(laplacian(make_tube(5, 7, 1)))
         e2 = eig_sym(laplacian(make_tube(10, 7, 3)))
-        a = rlap_solve((e1.lambdas[:, None] - e2.lambdas[None, :]) ** 2)
+        a = rlap_solve(e1.lambdas, e2.lambdas, 1.0)
         expected = e2.u @ subpermutation(a, e2.n, e1.n) @ e1.u.T
         assert np.array_equal(warm_start(e1, e2, a), expected)
+
+    def test_rejects_pairs_out_of_coarse_order(self):
+        e = eig_sym(laplacian(make_grid(1, 3)))
+        a = Assignment(pairs=((1, 1), (0, 0), (2, 2)), total_cost=0.0)
+        with pytest.raises(ValueError, match="in order"):
+            warm_start(e, e, a)
 
     def test_rejects_pair_out_of_range(self):
         e = eig_sym(laplacian(make_grid(1, 3)))
@@ -222,10 +293,7 @@ class TestGdd:
             g1, g2 = random_graph(rng, 4), random_graph(rng, 6)
             l1, l2 = laplacian(g1), laplacian(g2)
             e1, e2 = eig_sym(l1), eig_sym(l2)
-            cost = np.array(
-                [[assignment_cost(x, y, 1.0) for y in e2.lambdas] for x in e1.lambdas]
-            )
-            a = rlap_solve(cost)
+            a = rlap_solve(e1.lambdas, e2.lambdas, 1.0)
             result = gdd(g1, g2)
             assert result.objective <= a.total_cost + 1e-9
             # gdd returns the lifted assignment itself
@@ -361,3 +429,22 @@ class TestLimitCurve:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="n_values"):
             limit_curve([])
+
+
+def test_package_leaves_scipy_optimize_unimported():
+    # importing scipy.optimize costs about as much as the rest of the
+    # package's imports; only the tests' Hungarian reference needs it
+    import gpcn
+
+    code = (
+        "import sys, gpcn, gpcn.cli\n"
+        "from gpcn.ensembles import desk_hierarchy\n"
+        "desk_hierarchy()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gpcn.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

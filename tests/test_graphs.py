@@ -15,6 +15,8 @@ from gpcn.graphs import (
 )
 from gpcn.numcore import seeded_rng
 
+from tests.oracles import canonical_edges_reference, tube_edges_reference
+
 
 def edge_set(g):
     return {(u, v): w for u, v, w in g.edges}
@@ -176,6 +178,59 @@ class TestGraphValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(n=2, edges=((0, 2, 1.0),))
+
+
+    def test_rejects_an_edge_that_is_not_a_triple(self):
+        with pytest.raises(ValueError, match="triple"):
+            Graph(n=3, edges=((0, 1, 1.0), (1, 2)))
+
+    def test_rejects_a_node_id_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph(n=3, edges=((0, 1.5, 1.0),))
+
+    def test_reports_the_first_invalid_edge_in_order(self):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            Graph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, -1.0)))
+        with pytest.raises(ValueError, match="weight -1.0"):
+            Graph(n=3, edges=((0, 1, 1.0), (1, 2, -1.0), (1, 0, 1.0)))
+
+
+@st.composite
+def edge_lists(draw):
+    """Node counts with short edge lists, valid or not: ids one past either
+    end or fractional, weights zero, negative or not finite."""
+    n = draw(st.integers(1, 6))
+    ids = st.one_of(st.integers(-1, n), st.just(0.5))
+    weights = st.sampled_from([1.0, 1.0, 0.5, 2, 2.5, 0.0, -1.0, float("nan"), float("inf")])
+    return n, tuple(draw(st.lists(st.tuples(ids, ids, weights), max_size=8)))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(edge_lists())
+def test_validation_matches_one_edge_at_a_time_reference(case):
+    n, edges = case
+    got = _outcome(lambda: Graph(n=n, edges=edges).edges)
+    assert got == _outcome(lambda: canonical_edges_reference(n, edges))
+
+
+@given(st.integers(2, 9), st.integers(2, 14), st.data(), st.sampled_from([1.0, 2.0, 0.5, 3, 1e-3]))
+def test_tube_edges_match_one_node_at_a_time_reference(n_rings, k, data, seam_weight):
+    offset = data.draw(st.integers(0, n_rings - 1))
+    g = make_tube(n_rings, k, offset, seam_weight)
+    assert g.edges == tube_edges_reference(n_rings, k, offset, seam_weight)
+
+
+def test_relabel_matches_reference_on_the_paper_tube():
+    g = make_tube(48, 13, 3)
+    perm = seeded_rng(4).permutation(g.n).tolist()
+    expected = canonical_edges_reference(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+    assert relabel(g, perm).edges == expected
 
 
 class TestEdgeList:
