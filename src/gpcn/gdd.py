@@ -5,7 +5,8 @@ column-orthonormal matrices P of the Frobenius mismatch between
 ``(1/alpha) P L_coarse`` and ``alpha L_fine P``. :func:`gdd` computes it in
 three steps:
 
-1. eigendecompose both Laplacians,
+1. eigendecompose both Laplacians (tube and grid Laplacians equal their
+   index reversal, so ``eig_sym`` solves each as two half-size problems),
 2. match the ascending spectra by the order-preserving assignment of
    least total cost ``(lam_coarse / alpha - alpha * lam_fine)**2``,
 3. lift the optimal subpermutation to P = U_fine Pt U_coarse^T, which is
@@ -100,10 +101,12 @@ class Prolongation:
     def __post_init__(self):
         if self.p.shape[0] < self.p.shape[1]:
             raise ValueError("prolongation must be tall: n_fine >= n_coarse")
-        if self.objective < -1e-12:
-            raise ValueError(f"objective must be nonnegative, got {self.objective}")
+        if not np.all(np.isfinite(self.p)):
+            raise ValueError("prolongation has NaN or infinite entries")
+        if not -1e-12 <= self.objective < np.inf:
+            raise ValueError(f"objective must be finite and nonnegative, got {self.objective}")
         gram_err = np.linalg.norm(self.p.T @ self.p - np.eye(self.p.shape[1]))
-        if gram_err > 1e-6:
+        if not gram_err <= 1e-6:
             raise ValueError(f"columns are not orthonormal: |P^T P - I|_F = {gram_err:.3e}")
 
     @property
@@ -223,8 +226,10 @@ def refine_orthogonal(
     """
     _check_alpha(alpha)
     p = np.array(p0, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("p0 has NaN or infinite entries")
     gram_err = np.linalg.norm(p.T @ p - np.eye(p.shape[1]))
-    if gram_err > 1e-6:
+    if not gram_err <= 1e-6:
         raise ValueError(f"p0 columns are not orthonormal: {gram_err:.3e}")
     lc = l_coarse.toarray() if isinstance(l_coarse, StructureMatrix) else np.asarray(l_coarse)
     lf = l_fine.mat if isinstance(l_fine, StructureMatrix) else l_fine

@@ -122,6 +122,48 @@ class EigenSystem:
 
 # largest |A - A^T| entry eig_sym accepts as symmetric
 _SYM_TOL = 1e-9
+_HALF_SQRT2 = np.sqrt(0.5)
+
+
+def _eigh_mirrored(a: np.ndarray):
+    """``eigh`` of a symmetric matrix equal to its reversal JAJ, as two
+    half-size problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
+
+    With h = n // 2, B = a[:h, :h] and CJ = a[:h, ::-1][:, :h], the
+    mirror-even eigenvectors are [x; Jx]/sqrt(2) for x an eigenvector of
+    B + CJ and the mirror-odd ones [x; -Jx]/sqrt(2) for x one of B - CJ. For
+    odd n the centre node joins the even block with its row and column scaled
+    by sqrt(2), and its eigenvector entry is not scaled. Eigenvalues merge by
+    a stable ascending sort (even before odd on ties), and the columns are
+    written in that order into a fresh C-contiguous U.
+    """
+    n = a.shape[0]
+    h = n // 2
+    b, cj = a[:h, :h], a[:h, ::-1][:, :h]
+    even = np.empty((n - h, n - h))
+    np.add(b, cj, out=even[:h, :h])
+    if n % 2:
+        even[:h, h] = a[:h, h] * np.sqrt(2.0)
+        even[h, :h] = a[h, :h] * np.sqrt(2.0)
+        even[h, h] = a[h, h]
+    lam_even, x_even = np.linalg.eigh(even)
+    lam_odd, x_odd = np.linalg.eigh(b - cj)
+    lam = np.concatenate([lam_even, lam_odd])
+    order = np.argsort(lam, kind="stable")
+    col = np.empty(n, dtype=np.intp)
+    col[order] = np.arange(n)
+    col_even, col_odd = col[: n - h], col[n - h :]
+    u = np.empty((n, n))
+    top = x_even[:h] * _HALF_SQRT2
+    u[:h, col_even] = top
+    u[n - h :, col_even] = top[::-1]
+    top = x_odd * _HALF_SQRT2
+    u[:h, col_odd] = top
+    u[n - h :, col_odd] = -top[::-1]
+    if n % 2:
+        u[h, col_even] = x_even[h]
+        u[h, col_odd] = 0.0
+    return lam[order], u
 
 
 def eig_sym(m) -> EigenSystem:
@@ -130,25 +172,38 @@ def eig_sym(m) -> EigenSystem:
     Eigenvalues come back ascending. Each eigenvector is flipped so its
     largest-magnitude component (lowest index on ties) is nonnegative, which
     makes the output a deterministic function of the input bits.
+
+    A matrix that equals its index reversal bit for bit (A = JAJ; every tube
+    and grid Laplacian is one, since the 180-degree turn sends node v to
+    n - 1 - v) is solved as two half-size problems by :func:`_eigh_mirrored`.
+    Its eigenvectors then satisfy ``u[::-1] == u`` or ``-u`` bit for bit, so
+    the sign rule meets exact mirror ties and picks the lower index. Every
+    other matrix goes to ``eigh`` whole. Either way U is C-contiguous and the
+    reconstruction residual of the assembled U is checked.
     """
     a = m.toarray() if isinstance(m, StructureMatrix) else np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"eig_sym needs a square matrix, got {a.shape}")
-    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > _SYM_TOL:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"eig_sym needs a non-empty square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("eig_sym needs a finite matrix, got NaN or infinite entries")
+    asym = np.max(np.abs(a - a.T))
+    if not asym <= _SYM_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     try:
-        lam, u = np.linalg.eigh(a)
+        if np.array_equal(a, a[::-1, ::-1]):
+            lam, u = _eigh_mirrored(a)
+        else:
+            lam, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     # sign convention
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[idx, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
-    u = u * signs
+    u *= signs
     scale = max(np.linalg.norm(a), 1.0)
     resid = np.linalg.norm(a - (u * lam) @ u.T)
-    if resid > 1e-6 * scale:
+    if not resid <= 1e-6 * scale:
         raise NumericalError(f"eigendecomposition residual too large: {resid:.3e}")
     return EigenSystem(u=u, lambdas=lam)
 

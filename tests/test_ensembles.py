@@ -1,9 +1,13 @@
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gpcn
 from gpcn.autodiff import Tape
 from gpcn.ensembles import (
     MODEL_NAMES,
@@ -344,3 +348,28 @@ class TestRecordedSubgraph:
             assert len(got) == len(want) > 0
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (name, level)
+
+
+def test_desk_prolongations_do_not_depend_on_blas_threads(tmp_path):
+    # tube Laplacians are mirror symmetric, so eig_sym's sign rule meets exact
+    # ties instead of rounding-close ones and the thread count cannot flip a sign
+    code = (
+        "import sys, numpy as np\n"
+        "from gpcn.ensembles import desk_hierarchy\n"
+        "np.savez(sys.argv[1], *desk_hierarchy().prolongations)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gpcn.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=src,
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+        )
+        out = tmp_path / f"p{threads}.npz"
+        result = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        with np.load(out) as f:
+            runs.append([f[key] for key in sorted(f.files)])
+    assert len(runs[0]) == len(runs[1]) == 2
+    for p1, p2 in zip(*runs):
+        assert np.abs(p1 - p2).max() <= 1e-10

@@ -268,6 +268,11 @@ class TestRefineOrthogonal:
         with pytest.raises(ValueError):
             refine_orthogonal(np.ones((3, 3)), laplacian(g), laplacian(g))
 
+    def test_rejects_non_finite_start(self):
+        g = make_grid(1, 3)
+        with pytest.raises(ValueError, match="p0 has NaN or infinite entries"):
+            refine_orthogonal(np.full((3, 3), np.nan), laplacian(g), laplacian(g))
+
 
 class TestGdd:
     def test_self_distance_is_zero(self):
@@ -324,6 +329,20 @@ class TestGdd:
     def test_prolongation_validates(self):
         with pytest.raises(ValueError):
             Prolongation(p=np.ones((3, 2)), alpha=1.0, objective=0.0)
+
+    @pytest.mark.parametrize(
+        "p, objective, message",
+        [
+            (np.full((3, 2), np.nan), np.nan, "prolongation has NaN or infinite entries"),
+            (np.eye(3, 2), np.nan, "objective must be finite and nonnegative"),
+            (np.eye(3, 2), np.inf, "objective must be finite and nonnegative"),
+            (np.eye(3, 2), -1.0, "objective must be finite and nonnegative"),
+        ],
+        ids=["nan-p", "nan-objective", "inf-objective", "negative-objective"],
+    )
+    def test_prolongation_rejects_nan_and_bad_objective(self, p, objective, message):
+        with pytest.raises(ValueError, match=message):
+            Prolongation(p=p, alpha=1.0, objective=objective)
 
     def test_given_fine_spectrum_gives_the_same_result(self):
         coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)

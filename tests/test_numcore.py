@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from gpcn.graphs import make_grid, laplacian
+import gpcn.numcore as numcore
+from gpcn.graphs import Graph, laplacian, make_grid, make_tube, relabel
 from gpcn.numcore import (
     AdamState,
     adam_step,
@@ -153,6 +155,133 @@ class TestEigSym:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]],
+        ids=["nan-diagonal", "inf-diagonal", "nan-pair"],
+    )
+    def test_rejects_non_finite(self, m):
+        with pytest.raises(ValueError, match="eig_sym needs a finite matrix"):
+            eig_sym(np.array(m))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            eig_sym(np.zeros((0, 0)))
+
+
+def mirror_symmetric(rng, n):
+    """Random symmetric matrix equal to its index reversal bit for bit."""
+    s = rng.normal(size=(n, n))
+    s = s + s.T
+    return s + s[::-1, ::-1]
+
+
+def is_mirror_symmetric(u):
+    """Each column equals its reversal or its negated reversal bit for bit."""
+    return all(
+        np.array_equal(u[::-1, j], u[:, j]) or np.array_equal(u[::-1, j], -u[:, j])
+        for j in range(u.shape[1])
+    )
+
+
+@pytest.fixture
+def mirrored_calls(monkeypatch):
+    """Record the size of every matrix eig_sym solves by the split path."""
+    calls = []
+    split = numcore._eigh_mirrored
+
+    def counting(a):
+        calls.append(a.shape[0])
+        return split(a)
+
+    monkeypatch.setattr(numcore, "_eigh_mirrored", counting)
+    return calls
+
+
+class TestEigSymMirrored:
+    CASES = {
+        "tube-even": lambda: laplacian(make_tube(12, 13, 3)).toarray(),
+        "grid-odd": lambda: laplacian(make_grid(5, 7)).toarray(),
+        "random-even": lambda: mirror_symmetric(seeded_rng(20), 10),
+        "random-odd": lambda: mirror_symmetric(seeded_rng(21), 11),
+        "path-2": lambda: laplacian(make_grid(1, 2)).toarray(),
+        "single": lambda: np.array([[2.5]]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_split_path_matches_eigh_contracts(self, case, mirrored_calls):
+        a = self.CASES[case]()
+        n = a.shape[0]
+        es = eig_sym(a)
+        assert mirrored_calls == [n]
+        assert np.abs(es.lambdas - np.linalg.eigvalsh(a)).max() <= 1e-12 * max(1.0, np.abs(a).max())
+        assert np.all(np.diff(es.lambdas) >= 0)
+        assert np.abs(es.u.T @ es.u - np.eye(n)).max() < 1e-12
+        assert np.linalg.norm(a - (es.u * es.lambdas) @ es.u.T) < 1e-11 * max(1.0, np.linalg.norm(a))
+        assert is_mirror_symmetric(es.u)
+        assert es.u.flags.c_contiguous
+        # sign rule: the largest magnitude (lowest index on ties) is positive
+        top = np.argmax(np.abs(es.u), axis=0)
+        assert np.all(es.u[top, np.arange(n)] > 0)
+
+    def test_odd_size_has_zero_centre_in_odd_modes(self):
+        es = eig_sym(laplacian(make_grid(3, 3)))
+        odd = [j for j in range(9) if not np.array_equal(es.u[::-1, j], es.u[:, j])]
+        assert len(odd) == 4
+        assert all(es.u[4, j] == 0.0 for j in odd)
+
+    def test_exact_degeneracy_across_the_blocks(self, mirrored_calls):
+        # two mirrored paths 0-1-2 and 3-4-5: the even and odd blocks are the
+        # same matrix, so every eigenvalue is an exact pair, even mode first
+        g = Graph(n=6, edges=((0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)))
+        es = eig_sym(laplacian(g))
+        assert mirrored_calls == [6]
+        assert np.array_equal(es.lambdas[0::2], es.lambdas[1::2])
+        assert np.abs(es.lambdas - np.repeat([-3.0, -1.0, 0.0], 2)).max() < 1e-12
+        for j in range(0, 6, 2):
+            assert np.array_equal(es.u[::-1, j], es.u[:, j])
+            assert np.array_equal(es.u[::-1, j + 1], -es.u[:, j + 1])
+        assert np.abs(es.u.T @ es.u - np.eye(6)).max() < 1e-12
+
+    def test_bitwise_repeat_and_layout_on_both_paths(self, mirrored_calls):
+        a = laplacian(make_tube(6, 5, 1)).toarray()
+        b = a.copy()
+        b[0, 0] = np.nextafter(b[0, 0], 0.0)
+        for m in (a, b):
+            e1, e2 = eig_sym(m), eig_sym(m.copy())
+            assert e1.u.tobytes() == e2.u.tobytes()
+            assert e1.lambdas.tobytes() == e2.lambdas.tobytes()
+            assert e1.u.flags.c_contiguous
+        assert mirrored_calls == [30, 30]
+
+    def test_one_ulp_off_takes_the_general_path(self, mirrored_calls):
+        a = laplacian(make_tube(6, 5, 1)).toarray()
+        a[0, 0] = np.nextafter(a[0, 0], 0.0)
+        es = eig_sym(a)
+        assert mirrored_calls == []
+        assert np.abs(es.lambdas - np.linalg.eigvalsh(a)).max() <= 1e-12
+        assert np.linalg.norm(a - (es.u * es.lambdas) @ es.u.T) < 1e-11
+
+    def test_relabelled_tube_takes_the_general_path(self, mirrored_calls):
+        g = make_tube(6, 5, 1)
+        eig_sym(laplacian(relabel(g, seeded_rng(22).permutation(g.n))))
+        assert mirrored_calls == []
+
+
+@given(st.integers(2, 12), st.integers(2, 14), st.data(), st.sampled_from([1.0, 2.0, 0.5, 3.0]))
+def test_tube_laplacians_are_exactly_mirror_symmetric(n_rings, k, data, seam_weight):
+    # the 180-degree turn (i, j) -> (n-1-i, k-1-j) maps every tube onto itself
+    # and node v to n*k - 1 - v, which sends eig_sym down its split path
+    offset = data.draw(st.integers(0, n_rings - 1))
+    a = laplacian(make_tube(n_rings, k, offset, seam_weight)).toarray()
+    assert np.array_equal(a, a[::-1, ::-1])
+
+
+@given(st.integers(1, 12), st.integers(1, 14))
+def test_grid_laplacians_are_exactly_mirror_symmetric(rows, cols):
+    a = laplacian(make_grid(rows, cols)).toarray()
+    assert np.array_equal(a, a[::-1, ::-1])
 
 
 class TestAdam:
