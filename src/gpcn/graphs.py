@@ -73,17 +73,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric weighted adjacency matrix in CSR form."""
-        u, v, w = self._columns
-        a = sp.coo_matrix(
-            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(self.n, self.n),
-        )
-        out = a.tocsr()
-        out.sort_indices()
-        return out
-
 
 def _check_edge(n: int, u, v, w) -> None:
     """Raise the ValueError that the first invalid edge (u, v, w) earns."""
@@ -176,9 +165,32 @@ def make_grid(rows: int, cols: int) -> Graph:
 
 
 def laplacian(g: Graph) -> StructureMatrix:
-    """Graph Laplacian A - diag(A @ 1): rows sum to zero, negative semidefinite."""
-    a = g.adjacency()
-    return StructureMatrix(mat=a - sp.diags(a @ np.ones(g.n)))
+    """Graph Laplacian A - diag(A @ 1): rows sum to zero, negative semidefinite.
+
+    Built straight into CSR from the sorted edge columns: listing each edge
+    (u, v), u < v, as (v, u) first and (u, v) second, one stable argsort by
+    row puts every row's columns in ascending order. The degree is the CSR
+    product A @ 1, which sums each row in that order, and -degree goes in
+    between the columns below and above the diagonal; a node without edges
+    keeps an empty row. A degree that overflows raises ValueError.
+    """
+    lo, hi, w = g._columns
+    n = g.n
+    rows = np.concatenate([hi, lo])
+    order = np.argsort(rows, kind="stable")
+    cols, vals = np.concatenate([lo, hi])[order], np.concatenate([w, w])[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    deg = sp.csr_matrix((vals, cols, indptr), shape=(n, n)) @ np.ones(n)
+    if not np.all(np.isfinite(deg)):
+        raise ValueError(f"weighted degree of node {np.argmin(np.isfinite(deg))} overflows")
+    # row r's diagonal goes after its columns below r, one per edge (u, r)
+    at = indptr[:-1] + np.bincount(hi, minlength=n)
+    indptr += np.arange(n + 1)
+    data, indices = np.insert(vals, at, -deg), np.insert(cols, at, np.arange(n))
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    # StructureMatrix drops the zero diagonal of a node without edges
+    return StructureMatrix(mat=mat)
 
 
 def structure_power(z: StructureMatrix, r: int) -> StructureMatrix:
@@ -211,15 +223,29 @@ def graph_to_edgelist(g: Graph) -> str:
 
 
 def graph_from_edgelist(text: str, name: str = "") -> Graph:
-    """Parse the edge-list text format produced by :func:`graph_to_edgelist`."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    """Parse the edge-list text format produced by :func:`graph_to_edgelist`.
+
+    Blank lines are skipped. A line that does not parse raises ValueError
+    naming its line number and what was expected there.
+    """
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list text")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
+    (i, head), edges = lines[0], []
+    if len(head.split()) != 1:
+        raise ValueError(f"line {i}: expected the node count alone, got {head!r}")
+    n = _parse(i, head, int, "the node count, an integer")
+    for i, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            raise ValueError(f"line {i}: expected 'u v weight', got {ln!r}")
+        u, v = (_parse(i, t, int, "an integer node id") for t in parts[:2])
+        edges.append((u, v, _parse(i, parts[2], float, "a number for the weight")))
     return Graph(n=n, edges=tuple(edges), name=name)
+
+
+def _parse(line: int, token: str, kind, expected: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"line {line}: expected {expected}, got {token!r}") from None

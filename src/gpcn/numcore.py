@@ -136,6 +136,9 @@ def _eigh_mirrored(a: np.ndarray):
     by sqrt(2), and its eigenvector entry is not scaled. Eigenvalues merge by
     a stable ascending sort (even before odd on ties), and the columns are
     written in that order into a fresh C-contiguous U.
+
+    Returns the eigenvalues, U, the even and odd blocks, and the U column of
+    each block eigenvector (the even block's n - h first, then the odd's).
     """
     n = a.shape[0]
     h = n // 2
@@ -146,8 +149,9 @@ def _eigh_mirrored(a: np.ndarray):
         even[:h, h] = a[:h, h] * np.sqrt(2.0)
         even[h, :h] = a[h, :h] * np.sqrt(2.0)
         even[h, h] = a[h, h]
+    odd = b - cj
     lam_even, x_even = np.linalg.eigh(even)
-    lam_odd, x_odd = np.linalg.eigh(b - cj)
+    lam_odd, x_odd = np.linalg.eigh(odd)
     lam = np.concatenate([lam_even, lam_odd])
     order = np.argsort(lam, kind="stable")
     col = np.empty(n, dtype=np.intp)
@@ -163,7 +167,66 @@ def _eigh_mirrored(a: np.ndarray):
     if n % 2:
         u[h, col_even] = x_even[h]
         u[h, col_odd] = 0.0
-    return lam[order], u
+    return lam[order], u, even, odd, col
+
+
+def _mirrored_residual(lam, u, even, odd, col) -> float:
+    """||A - U diag(lam) U^T||_F of an :func:`_eigh_mirrored` result, read
+    from the returned U and lam and the two blocks the solver built.
+
+    U must first be mirror symmetric bit for bit as ``col`` says:
+    ``u[n-h:][::-1] == u[:h]`` in the even columns and ``== -u[:h]`` in the
+    odd ones, with a zero centre entry in each odd column for odd n;
+    otherwise NumericalError. Then, with the orthogonal
+    Q = [[I, I], [J, -J]]/sqrt(2) (and the centre row e_h for odd n),
+    Q^T A Q = diag(even, odd) and Q^T U = diag(X_e, X_o) up to a column
+    permutation, where X_e is sqrt(2) times U's top rows in the even columns
+    (centre row unscaled) and X_o the same in the odd columns. Q keeps the
+    Frobenius norm, so the residual is the hypotenuse of the two block
+    residuals: two half-size products instead of one full-size product.
+    """
+    n = u.shape[0]
+    h = n // 2
+    col_even, col_odd = col[: n - h], col[n - h :]
+    top, bottom = u[:h], u[n - h :][::-1]
+    if not (
+        np.array_equal(bottom[:, col_even], top[:, col_even])
+        and np.array_equal(bottom[:, col_odd], -top[:, col_odd])
+    ):
+        raise NumericalError("mirror eigenbasis breaks the mirror symmetry of its blocks")
+    if n % 2 and np.any(u[h, col_odd]):
+        raise NumericalError("mirror eigenbasis has a nonzero centre entry in an odd mode")
+    x_even = u[: n - h, col_even] * np.sqrt(2.0)
+    if n % 2:
+        x_even[h] = u[h, col_even]
+    x_odd = top[:, col_odd] * np.sqrt(2.0)
+    return np.hypot(
+        np.linalg.norm(even - (x_even * lam[col_even]) @ x_even.T),
+        np.linalg.norm(odd - (x_odd * lam[col_odd]) @ x_odd.T),
+    )
+
+
+def _checked_dense(m):
+    """Dense array and Frobenius norm of ``m`` after the shape, finiteness and
+    symmetry checks, made on the CSR arrays for a StructureMatrix."""
+    sparse = isinstance(m, StructureMatrix)
+    if sparse:
+        mat = m.mat
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        shape, values = mat.shape, mat.data
+    else:
+        a = np.asarray(m, dtype=float)
+        shape, values = a.shape, a
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise ValueError(f"eig_sym needs a non-empty square matrix, got shape {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("eig_sym needs a finite matrix, got NaN or infinite entries")
+    asym = abs(mat - mat.T).max() if sparse else np.max(np.abs(a - a.T))
+    if not asym <= _SYM_TOL:
+        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
+    return (mat.toarray() if sparse else a), np.linalg.norm(values)
 
 
 def eig_sym(m) -> EigenSystem:
@@ -173,38 +236,47 @@ def eig_sym(m) -> EigenSystem:
     largest-magnitude component (lowest index on ties) is nonnegative, which
     makes the output a deterministic function of the input bits.
 
+    The input checks (non-empty square shape, finite entries, symmetry within
+    1e-9) run on the dense array for ndarray input and on the CSR arrays for
+    a StructureMatrix, so a sparse Laplacian pays for its stored entries only.
+
     A matrix that equals its index reversal bit for bit (A = JAJ; every tube
     and grid Laplacian is one, since the 180-degree turn sends node v to
     n - 1 - v) is solved as two half-size problems by :func:`_eigh_mirrored`.
-    Its eigenvectors then satisfy ``u[::-1] == u`` or ``-u`` bit for bit, so
-    the sign rule meets exact mirror ties and picks the lower index. Every
-    other matrix goes to ``eigh`` whole. Either way U is C-contiguous and the
-    reconstruction residual of the assembled U is checked.
+    Its U is checked to satisfy ``u[::-1] == u`` or ``-u`` bit for bit, each
+    column as its block says, and its residual is computed in the mirror
+    basis by :func:`_mirrored_residual`; that basis is orthogonal, so the
+    residual equals the full one at a quarter of the multiplications. As
+    |u[i]| = |u[n-1-i]| exactly, the sign rule reads only the top ceil(n/2)
+    rows, where every exact mirror tie is won by the lower index anyway.
+    Every other matrix goes to ``eigh`` whole, with the full residual
+    ||A - U diag(lambda) U^T||_F and the sign rule over all rows. Either way
+    U is C-contiguous, eigenvalues that overflow float64 raise ValueError,
+    and a residual above 1e-6 * max(||A||_F, 1) raises NumericalError.
     """
-    a = m.toarray() if isinstance(m, StructureMatrix) else np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise ValueError(f"eig_sym needs a non-empty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("eig_sym needs a finite matrix, got NaN or infinite entries")
-    asym = np.max(np.abs(a - a.T))
-    if not asym <= _SYM_TOL:
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
+    a, norm = _checked_dense(m)
+    n = a.shape[0]
+    mirrored = np.array_equal(a, a[::-1, ::-1])
     try:
-        if np.array_equal(a, a[::-1, ::-1]):
-            lam, u = _eigh_mirrored(a)
+        if mirrored:
+            lam, u, *blocks = _eigh_mirrored(a)
         else:
             lam, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eig_sym eigenvalues overflow float64")
+    if mirrored:
+        resid, rows = _mirrored_residual(lam, u, *blocks), n - n // 2
+    else:
+        resid, rows = np.linalg.norm(a - (u * lam) @ u.T), n
+    if not resid <= 1e-6 * max(norm, 1.0):
+        raise NumericalError(f"eigendecomposition residual too large: {resid:.3e}")
     # sign convention
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[idx, np.arange(u.shape[1])])
+    idx = np.argmax(np.abs(u[:rows]), axis=0)
+    signs = np.sign(u[idx, np.arange(n)])
     signs[signs == 0] = 1.0
     u *= signs
-    scale = max(np.linalg.norm(a), 1.0)
-    resid = np.linalg.norm(a - (u * lam) @ u.T)
-    if not resid <= 1e-6 * scale:
-        raise NumericalError(f"eigendecomposition residual too large: {resid:.3e}")
     return EigenSystem(u=u, lambdas=lam)
 
 

@@ -11,11 +11,12 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from gpcn.gcn import GcnLayerParams, GcnParams
 from gpcn.gdd import Assignment
-from gpcn.graphs import StructureMatrix
+from gpcn.graphs import Graph, StructureMatrix
 from gpcn.numcore import row_softmax, spmm
 from gpcn.simulator import STRENGTH_PARAMS
 
@@ -199,6 +200,26 @@ def canonical_edges_reference(n: int, edges) -> tuple:
         seen.add(key)
         canon.append((int(key[0]), int(key[1]), float(w)))
     return tuple(sorted(canon))
+
+
+def adjacency_reference(g: Graph) -> sp.csr_matrix:
+    """Symmetric weighted adjacency: COO triplets of both edge directions,
+    converted to CSR with sorted column indices."""
+    u, v, w = g._columns
+    a = sp.coo_matrix(
+        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(g.n, g.n),
+    )
+    out = a.tocsr()
+    out.sort_indices()
+    return out
+
+
+def laplacian_reference(g: Graph) -> StructureMatrix:
+    """Laplacian as sparse matrix algebra: the CSR adjacency minus the
+    diagonal of its row sums A @ 1."""
+    a = adjacency_reference(g)
+    return StructureMatrix(mat=a - sp.diags(a @ np.ones(g.n)))
 
 
 def tube_edges_reference(n_rings: int, k: int, offset: int, seam_weight: float) -> tuple:

@@ -234,6 +234,11 @@ BAD_INPUTS = {
     "gdd-nonpositive-weight": ("gdd", "3\n0 1 -1.0\n", []),
     "gdd-nan-weight": ("gdd", "3\n0 1 nan\n1 2 1.0\n", []),
     "gdd-inf-weight": ("gdd", "3\n0 1 inf\n1 2 1.0\n", []),
+    "gdd-degree-overflows": ("gdd", "3\n0 1 1e308\n1 2 1e308\n", []),
+    "gdd-eigenvalues-overflow": ("gdd", "2\n0 1 1e308\n", []),
+    "gdd-no-node-count": ("gdd", "0 1 1.0\n1 2 1.0\n", []),
+    "gdd-fractional-node-id": ("gdd", "3\n0 1.5 1.0\n", []),
+    "gdd-weight-not-a-number": ("gdd", "3\n0 1 x\n", []),
     "gdd-alpha-zero": ("gdd", None, ["--alpha", "0"]),
     "gdd-alpha-nan": ("gdd", None, ["--alpha", "nan"]),
     "gdd-alpha-overflows": ("gdd", None, ["--alpha", "1e200"]),
@@ -368,6 +373,16 @@ EMPTY_SEARCH_MESSAGES = {
 }
 
 
+# gdd cases whose one line must name the line or node at fault
+GDD_MESSAGES = {
+    "gdd-degree-overflows": "weighted degree of node 1 overflows",
+    "gdd-eigenvalues-overflow": "eig_sym eigenvalues overflow float64",
+    "gdd-no-node-count": "line 1: expected the node count alone, got '0 1 1.0'",
+    "gdd-fractional-node-id": "line 2: expected an integer node id, got '1.5'",
+    "gdd-weight-not-a-number": "line 2: expected a number for the weight, got 'x'",
+}
+
+
 # a warning would print a second stderr line outside pytest
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -410,6 +425,16 @@ def test_coarse_search_names_the_empty_input(tmp_path, capsys, case):
     cfg = write_json(tmp_path / "c.json", config)
     assert main(["coarse-search", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: no candidate tubes: {EMPTY_SEARCH_MESSAGES[case]}\n"
+
+
+@pytest.mark.parametrize("case", sorted(GDD_MESSAGES))
+def test_gdd_names_the_fault(tmp_path, capsys, case):
+    _, text, _ = BAD_INPUTS[case]
+    fine, coarse = tmp_path / "fine.txt", tmp_path / "bad.txt"
+    fine.write_text(graph_to_edgelist(make_grid(2, 3)))
+    coarse.write_text(text)
+    assert main(["gdd", str(coarse), str(fine)]) == 2
+    assert capsys.readouterr().err == f"error: {GDD_MESSAGES[case]}\n"
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 import importlib
 import itertools
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gpcn.gdd import (
     Assignment,
@@ -448,6 +450,30 @@ class TestLimitCurve:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="n_values"):
             limit_curve([])
+
+
+small_tubes_and_grids = st.one_of(
+    st.builds(
+        lambda n, k, p: make_tube(n, k, p % n), st.integers(2, 5), st.integers(2, 6), st.integers(0, 4)
+    ),
+    st.builds(make_grid, st.integers(1, 5), st.integers(1, 6)),
+)
+
+
+@given(small_tubes_and_grids, small_tubes_and_grids, st.data())
+def test_distance_is_invariant_under_relabel(g1, g2, data):
+    # a tube or grid equals its index reversal and is decomposed as two
+    # mirror blocks; relabelled it (almost always) goes to eigh whole, so
+    # this compares the two eig_sym paths through the distance
+    coarse, fine = sorted((g1, g2), key=lambda g: g.n)
+    base = gdd(coarse, fine).distance
+    coarse_r = relabel(coarse, data.draw(st.permutations(range(coarse.n))))
+    fine_r = relabel(fine, data.draw(st.permutations(range(fine.n))))
+    # isomorphic pairs are at distance 0, where only rounding is left
+    for c, f in ((coarse_r, fine), (coarse, fine_r)):
+        assert math.isclose(gdd(c, f).distance, base, rel_tol=1e-9, abs_tol=1e-12)
+    for g in (coarse, coarse_r):
+        assert gdd(g, g).distance == 0.0
 
 
 def test_package_leaves_scipy_optimize_unimported():

@@ -15,7 +15,12 @@ from gpcn.graphs import (
 )
 from gpcn.numcore import seeded_rng
 
-from tests.oracles import canonical_edges_reference, tube_edges_reference
+from tests.oracles import (
+    adjacency_reference,
+    canonical_edges_reference,
+    laplacian_reference,
+    tube_edges_reference,
+)
 
 
 def edge_set(g):
@@ -113,20 +118,75 @@ class TestLaplacian:
             eigs = np.linalg.eigvalsh(l.toarray())
             assert eigs.max() <= 1e-10
 
+    def test_degree_overflow_names_the_node(self):
+        g = Graph(n=3, edges=((0, 1, 1e308), (1, 2, 1e308)))
+        with pytest.raises(ValueError, match=r"^weighted degree of node 1 overflows$"):
+            laplacian(g)
+
+
+def assert_same_csr(got, want):
+    """The CSR arrays of two structure matrices are equal byte for byte."""
+    assert got.mat.shape == want.mat.shape
+    for key in ("indptr", "indices", "data"):
+        a, b = getattr(got.mat, key), getattr(want.mat, key)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+
+
+NAMED_GRAPHS = {
+    "paper-tube": lambda: make_tube(48, 13, 3),
+    "desk-tube": lambda: make_tube(12, 13, 3),
+    "seam-tube": lambda: make_tube(3, 7, 2, 2.0),
+    "k2-tube-coincident": lambda: make_tube(4, 2, 0),
+    "grid": lambda: make_grid(5, 7),
+    "single-node": lambda: Graph(n=1, edges=()),
+    "isolated-nodes": lambda: Graph(n=5, edges=((1, 3, 0.001), (3, 4, 1.0))),
+    "relabelled-tube": lambda: relabel(make_tube(12, 13, 3), seeded_rng(5).permutation(156)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
+def test_laplacian_matches_reference_on_named_graphs(name):
+    g = NAMED_GRAPHS[name]()
+    assert_same_csr(laplacian(g), laplacian_reference(g))
+
 
 @st.composite
-def weighted_graphs(draw):
+def weighted_graphs(draw, weights=st.floats(1e-3, 1e3, allow_nan=False)):
     """Graphs of 1-12 nodes with any edge subset (isolated nodes included)."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    weights = st.floats(1e-3, 1e3, allow_nan=False)
     return Graph(n=n, edges=tuple((u, v, draw(weights)) for u, v in chosen))
+
+
+@st.composite
+def laplacian_graphs(draw):
+    """Weighted graphs, graphs weighted 1.0 and 0.001 only (where summing a
+    row in another order changes the last bit), k = 2 tubes whose lateral
+    and seam edges coincide, each relabelled or not."""
+    g = draw(
+        st.one_of(
+            weighted_graphs(),
+            weighted_graphs(st.sampled_from([1.0, 0.001])),
+            st.builds(
+                lambda n, p, w: make_tube(n, 2, p % n, w),
+                st.integers(2, 8), st.integers(0, 7), st.sampled_from([1.0, 0.001, 2.0]),
+            ),
+        )
+    )
+    if draw(st.booleans()):
+        g = relabel(g, draw(st.permutations(range(g.n))))
+    return g
+
+
+@given(laplacian_graphs())
+def test_laplacian_matches_reference_bytes(g):
+    assert_same_csr(laplacian(g), laplacian_reference(g))
 
 
 @given(weighted_graphs())
 def test_laplacian_is_adjacency_minus_degree(g):
-    a = g.adjacency()
+    a = adjacency_reference(g)
     deg = a @ np.ones(g.n)  # A @ 1, summed over each row's stored entries
     l = laplacian(g).toarray()
     assert np.array_equal(l, a.toarray() - np.diag(deg))
@@ -234,6 +294,23 @@ def test_relabel_matches_reference_on_the_paper_tube():
 
 
 class TestEdgeList:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1 1.0\n1 2 1.0\n", "line 1: expected the node count alone, got '0 1 1.0'"),
+            ("three\n0 1 1.0\n", "line 1: expected the node count, an integer, got 'three'"),
+            ("3\n\n0 1.5 1.0\n", "line 3: expected an integer node id, got '1.5'"),
+            ("3\n0 1 1.0\n1 2 x\n", "line 3: expected a number for the weight, got 'x'"),
+            ("3\n0 1\n", "line 2: expected 'u v weight', got '0 1'"),
+        ],
+        ids=["no-node-count", "node-count-not-an-integer", "fractional-node-id", "weight-not-a-number",
+             "two-fields"],
+    )
+    def test_bad_line_names_its_number_and_what_was_expected(self, text, message):
+        with pytest.raises(ValueError) as err:
+            graph_from_edgelist(text)
+        assert str(err.value) == message
+
     def test_round_trip(self):
         g = make_tube(3, 4, 1, 2.0)
         text = graph_to_edgelist(g)

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 import gpcn.numcore as numcore
-from gpcn.graphs import Graph, laplacian, make_grid, make_tube, relabel
+from gpcn.graphs import Graph, StructureMatrix, laplacian, make_grid, make_tube, relabel
 from gpcn.numcore import (
     AdamState,
+    NumericalError,
     adam_step,
     eig_sym,
     glorot_uniform,
@@ -165,6 +167,16 @@ class TestEigSym:
         with pytest.raises(ValueError, match="eig_sym needs a finite matrix"):
             eig_sym(np.array(m))
 
+    @pytest.mark.parametrize(
+        "m",
+        [[[-1e308, 1e308], [1e308, -1e308]], [[-1e308, 1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 1.0]]],
+        ids=["mirror-split", "general"],
+    )
+    def test_rejects_eigenvalues_past_float64(self, m):
+        # finite entries whose eigenvalue -2e308 overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="eigenvalues overflow"):
+            eig_sym(np.array(m))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
             eig_sym(np.zeros((0, 0)))
@@ -267,6 +279,114 @@ class TestEigSymMirrored:
         g = make_tube(6, 5, 1)
         eig_sym(laplacian(relabel(g, seeded_rng(22).permutation(g.n))))
         assert mirrored_calls == []
+
+
+def _drop_odd_sign(u, even, odd):
+    h = u.shape[0] // 2
+    u[-h:, odd[0]] *= -1.0
+
+
+def _swap_even_columns(u, even, odd):
+    u[:, [even[0], even[-1]]] = u[:, [even[-1], even[0]]]
+
+
+def _drop_sqrt_half(u, even, odd):
+    u[:, even[1]] *= np.sqrt(2.0)
+
+
+def _perturb_entry(u, even, odd):
+    u[0, even[1]] = np.nextafter(u[0, even[1]], np.inf)
+
+
+def _perturb_mirror_pair(u, even, odd):
+    u[0, even[1]] += 1e-3
+    u[-1, even[1]] = u[0, even[1]]
+
+
+def _set_odd_centre(u, even, odd):
+    u[u.shape[0] // 2, odd[0]] = 1e-3
+
+
+# corruption of an assembled mirror U, given its even and odd columns -> the
+# message of the check that must catch it
+CORRUPTIONS = {
+    "dropped-odd-sign": (_drop_odd_sign, "breaks the mirror symmetry"),
+    "swapped-columns": (_swap_even_columns, "residual too large"),
+    "missing-sqrt-half": (_drop_sqrt_half, "residual too large"),
+    "perturbed-entry": (_perturb_entry, "breaks the mirror symmetry"),
+    "perturbed-mirror-pair": (_perturb_mirror_pair, "residual too large"),
+    "nonzero-odd-centre": (_set_odd_centre, "nonzero centre entry"),
+}
+MIRROR_MATRICES = {
+    "tube-even": lambda: laplacian(make_tube(6, 5, 1)),
+    "grid-odd": lambda: laplacian(make_grid(5, 7)),
+}
+
+
+class TestEigSymMirrorChecks:
+    @pytest.mark.parametrize(
+        "matrix, corruption",
+        [
+            (m, c)
+            for m in sorted(MIRROR_MATRICES)
+            for c in sorted(CORRUPTIONS)
+            # an even-sized basis has no centre row
+            if not (m == "tube-even" and c == "nonzero-odd-centre")
+        ],
+    )
+    def test_corrupted_assembly_raises(self, monkeypatch, matrix, corruption):
+        corrupt, message = CORRUPTIONS[corruption]
+        split = numcore._eigh_mirrored
+
+        def corrupted(a):
+            lam, u, even, odd, col = split(a)
+            corrupt(u, col[: even.shape[0]], col[even.shape[0] :])
+            return lam, u, even, odd, col
+
+        monkeypatch.setattr(numcore, "_eigh_mirrored", corrupted)
+        with pytest.raises(NumericalError, match=message):
+            eig_sym(MIRROR_MATRICES[matrix]())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: laplacian(make_tube(12, 13, 3)),
+            lambda: laplacian(make_grid(5, 7)),
+            lambda: laplacian(relabel(make_tube(6, 5, 1), seeded_rng(23).permutation(30))),
+            lambda: StructureMatrix(mat=sp.csr_matrix(mirror_symmetric(seeded_rng(24), 9))),
+        ],
+        ids=["tube", "grid", "relabelled-tube", "dense-random"],
+    )
+    def test_structure_matrix_and_ndarray_agree_bitwise(self, build, mirrored_calls):
+        z = build()
+        sparse, dense = eig_sym(z), eig_sym(z.toarray())
+        assert sparse.u.tobytes() == dense.u.tobytes()
+        assert sparse.lambdas.tobytes() == dense.lambdas.tobytes()
+        assert len(mirrored_calls) in (0, 2)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[np.nan, 1.0], [1.0, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[0.0, 1.0], [0.0, 0.0]],
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 1e-8], [0.0, 0.0, 1.0]],
+        ],
+        ids=["nan", "inf", "asymmetric", "asymmetric-slightly"],
+    )
+    def test_csr_input_raises_the_dense_message(self, m):
+        dense = np.array(m)
+        with pytest.raises(ValueError) as want:
+            eig_sym(dense)
+        with pytest.raises(ValueError) as got:
+            eig_sym(StructureMatrix(mat=sp.csr_matrix(dense)))
+        assert str(got.value) == str(want.value)
+
+    def test_csr_duplicates_are_summed_before_the_checks(self):
+        # two stored copies of (0, 0), finite alone, overflow when summed
+        mat = sp.csr_matrix(([1e308, 1e308, 1.0], [0, 0, 1], [0, 2, 3]), shape=(2, 2))
+        with pytest.raises(ValueError, match="eig_sym needs a finite matrix"):
+            eig_sym(StructureMatrix(mat=mat))
 
 
 @given(st.integers(2, 12), st.integers(2, 14), st.data(), st.sampled_from([1.0, 2.0, 0.5, 3.0]))
