@@ -69,7 +69,6 @@ class ModelSpec:
     levels: tuple
     prolongations: tuple = ()  # initial values, fine side first; () when unused
     adaptive: bool = False
-    radii: tuple = ()
     name: str = ""
 
     def __post_init__(self):
@@ -157,6 +156,8 @@ class Hierarchy:
 def make_hierarchy(graphs, alpha: float = 1.0) -> Hierarchy:
     """Compute Laplacians and adjacent-pair prolongations for a graph chain."""
     graphs = tuple(graphs)
+    if not graphs:
+        raise ValueError("hierarchy needs at least one graph")
     for a, b in zip(graphs, graphs[1:]):
         if b.n > a.n:
             raise ValueError("hierarchy must be ordered fine to coarse")
@@ -212,14 +213,13 @@ def build_from_table(name: str, hierarchy: Hierarchy) -> ModelSpec:
         levels = [GcnSpec(z=fine_z, gcn_widths=w, dense_widths=_DENSE_HEAD) for w in widths]
         return ModelSpec(kind=kind, levels=levels, name=name)
     if kind == "ngcn":
-        radii = _NGCN_RADII[name]
         levels = [
             GcnSpec(
                 z=structure_power(fine_z, r), gcn_widths=w, dense_widths=_DENSE_HEAD
             )
-            for r, w in zip(radii, widths)
+            for r, w in zip(_NGCN_RADII[name], widths)
         ]
-        return ModelSpec(kind=kind, levels=levels, radii=radii, name=name)
+        return ModelSpec(kind=kind, levels=levels, name=name)
     depth = len(widths)
     if len(hierarchy.graphs) < depth:
         raise ValueError(f"{name} needs a hierarchy of at least {depth} graphs")
@@ -259,11 +259,7 @@ def init_model_params(spec: ModelSpec, in_features: int, rng) -> ModelParams:
         for i in range(spec.n_levels - 1):
             n_coarse = spec.levels[i + 1].n
             pools.append(
-                GcnLayerParams(
-                    w=glorot_uniform(rng, in_features, n_coarse),
-                    b=np.zeros(n_coarse),
-                    activation="linear",
-                )
+                GcnLayerParams(w=glorot_uniform(rng, in_features, n_coarse), b=np.zeros(n_coarse))
             )
     return ModelParams(levels=levels, prolongations=prolongations, pools=pools)
 
@@ -368,7 +364,8 @@ def _csr_restore(arrays: dict, prefix: str, n: int) -> StructureMatrix:
 
 def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
     """Self-contained model checkpoint: parameters, prolongations, structure
-    matrices, and the architecture manifest (with every layer's activation)."""
+    matrices, and the architecture manifest (kind, name and layer widths;
+    each layer's activation follows from its position)."""
     arrays = dict(params.all_arrays())
     if not spec.adaptive:
         arrays.update((f"prolong{i}", p) for i, p in enumerate(spec.prolongations))
@@ -379,7 +376,6 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
         "kind": spec.kind,
         "name": spec.name,
         "adaptive": spec.adaptive,
-        "radii": list(spec.radii),
         "n_prolongations": len(spec.prolongations),
         "n_pools": len(params.pools),
         "levels": [
@@ -387,11 +383,9 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
                 "n": lvl.n,
                 "gcn_widths": list(lvl.gcn_widths),
                 "dense_widths": list(lvl.dense_widths),
-                "gcn_activations": [layer.activation for layer in gp.gcn],
-                "dense_activations": [layer.activation for layer in gp.dense],
                 "has_z": lvl.z is not None,
             }
-            for lvl, gp in zip(spec.levels, params.levels)
+            for lvl in spec.levels
         ],
     }
     save_arrays(path, arrays, meta)
@@ -399,13 +393,12 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
 
 def load_checkpoint(path):
     """Restore (spec, params) from :func:`save_checkpoint` output; params
-    get their own prolongation copies only when adaptive."""
+    get their own prolongation copies only when adaptive. Other manifest
+    keys (older checkpoints list every layer's activation) are ignored."""
     arrays, meta = load_arrays(path)
 
-    def layer(prefix, activation):
-        return GcnLayerParams(
-            w=arrays[f"{prefix}_w"], b=arrays[f"{prefix}_b"], activation=activation
-        )
+    def layer(prefix):
+        return GcnLayerParams(w=arrays[f"{prefix}_w"], b=arrays[f"{prefix}_b"])
 
     levels, level_params = [], []
     for i, lm in enumerate(meta["levels"]):
@@ -420,10 +413,8 @@ def load_checkpoint(path):
         )
         level_params.append(
             GcnParams(
-                gcn=[layer(f"level{i}_gcn{j}", a) for j, a in enumerate(lm["gcn_activations"])],
-                dense=[
-                    layer(f"level{i}_dense{j}", a) for j, a in enumerate(lm["dense_activations"])
-                ],
+                gcn=[layer(f"level{i}_gcn{j}") for j in range(len(lm["gcn_widths"]))],
+                dense=[layer(f"level{i}_dense{j}") for j in range(len(lm["dense_widths"]))],
             )
         )
     prolongations = [arrays[f"prolong{i}"] for i in range(meta["n_prolongations"])]
@@ -432,9 +423,8 @@ def load_checkpoint(path):
         levels=levels,
         prolongations=tuple(prolongations),
         adaptive=meta["adaptive"],
-        radii=tuple(meta["radii"]),
         name=meta["name"],
     )
-    pools = [layer(f"pool{i}", "linear") for i in range(meta["n_pools"])]
+    pools = [layer(f"pool{i}") for i in range(meta["n_pools"])]
     prolongations = [np.array(p) for p in prolongations] if spec.adaptive else []
     return spec, ModelParams(levels=level_params, prolongations=prolongations, pools=pools)

@@ -1,11 +1,13 @@
 """Single-scale graph convolutional network building block.
 
 A network here is a stack of graph-convolution layers (ReLU) followed by a
-node-wise dense head (sigmoid layers, linear output). The dense head reads
-the node-wise concatenation of every graph-convolution layer's output, so
-its input width is the sum of the convolution widths. A node-wise dense
-layer is the same operation as a graph convolution with the identity as the
-structure matrix; it is implemented without the aggregation product.
+node-wise dense head (sigmoid layers, linear output). Each layer's
+activation follows from its position, so a layer's parameters are its
+filter and bias alone. The dense head reads the node-wise concatenation of
+every graph-convolution layer's output, so its input width is the sum of
+the convolution widths. A node-wise dense layer is the same operation as a
+graph convolution with the identity as the structure matrix; it is
+implemented without the aggregation product.
 
 :func:`gcn_graph` records the forward pass on a tape. It is the one forward
 path: :func:`gcn_forward`, :func:`energy_input_gradient` and every ensemble
@@ -26,7 +28,7 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .graphs import StructureMatrix
-from .numcore import ACTIVATIONS, glorot_uniform
+from .numcore import glorot_uniform
 
 __all__ = [
     "GcnLayerParams",
@@ -42,22 +44,19 @@ __all__ = [
 
 @dataclass
 class GcnLayerParams:
-    """Filter matrix, bias row vector, and activation of one layer."""
+    """Filter matrix and bias row vector of one layer."""
 
     w: np.ndarray
     b: np.ndarray
-    activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.b.shape != (self.w.shape[1],):
             raise ValueError(
                 f"bias shape {self.b.shape} does not match output width {self.w.shape[1]}"
             )
 
     def map(self, fn) -> "GcnLayerParams":
-        return GcnLayerParams(w=fn(self.w), b=fn(self.b), activation=self.activation)
+        return GcnLayerParams(w=fn(self.w), b=fn(self.b))
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,9 @@ class GcnParams:
     def arrays(self):
         """Flat (name, array) pairs in deterministic order."""
         out = []
-        for i, layer in enumerate(self.gcn):
-            out.append((f"gcn{i}_w", layer.w))
-            out.append((f"gcn{i}_b", layer.b))
-        for i, layer in enumerate(self.dense):
-            out.append((f"dense{i}_w", layer.w))
-            out.append((f"dense{i}_b", layer.b))
+        for stack, layers in (("gcn", self.gcn), ("dense", self.dense)):
+            for i, layer in enumerate(layers):
+                out += [(f"{stack}{i}_w", layer.w), (f"{stack}{i}_b", layer.b)]
         return out
 
     def map(self, fn) -> "GcnParams":
@@ -121,37 +117,19 @@ class GcnParams:
         )
 
 
+def _init_layers(rng, fan_in: int, widths) -> list:
+    """Glorot-uniform filters and zero biases for a stack of layer widths,
+    drawn first layer first."""
+    fans = (fan_in, *widths)
+    return [GcnLayerParams(glorot_uniform(rng, f, w), np.zeros(w)) for f, w in zip(fans, widths)]
+
+
 def init_gcn_params(spec: GcnSpec, in_features: int, rng) -> GcnParams:
-    """Glorot-uniform filters, zero biases."""
-    gcn_layers = []
-    fan_in = in_features
-    for width in spec.gcn_widths:
-        gcn_layers.append(
-            GcnLayerParams(
-                w=glorot_uniform(rng, fan_in, width), b=np.zeros(width), activation="relu"
-            )
-        )
-        fan_in = width
-    dense_layers = []
-    fan_in = spec.concat_width
-    for i, width in enumerate(spec.dense_widths):
-        act = "linear" if i == len(spec.dense_widths) - 1 else "sigmoid"
-        dense_layers.append(
-            GcnLayerParams(
-                w=glorot_uniform(rng, fan_in, width), b=np.zeros(width), activation=act
-            )
-        )
-        fan_in = width
-    return GcnParams(gcn=gcn_layers, dense=dense_layers)
-
-
-def _activate(tape: Tape, name: str, pre, b) -> Node:
-    """Record act(pre + b): one op for relu and sigmoid, a bias add for linear."""
-    if name == "relu":
-        return tape.relu(pre, b)
-    if name == "sigmoid":
-        return tape.sigmoid(pre, b)
-    return tape.add(pre, b)  # linear
+    """Glorot-uniform filters, zero biases; the convolutions draw first, then the head."""
+    return GcnParams(
+        gcn=_init_layers(rng, in_features, spec.gcn_widths),
+        dense=_init_layers(rng, spec.concat_width, spec.dense_widths),
+    )
 
 
 def aggregate(tape: Tape, z, h) -> Node:
@@ -166,17 +144,20 @@ def gcn_graph(tape: Tape, z, params: GcnParams, x) -> Node:
     """Record the network's forward pass on a tape and return the output node.
 
     The filters and biases of ``params`` are arrays or tape nodes. ``z`` is
-    the structure matrix of the convolution layers.
+    the structure matrix of the convolution layers. Each convolution records
+    relu(Z h W + b), each hidden dense layer sigmoid(h W + b) and the output
+    layer h W + b.
     """
     h = x
     outs = []
     for layer in params.gcn:
-        h = _activate(tape, layer.activation, aggregate(tape, z, tape.matmul(h, layer.w)), layer.b)
+        h = tape.relu(aggregate(tape, z, tape.matmul(h, layer.w)), layer.b)
         outs.append(h)
     h = outs[0] if len(outs) == 1 else tape.concat(outs, axis=-1)
-    for layer in params.dense:
-        h = _activate(tape, layer.activation, tape.matmul(h, layer.w), layer.b)
-    return h
+    *hidden, last = params.dense
+    for layer in hidden:
+        h = tape.sigmoid(tape.matmul(h, layer.w), layer.b)
+    return tape.add(tape.matmul(h, last.w), last.b)
 
 
 def gcn_forward(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:

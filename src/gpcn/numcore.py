@@ -22,9 +22,7 @@ __all__ = [
     "spmm",
     "relu",
     "sigmoid",
-    "linear",
     "row_softmax",
-    "ACTIVATIONS",
     "EigenSystem",
     "eig_sym",
     "AdamState",
@@ -90,18 +88,11 @@ def sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def linear(x):
-    return np.asarray(x, dtype=float)
-
-
 def row_softmax(x):
     """Softmax over the last axis; each row sums to one."""
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "linear": linear}
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +114,14 @@ class EigenSystem:
 # largest |A - A^T| entry eig_sym accepts as symmetric
 _SYM_TOL = 1e-9
 _HALF_SQRT2 = np.sqrt(0.5)
+
+
+def _frobenius(x) -> float:
+    """||x||_F computed on x / 2**e, with 2**e at or above the largest |x|,
+    then scaled back: the squares cannot overflow, and for ordinary input
+    the power-of-two scaling is exact, so the result is the plain norm."""
+    e = np.frexp(np.max(np.abs(x), initial=0.0))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
 
 
 def _eigh_mirrored(a: np.ndarray):
@@ -201,8 +200,8 @@ def _mirrored_residual(lam, u, even, odd, col) -> float:
         x_even[h] = u[h, col_even]
     x_odd = top[:, col_odd] * np.sqrt(2.0)
     return np.hypot(
-        np.linalg.norm(even - (x_even * lam[col_even]) @ x_even.T),
-        np.linalg.norm(odd - (x_odd * lam[col_odd]) @ x_odd.T),
+        _frobenius(even - (x_even * lam[col_even]) @ x_even.T),
+        _frobenius(odd - (x_odd * lam[col_odd]) @ x_odd.T),
     )
 
 
@@ -226,7 +225,7 @@ def _checked_dense(m):
     asym = abs(mat - mat.T).max() if sparse else np.max(np.abs(a - a.T))
     if not asym <= _SYM_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
-    return (mat.toarray() if sparse else a), np.linalg.norm(values)
+    return (mat.toarray() if sparse else a), _frobenius(values)
 
 
 def eig_sym(m) -> EigenSystem:
@@ -269,7 +268,7 @@ def eig_sym(m) -> EigenSystem:
     if mirrored:
         resid, rows = _mirrored_residual(lam, u, *blocks), n - n // 2
     else:
-        resid, rows = np.linalg.norm(a - (u * lam) @ u.T), n
+        resid, rows = _frobenius(a - (u * lam) @ u.T), n
     if not resid <= 1e-6 * max(norm, 1.0):
         raise NumericalError(f"eigendecomposition residual too large: {resid:.3e}")
     # sign convention

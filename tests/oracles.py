@@ -51,9 +51,10 @@ def _aggregate(z, h):
     return spmm(z, h) if isinstance(z, StructureMatrix) else z @ h
 
 
-def gcn_layer(z, x: np.ndarray, params: GcnLayerParams) -> np.ndarray:
-    """One layer: activation(Z @ X @ W + b). Pass ``z=None`` for a node-wise
-    dense layer (the Z = I case); a dense array Z is a pooled level."""
+def gcn_layer(z, x: np.ndarray, params: GcnLayerParams, activation: str) -> np.ndarray:
+    """One layer: activation(Z @ X @ W + b), the activation named ``relu``,
+    ``sigmoid`` or ``linear``. Pass ``z=None`` for a node-wise dense layer
+    (the Z = I case); a dense array Z is a pooled level."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.w.shape[0]:
         raise ValueError(
@@ -61,19 +62,24 @@ def gcn_layer(z, x: np.ndarray, params: GcnLayerParams) -> np.ndarray:
         )
     xw = x @ params.w
     pre = (_aggregate(z, xw) if z is not None else xw) + params.b
-    return _ACTIVATIONS[params.activation](pre)
+    return _ACTIVATIONS[activation](pre)
+
+
+def head_activations(n_layers: int) -> list:
+    """Activations of a dense head by position: sigmoid, then a linear output."""
+    return ["sigmoid"] * (n_layers - 1) + ["linear"]
 
 
 def gcn_network(z, params: GcnParams, x: np.ndarray) -> np.ndarray:
-    """Convolution stack, concatenation of its outputs, then the dense head."""
+    """ReLU convolution stack, concatenation of its outputs, then the dense head."""
     outs = []
     h = x
     for layer in params.gcn:
-        h = gcn_layer(z, h, layer)
+        h = gcn_layer(z, h, layer, "relu")
         outs.append(h)
     h = np.concatenate(outs, axis=-1)
-    for layer in params.dense:
-        h = gcn_layer(None, h, layer)
+    for layer, act in zip(params.dense, head_activations(len(params.dense))):
+        h = gcn_layer(None, h, layer, act)
     return h
 
 
@@ -95,19 +101,20 @@ def input_gradient_rule(z, params: GcnParams, x: np.ndarray, g_out: np.ndarray) 
     conv = []
     h = np.asarray(x, dtype=float)
     for layer in params.gcn:
-        h = gcn_layer(z, h, layer)
+        h = gcn_layer(z, h, layer, "relu")
         conv.append(h)
+    acts = head_activations(len(params.dense))
     head = [np.concatenate(conv, axis=-1)]
-    for layer in params.dense:
-        head.append(gcn_layer(None, head[-1], layer))
+    for layer, act in zip(params.dense, acts):
+        head.append(gcn_layer(None, head[-1], layer, act))
     g = np.asarray(g_out, dtype=float)
-    for layer, out in zip(reversed(params.dense), reversed(head[1:])):
-        g = (g * _DERIVATIVES[layer.activation](out)) @ layer.w.T
+    for layer, act, out in zip(reversed(params.dense), reversed(acts), reversed(head[1:])):
+        g = (g * _DERIVATIVES[act](out)) @ layer.w.T
     g_conv = np.split(g, np.cumsum([out.shape[-1] for out in conv])[:-1], axis=-1)
     zt = StructureMatrix(mat=z.mat.T) if isinstance(z, StructureMatrix) else np.asarray(z).T
     g_h = 0.0
     for layer, out, g_cat in zip(reversed(params.gcn), reversed(conv), reversed(g_conv)):
-        g_pre = (g_cat + g_h) * _DERIVATIVES[layer.activation](out)  # dE/dA_j
+        g_pre = (g_cat + g_h) * _DERIVATIVES["relu"](out)  # dE/dA_j
         g_h = _aggregate(zt, g_pre) @ layer.w.T
     return g_h
 

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Every criterion stays
 within its stated runtime budget on one core; the heavy one, criterion 7,
-regenerates its dataset at desk scale.
+regenerates its dataset at desk scale and is marked ``slow``, so
+``pytest -m "not slow"`` skips it for a quick local loop.
 """
 
 import dataclasses
@@ -321,6 +322,7 @@ def test_criterion_6_graph_limit_ordering():
     report(6, "graph-limit ordering")
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_learning_ordering(desk_dataset):
     start = time.time()
     _, data = desk_dataset

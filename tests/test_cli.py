@@ -348,6 +348,7 @@ BAD_INPUTS = {
     "train-seed-not-an-integer": ("train", ({"seed": 1.5}, None), []),
     "train-schedule-not-an-object": ("train", ({"schedule": 5}, None), []),
     "train-hierarchy-entry-not-an-object": ("train", ({"hierarchy": [5]}, None), []),
+    "train-hierarchy-empty": ("train", ({"hierarchy": []}, None), []),
     "train-hierarchy-coarse-to-fine": (
         "train",
         ({"hierarchy": [{"n_rings": 2, "k": 13, "offset": 1}, {"n_rings": 4, "k": 13, "offset": 3}]},
@@ -370,6 +371,12 @@ EMPTY_SEARCH_MESSAGES = {
     "coarse-search-k-values-empty": "k_values is empty",
     "coarse-search-p-values-empty": "no offset in p_values is nonnegative and below 4",
     "coarse-search-no-candidates": "no offset in p_values is nonnegative and below 4",
+}
+
+
+# train cases whose one line must name the config entry at fault
+TRAIN_MESSAGES = {
+    "train-hierarchy-empty": "hierarchy needs at least one graph",
 }
 
 
@@ -425,6 +432,15 @@ def test_coarse_search_names_the_empty_input(tmp_path, capsys, case):
     cfg = write_json(tmp_path / "c.json", config)
     assert main(["coarse-search", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: no candidate tubes: {EMPTY_SEARCH_MESSAGES[case]}\n"
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_MESSAGES))
+def test_train_names_the_fault(tmp_path, capsys, dataset_dir, case):
+    _, (entries, _), _ = BAD_INPUTS[case]
+    config = dict({"dataset": str(dataset_dir), "schedule": {"total_epochs": 1}}, **entries)
+    cfg = write_json(tmp_path / "c.json", config)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {TRAIN_MESSAGES[case]}\n"
 
 
 @pytest.mark.parametrize("case", sorted(GDD_MESSAGES))

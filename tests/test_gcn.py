@@ -27,35 +27,35 @@ class TestGcnLayer:
     def test_identity_passthrough(self):
         eye = StructureMatrix(mat=sp.eye(3, format="csr"))
         x = seeded_rng(0).normal(size=(3, 2))
-        layer = GcnLayerParams(w=np.eye(2), b=np.zeros(2), activation="linear")
-        assert np.abs(gcn_layer(eye, x, layer) - x).max() < 1e-15
+        layer = GcnLayerParams(w=np.eye(2), b=np.zeros(2))
+        assert np.abs(gcn_layer(eye, x, layer, "linear") - x).max() < 1e-15
 
     def test_path_two_relu_by_hand(self):
         z = laplacian(make_grid(1, 2))
-        layer = GcnLayerParams(w=np.array([[1.0]]), b=np.zeros(1), activation="relu")
-        out = gcn_layer(z, np.array([[1.0], [0.0]]), layer)
+        layer = GcnLayerParams(w=np.array([[1.0]]), b=np.zeros(1))
+        out = gcn_layer(z, np.array([[1.0], [0.0]]), layer, "relu")
         assert np.array_equal(out, [[0.0], [1.0]])
 
     def test_output_shape(self):
         z = laplacian(make_grid(2, 3))
         rng = seeded_rng(1)
         layer = GcnLayerParams(w=rng.normal(size=(4, 7)), b=np.zeros(7))
-        assert gcn_layer(z, rng.normal(size=(6, 4)), layer).shape == (6, 7)
+        assert gcn_layer(z, rng.normal(size=(6, 4)), layer, "relu").shape == (6, 7)
 
     def test_dense_equals_identity_structure(self):
         rng = seeded_rng(2)
         x = rng.normal(size=(5, 3))
-        layer = GcnLayerParams(w=rng.normal(size=(3, 2)), b=rng.normal(size=2), activation="sigmoid")
+        layer = GcnLayerParams(w=rng.normal(size=(3, 2)), b=rng.normal(size=2))
         eye = StructureMatrix(mat=sp.eye(5, format="csr"))
-        node_wise = gcn_layer(None, x, layer)
-        with_identity = gcn_layer(eye, x, layer)
+        node_wise = gcn_layer(None, x, layer, "sigmoid")
+        with_identity = gcn_layer(eye, x, layer, "sigmoid")
         assert np.abs(node_wise - with_identity).max() < 1e-12
 
     def test_shape_mismatch(self):
         z = laplacian(make_grid(1, 2))
         layer = GcnLayerParams(w=np.eye(3), b=np.zeros(3))
         with pytest.raises(ValueError):
-            gcn_layer(z, np.zeros((2, 2)), layer)
+            gcn_layer(z, np.zeros((2, 2)), layer, "relu")
 
 
 class TestGcnForward:

@@ -13,7 +13,6 @@ from gpcn.numcore import (
     adam_step,
     eig_sym,
     glorot_uniform,
-    linear,
     relu,
     row_softmax,
     seeded_rng,
@@ -111,10 +110,6 @@ class TestActivations:
             zero_d = act(np.array(-1.5))
             assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
 
-    def test_linear(self):
-        x = np.array([1.5, -2.0])
-        assert np.array_equal(linear(x), x)
-
     def test_row_softmax_uniform(self):
         out = row_softmax(np.zeros((1, 3)))
         assert np.abs(out - 1.0 / 3.0).max() < 1e-15
@@ -180,6 +175,25 @@ class TestEigSym:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
             eig_sym(np.zeros((0, 0)))
+
+    def test_huge_entries_raise_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            es = eig_sym(np.diag([1e200, -1e200]))
+        assert np.array_equal(es.lambdas, [-1e200, 1e200])
+
+    def test_huge_entries_still_reject_a_wrong_basis(self, monkeypatch):
+        # squaring 1e200 overflows, which once made the threshold inf
+        eigh = np.linalg.eigh
+        c, s = np.cos(0.1), np.sin(0.1)
+
+        def rotated(a):
+            lam, u = eigh(a)
+            return lam, u @ np.array([[c, -s], [s, c]])
+
+        monkeypatch.setattr(np.linalg, "eigh", rotated)
+        with pytest.raises(NumericalError, match="residual too large"):
+            eig_sym(np.diag([1e200, -1e200]))
 
 
 def mirror_symmetric(rng, n):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gpcn.serialize import check_value, load_arrays, save_arrays
 
@@ -71,6 +72,26 @@ def test_zero_d_round_trip(tmp_path):
     arrays, _ = load_arrays(path)
     assert arrays["s"].shape == () and arrays["s"].dtype == np.float64 and arrays["s"] == 2.5
     assert arrays["k"].shape == () and arrays["k"].dtype == np.int64 and arrays["k"] == -3
+
+
+# float64 and int64 are stored as they are; every other dtype as float64
+ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.int64, np.float32, np.int32, np.uint8, np.bool_]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+
+
+@given(st.lists(ARRAYS, max_size=4))
+def test_round_trip_keeps_dtype_shape_and_bytes(tmp_path_factory, arrays):
+    path = tmp_path_factory.mktemp("round_trip") / "a.bin"
+    save_arrays(path, {f"a{i}": a for i, a in enumerate(arrays)})
+    loaded, _ = load_arrays(path)
+    assert sorted(loaded) == sorted(f"a{i}" for i in range(len(arrays)))
+    for i, a in enumerate(arrays):
+        want = a if a.dtype in (np.float64, np.int64) else a.astype(np.float64)
+        got = loaded[f"a{i}"]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 BAD_HEADERS = {
