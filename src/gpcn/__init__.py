@@ -11,7 +11,7 @@ and training loops with FLOPs accounting and multigrid schedules
 """
 
 from .autodiff import Tape
-from .gcn import GcnSpec, gcn_forward, init_gcn_params
+from .gcn import GcnSpec, init_gcn_params
 from .gdd import Prolongation, gdd
 from .graphs import Graph, laplacian, make_grid, make_tube, structure_power
 from .ensembles import (
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tape",
     "GcnSpec",
-    "gcn_forward",
     "init_gcn_params",
     "Prolongation",
     "gdd",

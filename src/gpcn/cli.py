@@ -312,9 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    np.seterr(over="ignore")
     try:
-        return args.fn(args)
+        # divergence guards and isfinite checks report inf and nan; numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

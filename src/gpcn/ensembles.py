@@ -6,13 +6,14 @@ Model kinds:
   scale through composed prolongation transposes and each member's output is
   lifted back, so the ensemble output is the sum over scales. With
   ``adaptive=True`` the prolongation entries train jointly with the filters.
-* ``plain_ensemble``: several GCNs on the same structure matrix, summed.
-* ``ngcn``: members use successive powers of the structure matrix.
+* ``plain_ensemble``: several GCNs on graphs of one node set, summed. A
+  single GCN is a one-member plain ensemble, and an N-GCN is one whose
+  members hold successive powers of the structure matrix.
 * ``diffpool``: the prolongations are replaced by input-dependent affinity
   matrices (row-softmaxed output of a small pooling convolution), and the
   coarse structure matrices are recomputed from them on every pass.
 
-All four kinds share one forward, the level loop of :func:`model_graph`;
+All three kinds share one forward, the level loop of :func:`model_graph`;
 they differ only in how each level's structure matrix, input and lift back
 to the fine scale are built.
 
@@ -65,14 +66,14 @@ __all__ = [
 class ModelSpec:
     """Architecture of an ensemble: levels fine to coarse plus their wiring."""
 
-    kind: str  # gpcn | plain_ensemble | ngcn | diffpool
+    kind: str  # gpcn | plain_ensemble | diffpool
     levels: tuple
     prolongations: tuple = ()  # initial values, fine side first; () when unused
     adaptive: bool = False
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("gpcn", "plain_ensemble", "ngcn", "diffpool"):
+        if self.kind not in ("gpcn", "plain_ensemble", "diffpool"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         object.__setattr__(self, "levels", tuple(self.levels))
         object.__setattr__(self, "prolongations", tuple(self.prolongations))
@@ -85,10 +86,10 @@ class ModelSpec:
                     raise ValueError(
                         f"prolongation {i} has shape {p.shape}, expected {want}"
                     )
-        if self.kind in ("plain_ensemble", "ngcn"):
+        if self.kind == "plain_ensemble":
             ns = {lvl.n for lvl in self.levels}
             if len(ns) != 1:
-                raise ValueError(f"{self.kind} members must share the node count, got {ns}")
+                raise ValueError(f"plain_ensemble members must share the node count, got {ns}")
 
     @property
     def n_levels(self) -> int:
@@ -187,8 +188,8 @@ _TABLE = {
     "gpcn3": ("gpcn", [(16, 16, 16), (32, 32, 32), (64, 64, 64)]),
     "a_gpcn2": ("gpcn", [(32, 32, 32), (64, 64, 64)]),
     "a_gpcn3": ("gpcn", [(16, 16, 16), (32, 32, 32), (64, 64, 64)]),
-    "ngcn3": ("ngcn", [(64, 64, 64)] * 3),
-    "ngcn5": ("ngcn", [(64, 64, 64)] * 5),
+    "ngcn3": ("plain_ensemble", [(64, 64, 64)] * 3),
+    "ngcn5": ("plain_ensemble", [(64, 64, 64)] * 5),
     "diffpool3": ("diffpool", [(16, 16, 16), (32, 32, 32), (64, 64, 64)]),
 }
 
@@ -201,47 +202,33 @@ def build_from_table(name: str, hierarchy: Hierarchy) -> ModelSpec:
     """Instantiate one of the named ensemble architectures on a hierarchy.
 
     The hierarchy supplies the structure matrices (and prolongations for the
-    multiscale kinds); its fine graph carries the single-scale kinds.
+    multiscale kinds); its fine graph carries every plain ensemble, whose
+    member i aggregates with the fine Z to the power of its radius (1 unless
+    the name is an N-GCN's).
     """
     if name not in MODEL_NAMES:
         raise ValueError(
             f"unknown model {name!r}; valid names: {', '.join(MODEL_NAMES)}"
         )
     kind, widths = _TABLE[name]
-    fine_z = hierarchy.laplacians[0]
+    depth, fine_z = len(widths), hierarchy.laplacians[0]
     if kind == "plain_ensemble":
-        levels = [GcnSpec(z=fine_z, gcn_widths=w, dense_widths=_DENSE_HEAD) for w in widths]
+        radii = _NGCN_RADII.get(name, (1,) * depth)
+        zs = [fine_z if r == 1 else structure_power(fine_z, r) for r in radii]
+        levels = [GcnSpec(z=z, gcn_widths=w, dense_widths=_DENSE_HEAD) for z, w in zip(zs, widths)]
         return ModelSpec(kind=kind, levels=levels, name=name)
-    if kind == "ngcn":
-        levels = [
-            GcnSpec(
-                z=structure_power(fine_z, r), gcn_widths=w, dense_widths=_DENSE_HEAD
-            )
-            for r, w in zip(_NGCN_RADII[name], widths)
-        ]
-        return ModelSpec(kind=kind, levels=levels, name=name)
-    depth = len(widths)
     if len(hierarchy.graphs) < depth:
         raise ValueError(f"{name} needs a hierarchy of at least {depth} graphs")
-    if kind == "diffpool":
+    if kind == "diffpool":  # levels past the first pool their Z at forward time
         levels = [
-            GcnSpec(
-                z=fine_z if i == 0 else None,
-                gcn_widths=widths[i],
-                dense_widths=_DENSE_HEAD,
-                n_nodes=hierarchy.graphs[i].n,
-            )
-            for i in range(depth)
+            GcnSpec(z=fine_z if i == 0 else None, gcn_widths=w, dense_widths=_DENSE_HEAD, n_nodes=g.n)
+            for i, (w, g) in enumerate(zip(widths, hierarchy.graphs))
         ]
         return ModelSpec(kind=kind, levels=levels, name=name)
-    levels = [
-        GcnSpec(
-            z=hierarchy.laplacians[i], gcn_widths=widths[i], dense_widths=_DENSE_HEAD
-        )
-        for i in range(depth)
-    ]
+    zs = hierarchy.laplacians[:depth]
+    levels = [GcnSpec(z=z, gcn_widths=w, dense_widths=_DENSE_HEAD) for z, w in zip(zs, widths)]
     return ModelSpec(
-        kind="gpcn",
+        kind=kind,
         levels=levels,
         prolongations=hierarchy.prolongations[: depth - 1],
         adaptive=name.startswith("a_"),
@@ -270,7 +257,7 @@ def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=
     Every kind runs one level loop. Level i has a structure matrix Z_i, an
     input X_i and a lift L_i back to the fine scale:
 
-    * plain_ensemble, ngcn: (the level's Z, x, identity)
+    * plain_ensemble: (the level's Z, x, identity)
     * gpcn: (the level's Z, L_i^T x, L_i = P_1 ... P_i)
     * diffpool: (S_i^T Z_{i-1} S_i, S_i^T X_{i-1}, L_i = S_1 ... S_i), where
       S_i is the row-softmaxed pooling convolution of level i-1
@@ -393,8 +380,10 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
 
 def load_checkpoint(path):
     """Restore (spec, params) from :func:`save_checkpoint` output; params
-    get their own prolongation copies only when adaptive. Other manifest
-    keys (older checkpoints list every layer's activation) are ignored."""
+    get their own prolongation copies only when adaptive. Older checkpoints
+    also load: their extra manifest keys (every layer's activation, the
+    N-GCN radii) are ignored, and their kind ``ngcn`` reads as
+    ``plain_ensemble``."""
     arrays, meta = load_arrays(path)
 
     def layer(prefix):
@@ -419,7 +408,7 @@ def load_checkpoint(path):
         )
     prolongations = [arrays[f"prolong{i}"] for i in range(meta["n_prolongations"])]
     spec = ModelSpec(
-        kind=meta["kind"],
+        kind="plain_ensemble" if meta["kind"] == "ngcn" else meta["kind"],
         levels=levels,
         prolongations=tuple(prolongations),
         adaptive=meta["adaptive"],

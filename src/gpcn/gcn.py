@@ -9,15 +9,11 @@ the convolution widths. A node-wise dense layer is the same operation as a
 graph convolution with the identity as the structure matrix; it is
 implemented without the aggregation product.
 
-:func:`gcn_graph` records the forward pass on a tape. It is the one forward
-path: :func:`gcn_forward`, :func:`energy_input_gradient` and every ensemble
-member run it, with the structure matrix as an argument (sparse for a fixed
-graph, a recorded dense matrix for a pooled level).
-
-The input gradient binds the signal as a tape variable and back-propagates
-the summed output. The tape's spmm and matmul vjps then apply the paper's
-first-layer rule Z^T (dE/dA_1) W_1^T, where A_1 is the first
-pre-activation.
+:func:`gcn_graph` records the forward pass on a tape. Every ensemble
+member runs it, with the structure matrix as an argument (sparse for a fixed
+graph, a recorded dense matrix for a pooled level); a single network is a
+one-level ``plain_ensemble``, run and differentiated through
+:func:`gpcn.ensembles.model_graph`.
 """
 
 from __future__ import annotations
@@ -37,8 +33,6 @@ __all__ = [
     "init_gcn_params",
     "aggregate",
     "gcn_graph",
-    "gcn_forward",
-    "energy_input_gradient",
 ]
 
 
@@ -158,20 +152,3 @@ def gcn_graph(tape: Tape, z, params: GcnParams, x) -> Node:
     for layer in hidden:
         h = tape.sigmoid(tape.matmul(h, layer.w), layer.b)
     return tape.add(tape.matmul(h, last.w), last.b)
-
-
-def gcn_forward(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
-    """Forward pass to the n-by-1 output; accepts a leading batch axis."""
-    return gcn_graph(Tape(), spec.z, params, np.asarray(x, dtype=float)).value
-
-
-def energy_input_gradient(spec: GcnSpec, params: GcnParams, x: np.ndarray) -> np.ndarray:
-    """Gradient of the summed output with respect to the n-by-F input signal,
-    back-propagated through :func:`gcn_graph` (see the module docstring)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("energy_input_gradient expects a single n-by-F signal")
-    tape = Tape()
-    x_node = tape.variable(x)
-    tape.backward(tape.sum(gcn_graph(tape, spec.z, params, x_node)))
-    return x_node.grad

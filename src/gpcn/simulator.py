@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -414,6 +415,17 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.temperature is not None and self.temperature < 0:
             raise ValueError(f"temperature must not be negative, got {self.temperature}")
+        if not self.resolved_damping() < math.inf:
+            raise ValueError(f"dt {self.dt!r} makes the damping time 100 * dt infinite")
+        try:  # every model build_geometry makes has this mass
+            kt = self.resolved_temperature(MASS_DALTON)
+        except OverflowError:
+            kt = math.inf
+        if self.temperature is None and not 0.0 < kt < math.inf:
+            raise ValueError(
+                f"max_force {self.max_force!r}, dt {self.dt!r} and damping "
+                f"{self.resolved_damping()!r} give a noise temperature of {kt!r}"
+            )
         if self.feature_columns not in (10, 11):
             raise ValueError("feature_columns must be 10 or 11")
         _check_strengths(self.strengths)

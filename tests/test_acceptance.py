@@ -21,6 +21,8 @@ gdd_mod = importlib.import_module("gpcn.gdd")
 from gpcn.autodiff import Tape
 from gpcn.cli import main as cli_main
 from gpcn.ensembles import (
+    ModelParams,
+    ModelSpec,
     build_from_table,
     desk_hierarchy,
     ensemble_input_gradient,
@@ -29,7 +31,7 @@ from gpcn.ensembles import (
     model_forward,
     model_graph,
 )
-from gpcn.gcn import GcnSpec, energy_input_gradient, gcn_forward, init_gcn_params
+from gpcn.gcn import GcnSpec, init_gcn_params
 from gpcn.gdd import gdd, limit_curve, rlap_solve, warm_start
 from gpcn.graphs import laplacian, make_grid, make_tube
 from gpcn.numcore import eig_sym, seeded_rng
@@ -195,13 +197,15 @@ def test_criterion_4_gradient_suite():
     assert checked_p_entries > 0
 
     # input gradients through the tape against the paper's rule (numpy
-    # oracle) and finite differences: single network and ensemble
+    # oracle) and finite differences: single network (a one-member plain
+    # ensemble) and ensemble
     gspec = GcnSpec(z=hier.laplacians[0], gcn_widths=(4, 3), dense_widths=(5, 1))
     gparams = init_gcn_params(gspec, 3, seeded_rng(106))
-    ana = energy_input_gradient(gspec, gparams, x)
+    single, sparams = ModelSpec("plain_ensemble", [gspec]), ModelParams(levels=[gparams])
+    ana = ensemble_input_gradient(single, sparams, x)
     rule = input_gradient_rule(gspec.z, gparams, x, np.ones((30, 1)))
     assert np.abs(ana - rule).max() < 1e-10
-    fd = finite_difference(lambda v: float(gcn_forward(gspec, gparams, v).sum()), x)
+    fd = finite_difference(lambda v: float(model_forward(single, sparams, v).sum()), x)
     assert np.abs(ana - fd).max() / np.abs(fd).max() < 1e-5
 
     ens_ana = ensemble_input_gradient(spec, params, x)

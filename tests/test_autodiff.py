@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, strategies as st
 
-from gpcn.autodiff import Tape
+from gpcn.autodiff import Node, Tape
 from gpcn.gcn import aggregate
 from gpcn.graphs import StructureMatrix, laplacian, make_grid
 from gpcn.numcore import seeded_rng, sigmoid
@@ -267,3 +268,112 @@ def test_biased_activation_of_constants_stays_off_the_tape():
         assert np.array_equal(node.value, want)
         assert not node.needs and node.parents == () and node.vjps == ()
     assert tape._nodes == []
+
+
+
+# -- random op chains --------------------------------------------------------
+
+CHAIN_Z = StructureMatrix(
+    mat=sp.random(4, 4, density=0.5, format="csr", random_state=np.random.default_rng(11))
+    + sp.eye(4, format="csr")
+)
+# op -> record(tape, h, operand) on the chain's running value h
+CHAIN_OPS = {
+    "matmul_right": lambda t, h, o: t.matmul(h, o),
+    "matmul_left": lambda t, h, o: t.matmul(o, h),
+    "spmm": lambda t, h, o: t.spmm(CHAIN_Z, h),
+    "add": lambda t, h, o: t.add(h, o),
+    "relu": lambda t, h, o: t.relu(h, o),
+    "sigmoid": lambda t, h, o: t.sigmoid(h, o),
+    "concat": lambda t, h, o: t.concat([h, o], axis=-1),
+    "transpose": lambda t, h, o: t.transpose(h),
+    "row_softmax": lambda t, h, o: t.row_softmax(h),
+}
+
+
+@st.composite
+def op_chains(draw):
+    """A start array, one to five steps (op, operand or None) and a target;
+    each array is a variable or a constant, and a variable enters somewhere."""
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(shape):
+        return rng.normal(size=shape) / np.sqrt(shape[0]), draw(st.booleans())
+
+    shape = ((2,) if draw(st.booleans()) else ()) + (4, draw(st.integers(1, 3)))
+    start = (rng.normal(size=shape), draw(st.booleans()))
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows, cols = shape[-2:]
+        op = draw(st.sampled_from([o for o in CHAIN_OPS if o != "spmm" or rows == 4]))
+        arg = None
+        if op == "matmul_right":
+            arg = operand((cols, draw(st.integers(1, 3))))
+            shape = (*shape[:-1], arg[0].shape[1])
+        elif op == "matmul_left":
+            arg = operand((draw(st.integers(1, 4)), rows))
+            shape = (*shape[:-2], arg[0].shape[0], cols)
+        elif op in ("add", "relu", "sigmoid"):
+            arg = operand((cols,) if draw(st.booleans()) else shape[-2:])
+        elif op == "concat":
+            arg = operand((*shape[:-1], draw(st.integers(1, 2))))
+            shape = (*shape[:-1], cols + arg[0].shape[-1])
+        elif op == "transpose":
+            shape = (*shape[:-2], cols, rows)
+        steps.append((op, arg))
+    assume(start[1] or any(arg is not None and arg[1] for _, arg in steps))
+    return start, steps, rng.normal(size=shape)
+
+
+def run_chain(tape, start, steps, leaf):
+    """Record the chain with ``leaf(array, is_variable)`` making each operand.
+    Returns the output, every node an op made and the least distance of a
+    relu pre-activation from the kink. An op whose inputs are all constants
+    must leave the tape as it was."""
+    h = leaf(*start)
+    made, kink = [], np.inf
+    for op, arg in steps:
+        other = None if arg is None else leaf(*arg)
+        varying = any(isinstance(x, Node) and x.needs for x in (h, other))
+        if op == "relu":
+            pre = getattr(h, "value", h) + getattr(other, "value", other)
+            kink = min(kink, np.abs(pre).min())
+        recorded = list(tape._nodes)
+        h = CHAIN_OPS[op](tape, h, other)
+        assert h.needs == varying
+        if not varying:
+            assert tape._nodes == recorded and h.parents == () and h.vjps == ()
+        made.append(h)
+    return h, made, kink
+
+
+@given(op_chains())
+def test_random_chains_match_finite_differences(chain):
+    start, steps, target = chain
+    tape, variables = Tape(), []
+
+    def leaf(arr, is_variable):
+        if not is_variable:
+            return arr
+        variables.append((arr, tape.variable(arr)))
+        return variables[-1][1]
+
+    out, made, kink = run_chain(tape, start, steps, leaf)
+    assume(kink > 1e-3)  # finite differences must not cross relu's kink
+    tape.backward(tape.mse(out, target))
+    assert all(node.grad is None for node in made if not node.needs)
+
+    def loss_at(arr, value):
+        saved = arr.copy()
+        arr[...] = value
+        try:
+            t = Tape()
+            return float(t.mse(run_chain(t, start, steps, lambda a, _: a)[0], target).value)
+        finally:
+            arr[...] = saved
+
+    for arr, node in variables:
+        assert node.grad is not None and node.grad.shape == arr.shape
+        fd = finite_difference(lambda v: loss_at(arr, v), arr)
+        scale = max(np.abs(fd).max(), 1e-6)
+        assert np.abs(node.grad - fd).max() / scale < 1e-5

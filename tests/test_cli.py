@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import shutil
 import struct
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpcn.cli import _build_parser, main
 from gpcn.graphs import graph_to_edgelist, make_grid, make_tube
@@ -312,6 +318,10 @@ BAD_INPUTS = {
     "generate-sim-temperature-negative": (
         "generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], temperature=-1.0)), []
     ),
+    "generate-sim-dt-overflows": ("generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], dt=1e308)), []),
+    "generate-sim-max-force-overflows": (
+        "generate", dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], max_force=1e308)), []
+    ),
     "train-total-epochs-not-an-integer": ("train", ({"schedule": {"total_epochs": 1.5}}, None), []),
     "train-batch-size-not-an-integer": (
         "train", ({"schedule": {"total_epochs": 1, "batch_size": 2.5}}, None), []
@@ -374,6 +384,13 @@ EMPTY_SEARCH_MESSAGES = {
 }
 
 
+# generate cases whose one line must name the sim field at fault
+GENERATE_FIELDS = {
+    "generate-sim-dt-overflows": "dt",
+    "generate-sim-max-force-overflows": "max_force",
+}
+
+
 # train cases whose one line must name the config entry at fault
 TRAIN_MESSAGES = {
     "train-hierarchy-empty": "hierarchy needs at least one graph",
@@ -432,6 +449,107 @@ def test_coarse_search_names_the_empty_input(tmp_path, capsys, case):
     cfg = write_json(tmp_path / "c.json", config)
     assert main(["coarse-search", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: no candidate tubes: {EMPTY_SEARCH_MESSAGES[case]}\n"
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE_FIELDS))
+def test_generate_names_the_sim_field(tmp_path, capsys, case):
+    _, config, _ = BAD_INPUTS[case]
+    cfg = write_json(tmp_path / "c.json", config)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {GENERATE_FIELDS[case]} ") and err.count("\n") == 1, err
+
+
+# a warning would print a second stderr line outside pytest
+@pytest.mark.filterwarnings("error")
+def test_diverged_generate_prints_one_line(tmp_path, capsys):
+    config = dict(GEN_CONFIG, sim=dict(GEN_CONFIG["sim"], bond_k_base=1e308))
+    cfg = write_json(tmp_path / "c.json", config)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
+# A valid 4-ring, 8-step generate config that sets every key it may. The
+# mutations below never give a size a large valid value: a number becomes
+# 0, -1 or 1e308 (a float, so never a valid count), or a small sample of
+# another JSON type.
+MUTABLE_CONFIG = {
+    "tube": {"n_rings": 4, "k": 13, "offset": 3},
+    "sim": {
+        "ramp_steps": 4, "hold_steps": 4, "save_every": 4, "dt": 0.05, "max_force": 0.4,
+        "bond_k_base": 100.0, "angle_k_base": 500.0, "langevin": True, "temperature": None,
+        "damping": None, "feature_columns": 10,
+    },
+    "grid": {"LatAssoc": [0.5, 1.5]},
+    "strengths": {"LongAssoc": 1.0},
+    "seed": 3,
+}
+JSON_SAMPLES = ("x", True, 2, 0.5, {})
+DROP = "<drop the key>"
+
+
+def _json_type(value):
+    return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) else type(value)
+
+
+def config_mutations(node=MUTABLE_CONFIG, path=()):
+    """Every (path, new value) that changes one node of the config: drop
+    it, add an unknown key, change its JSON type, wrap it in a list, null
+    it, set a number to 0, -1 or 1e308, or empty a list."""
+    if path:
+        yield path, DROP
+    if isinstance(node, dict):
+        yield path + ("unknown",), 1
+    for sample in JSON_SAMPLES:
+        if _json_type(sample) != _json_type(node):
+            yield path, sample
+    yield path, [node]
+    if node is not None:
+        yield path, None
+    if _json_type(node) == "number":
+        yield from ((path, value) for value in (0, -1, 1e308))
+    if isinstance(node, list) and node:
+        yield path, []
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from config_mutations(child, path + (key,))
+
+
+def mutated_config(path, value):
+    if not path:
+        return value
+    config = copy.deepcopy(MUTABLE_CONFIG)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return config
+
+
+MUTATIONS = list(config_mutations())
+
+
+@settings(max_examples=2 * len(MUTATIONS))  # stops once every mutation ran
+@given(st.sampled_from(MUTATIONS))
+def test_generate_exit_codes_under_one_mutation(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_json(os.path.join(tmp, "c.json"), mutated_config(*case))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            with warnings.catch_warnings():  # a warning would print a second stderr line
+                warnings.simplefilter("error")
+                code = main(["generate", "--config", cfg, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3), case
+    err = err.getvalue()
+    if code == 0:
+        assert err == "", case
+    else:
+        prefix = "error: " if code == 2 else "numerical failure: "
+        assert err.startswith(prefix) and err.count("\n") == 1, (case, err)
 
 
 @pytest.mark.parametrize("case", sorted(TRAIN_MESSAGES))

@@ -11,7 +11,6 @@ import gpcn
 from gpcn.autodiff import Tape
 from gpcn.ensembles import (
     MODEL_NAMES,
-    ModelParams,
     ModelSpec,
     build_from_table,
     ensemble_input_gradient,
@@ -22,7 +21,7 @@ from gpcn.ensembles import (
     paper_hierarchy,
     save_checkpoint,
 )
-from gpcn.gcn import GcnLayerParams, GcnSpec, energy_input_gradient, gcn_forward, init_gcn_params
+from gpcn.gcn import GcnLayerParams, GcnSpec, init_gcn_params
 from gpcn.graphs import laplacian, make_grid, structure_power
 from gpcn.numcore import seeded_rng
 from gpcn.serialize import load_arrays, save_arrays
@@ -33,6 +32,7 @@ from tests.oracles import (
     ensemble_input_gradient_reference,
     model_forward_reference,
 )
+from tests.test_gcn import as_model
 
 
 class TestGpcnForward:
@@ -43,7 +43,8 @@ class TestGpcnForward:
         params = init_model_params(spec, 3, seeded_rng(2))
         gcn_params = init_gcn_params(level, 3, seeded_rng(2))
         x = seeded_rng(3).normal(size=(z.n, 3))
-        assert np.array_equal(model_forward(spec, params, x), gcn_forward(level, gcn_params, x))
+        plain = model_forward(*as_model(level, gcn_params), x)
+        assert np.array_equal(model_forward(spec, params, x), plain)
 
     def test_identity_prolongation_sums_two_members(self, tiny_hierarchy):
         z = tiny_hierarchy.laplacians[0]
@@ -93,14 +94,15 @@ class TestNgcn:
         level = GcnSpec(z=z, gcn_widths=(4, 4), dense_widths=(5, 1))
         gcn_params = init_gcn_params(level, 3, seeded_rng(12))
         x = seeded_rng(13).normal(size=(z.n, 3))
-        spec = ModelSpec(kind="ngcn", levels=[level])
-        out = model_forward(spec, ModelParams(levels=[gcn_params]), x)
-        assert np.abs(out - gcn_forward(level, gcn_params, x)).max() < 1e-12
+        radius_one = GcnSpec(z=structure_power(z, 1), gcn_widths=(4, 4), dense_widths=(5, 1))
+        out = model_forward(*as_model(radius_one, gcn_params), x)
+        assert np.abs(out - model_forward(*as_model(level, gcn_params), x)).max() < 1e-12
 
     def test_member_powers_and_widths(self, tiny_hierarchy):
         spec = build_from_table("ngcn3", tiny_hierarchy)
-        assert spec.n_levels == 3
+        assert spec.kind == "plain_ensemble" and spec.n_levels == 3
         z1 = tiny_hierarchy.laplacians[0]
+        assert spec.levels[0].z is z1
         for lvl, r in zip(spec.levels, (1, 2, 4)):
             assert lvl.gcn_widths == (64, 64, 64)
             assert lvl.dense_widths == (256, 32, 8, 1)
@@ -198,7 +200,7 @@ class TestEnsembleInputGradient:
         gcn_params = init_gcn_params(level, 3, seeded_rng(20))
         x = seeded_rng(21).normal(size=(z.n, 3))
         a = ensemble_input_gradient(spec, params, x)
-        b = energy_input_gradient(level, gcn_params, x)
+        b = ensemble_input_gradient(*as_model(level, gcn_params), x)
         assert np.abs(a - b).max() < 1e-12
 
     def test_matches_tape(self, tiny_hierarchy):
@@ -248,6 +250,11 @@ class TestBuildFromTable:
     def test_adaptive_flag(self, tiny_hierarchy):
         assert build_from_table("a_gpcn3", tiny_hierarchy).adaptive
         assert not build_from_table("gpcn3", tiny_hierarchy).adaptive
+
+    def test_ngcn_is_not_a_kind(self, tiny_hierarchy):
+        level = GcnSpec(z=tiny_hierarchy.laplacians[0], gcn_widths=(4,), dense_widths=(1,))
+        with pytest.raises(ValueError, match="unknown model kind 'ngcn'"):
+            ModelSpec(kind="ngcn", levels=[level])
 
     def test_model_names_constant(self):
         assert "a_gpcn3" in MODEL_NAMES and len(MODEL_NAMES) == 10
@@ -301,20 +308,27 @@ class TestCheckpoints:
     @pytest.mark.parametrize("name", ["ngcn3", "a_gpcn3", "diffpool3"])
     def test_loads_manifest_with_activations_and_radii(self, tiny_hierarchy, tmp_path, name):
         # checkpoints used to record every layer's activation and the ngcn
-        # radii; a reader ignores those keys, as activations follow position
+        # radii, and to store an N-GCN under the kind "ngcn"; a reader
+        # ignores the extra keys, as activations follow position, and reads
+        # that kind as the plain ensemble it is
         spec = build_from_table(name, tiny_hierarchy)
         params = init_model_params(spec, 3, seeded_rng(33))
         x = seeded_rng(34).normal(size=(spec.n_fine, 3))
         save_checkpoint(tmp_path / "new.bin", spec, params)
         arrays, meta = load_arrays(tmp_path / "new.bin")
         assert "radii" not in meta
-        meta["radii"] = [1, 2, 4] if spec.kind == "ngcn" else []
+        if name == "ngcn3":
+            assert meta["kind"] == "plain_ensemble"
+            meta["kind"], meta["radii"] = "ngcn", [1, 2, 4]
+        else:
+            meta["radii"] = []
         for lm in meta["levels"]:
             assert "gcn_activations" not in lm and "dense_activations" not in lm
             lm["gcn_activations"] = ["relu"] * len(lm["gcn_widths"])
             lm["dense_activations"] = ["sigmoid"] * (len(lm["dense_widths"]) - 1) + ["linear"]
         save_arrays(tmp_path / "old.bin", arrays, meta)
         spec2, params2 = load_checkpoint(tmp_path / "old.bin")
+        assert spec2.kind == spec.kind
         assert np.array_equal(model_forward(spec2, params2, x), model_forward(spec, params, x))
 
 

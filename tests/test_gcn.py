@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from gpcn.autodiff import Tape
-from gpcn.gcn import (
-    GcnLayerParams,
-    GcnSpec,
-    energy_input_gradient,
-    gcn_forward,
-    gcn_graph,
-    init_gcn_params,
-)
+from gpcn.ensembles import ModelParams, ModelSpec, ensemble_input_gradient, model_forward
+from gpcn.gcn import GcnLayerParams, GcnSpec, gcn_graph, init_gcn_params
 from gpcn.graphs import StructureMatrix, laplacian, make_grid, make_tube
 from gpcn.numcore import seeded_rng
 
@@ -21,6 +15,19 @@ from tests.test_autodiff import finite_difference
 
 def small_spec(n_graph=(3, 4), widths=(5, 4), dense=(6, 1)):
     return GcnSpec(z=laplacian(make_grid(*n_graph)), gcn_widths=widths, dense_widths=dense)
+
+
+def as_model(spec, params):
+    """A single network as the one-member plain ensemble that runs it."""
+    return ModelSpec("plain_ensemble", [spec]), ModelParams(levels=[params])
+
+
+def single_forward(spec, params, x):
+    return model_forward(*as_model(spec, params), x)
+
+
+def single_input_gradient(spec, params, x):
+    return ensemble_input_gradient(*as_model(spec, params), x)
 
 
 class TestGcnLayer:
@@ -67,7 +74,7 @@ class TestGcnForward:
         )
         assert spec.concat_width == 192
         params = init_gcn_params(spec, 10, seeded_rng(3))
-        out = gcn_forward(spec, params, seeded_rng(4).normal(size=(624, 10)))
+        out = single_forward(spec, params, seeded_rng(4).normal(size=(624, 10)))
         assert out.shape == (624, 1)
         assert np.isfinite(out).all()
 
@@ -77,28 +84,28 @@ class TestGcnForward:
         for layer in params.gcn:
             layer.w[:] = 0.0
         x = seeded_rng(6).normal(size=(12, 3))
-        out = gcn_forward(spec, params, x)
+        out = single_forward(spec, params, x)
         assert np.abs(out - out[0]).max() < 1e-12
 
     def test_batched_matches_loop(self):
         spec = small_spec()
         params = init_gcn_params(spec, 3, seeded_rng(7))
         xb = seeded_rng(8).normal(size=(5, 12, 3))
-        out = gcn_forward(spec, params, xb)
+        out = single_forward(spec, params, xb)
         for i in range(5):
-            assert np.array_equal(out[i], gcn_forward(spec, params, xb[i]))
+            assert np.array_equal(out[i], single_forward(spec, params, xb[i]))
 
     def test_node_permutation_equivariance(self):
         g = make_grid(3, 4)
         spec = GcnSpec(z=laplacian(g), gcn_widths=(4, 3), dense_widths=(5, 1))
         params = init_gcn_params(spec, 2, seeded_rng(9))
         x = seeded_rng(10).normal(size=(12, 2))
-        out = gcn_forward(spec, params, x)
+        out = single_forward(spec, params, x)
         perm = seeded_rng(11).permutation(12)
         from gpcn.graphs import relabel
 
         spec_p = GcnSpec(z=laplacian(relabel(g, perm)), gcn_widths=(4, 3), dense_widths=(5, 1))
-        out_p = gcn_forward(spec_p, params, x[np.argsort(perm)])
+        out_p = single_forward(spec_p, params, x[np.argsort(perm)])
         assert np.abs(out_p - out[np.argsort(perm)]).max() < 1e-10
 
     def test_dense_head_must_end_at_one(self):
@@ -122,7 +129,7 @@ class TestParameterGradients:
         def loss_with(arr, idx, value):
             old = arr.flat[idx]
             arr.flat[idx] = value
-            out = gcn_forward(spec, params, x)
+            out = single_forward(spec, params, x)
             arr.flat[idx] = old
             return float(np.mean((out - target) ** 2))
 
@@ -141,7 +148,7 @@ class TestInputGradient:
         params = init_gcn_params(spec, 3, seeded_rng(16))
         for layer in params.gcn + params.dense:
             layer.w[:] = 0.0
-        grad = energy_input_gradient(spec, params, np.ones((12, 3)))
+        grad = single_input_gradient(spec, params, np.ones((12, 3)))
         assert np.abs(grad).max() == 0.0
 
     def test_matches_tape_gradient(self):
@@ -149,7 +156,7 @@ class TestInputGradient:
         spec = small_spec()
         params = init_gcn_params(spec, 3, seeded_rng(17))
         x = seeded_rng(18).normal(size=(12, 3))
-        tape = energy_input_gradient(spec, params, x)
+        tape = single_input_gradient(spec, params, x)
         rule = input_gradient_rule(spec.z, params, x, np.ones((12, 1)))
         assert np.abs(tape - rule).max() < 1e-10
 
@@ -157,6 +164,6 @@ class TestInputGradient:
         spec = small_spec(n_graph=(2, 3), widths=(3, 3), dense=(4, 1))
         params = init_gcn_params(spec, 2, seeded_rng(19))
         x = seeded_rng(20).normal(size=(6, 2))
-        ana = energy_input_gradient(spec, params, x)
-        fd = finite_difference(lambda v: float(gcn_forward(spec, params, v).sum()), x)
+        ana = single_input_gradient(spec, params, x)
+        fd = finite_difference(lambda v: float(single_forward(spec, params, v).sum()), x)
         assert np.abs(ana - fd).max() / max(np.abs(fd).max(), 1e-10) < 1e-5

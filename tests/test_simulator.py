@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpcn.simulator as simulator
+from gpcn.graphs import make_tube
 from gpcn.numcore import seeded_rng
 from gpcn.simulator import (
     REST_ANGLES_DEG,
@@ -113,6 +114,34 @@ def test_arm_table_rejects_an_arm_that_is_no_bond():
     assert simulator._arm_table(bonds, np.array([[0, 1, 2]]), 4).tolist() == [[2, 3]]
     with pytest.raises(ValueError, match="3 is not a bond"):
         simulator._arm_table(bonds, np.array([[0, 1, 3]]), 4)
+
+
+def assert_lattice_is_the_tube_graph(m):
+    """Each bond joins the two ends of one edge of the same-shaped
+    make_tube, once, so the dataset's particles and the GCN's Laplacian
+    describe one graph."""
+    pairs = np.sort(m.bond_idx, axis=1).tolist()
+    edges = {(min(u, v), max(u, v)) for u, v, _ in make_tube(m.n_rings, m.k, m.offset).edges}
+    assert len(pairs) == len(edges) and set(map(tuple, pairs)) == edges
+
+
+@pytest.mark.parametrize("shape", [(12, 13, 3), (48, 13, 3)])
+def test_lattice_is_the_tube_graph(shape):
+    assert_lattice_is_the_tube_graph(build_geometry(*shape))
+
+
+def test_lattice_is_the_tube_graph_on_every_small_shape():
+    built = 0
+    for n_rings in range(2, 8):
+        for k in range(3, 14):
+            for offset in range(n_rings):
+                try:
+                    m = build_geometry(n_rings, k, offset)
+                except ValueError:  # the helical rise outgrows the lateral rest length
+                    continue
+                assert_lattice_is_the_tube_graph(m)
+                built += 1
+    assert built > 250
 
 
 @settings(max_examples=40)
