@@ -19,6 +19,7 @@ import scipy.sparse as sp
 __all__ = [
     "Graph",
     "StructureMatrix",
+    "tube_neighbors",
     "make_tube",
     "make_grid",
     "laplacian",
@@ -119,38 +120,59 @@ class StructureMatrix:
         return self.toarray() if 2 * self.nnz > self.mat.shape[0] * self.mat.shape[1] else None
 
 
-def make_tube(n_rings: int, k_per_turn: int, offset: int, seam_weight: float = 1.0) -> Graph:
-    """Helical tube graph on ``n_rings * k_per_turn`` nodes.
+# columns of the tube_neighbors table
+PRED, SUCC, BELOW, ABOVE = range(4)
 
-    Node (i, j) is ring i, column j, with id ``i * k_per_turn + j``.
-    Longitudinal edges join (i, j)-(i+1, j) and lateral edges join
-    (i, j)-(i, j+1), both with weight 1. The seam closes the lateral wrap:
-    column k-1 of ring i connects to column 0 of ring i+offset with weight
-    ``seam_weight``; seam edges that would run past the last ring are
-    dropped.
+
+def tube_neighbors(n_rings: int, k_per_turn: int, offset: int) -> np.ndarray:
+    """The helical lattice of a tube, as each node's neighbours.
+
+    Returns an (n, 4) integer table whose columns are ``PRED``, ``SUCC``,
+    ``BELOW`` and ``ABOVE``: the helical predecessor and successor, and the
+    same column in the ring below and above, with -1 where there is none.
+    The helix runs along each ring, (i, j) -> (i, j+1), and the seam
+    continues it from (i, k-1) to (i+offset, 0), so seam links past the last
+    ring are missing. Column ``s ^ 1`` is the back link of column ``s``.
     """
     if n_rings < 2 or k_per_turn < 2:
         raise ValueError("tube needs n_rings >= 2 and k_per_turn >= 2")
     if not (0 <= offset < n_rings):
         raise ValueError(f"offset must satisfy 0 <= offset < n_rings, got {offset}")
+    ids = np.arange(n_rings * k_per_turn).reshape(n_rings, k_per_turn)
+    seams = n_rings - offset  # rings whose seam link stays on the tube
+    nb = np.full(ids.shape + (4,), -1)
+    nb[:, 1:, PRED], nb[:, :-1, SUCC] = ids[:, :-1], ids[:, 1:]
+    nb[offset:, 0, PRED], nb[:seams, -1, SUCC] = ids[:seams, -1], ids[offset:, 0]
+    nb[1:, :, BELOW], nb[:-1, :, ABOVE] = ids[:-1], ids[1:]
+    return nb.reshape(-1, 4)
+
+
+def make_tube(n_rings: int, k_per_turn: int, offset: int, seam_weight: float = 1.0) -> Graph:
+    """Helical tube graph on ``n_rings * k_per_turn`` nodes.
+
+    Node (i, j) is ring i, column j, with id ``i * k_per_turn + j``. Each
+    node is joined to its helical successor and its ring-above neighbour in
+    :func:`tube_neighbors`, with weight 1, except that the seam edges, from
+    column k-1 of ring i to column 0 of ring i+offset, weigh ``seam_weight``.
+    """
+    nb = tube_neighbors(n_rings, k_per_turn, offset)
     if not seam_weight > 0:
         raise ValueError(f"seam_weight must be positive, got {seam_weight}")
 
-    k = k_per_turn
-    ids = np.arange(n_rings * k).reshape(n_rings, k)
-    seams = n_rings - offset
-    u = np.concatenate([ids[:-1].ravel(), ids[:, :-1].ravel(), ids[:seams, k - 1]])
-    v = np.concatenate([ids[1:].ravel(), ids[:, 1:].ravel(), ids[offset:, 0]])
-    w = np.concatenate([np.ones(u.size - seams), np.full(seams, float(seam_weight))])
+    forward = nb[:, [SUCC, ABOVE]]
+    u, col = np.nonzero(forward >= 0)
+    v = forward[u, col]
+    w = np.where((col == 0) & (u % k_per_turn == k_per_turn - 1), float(seam_weight), 1.0)
     # coincident constructions (degenerate tubes with k=2) collapse to a
     # single edge of summed weight, keeping the edge set a set
-    key, pos = np.unique(np.minimum(u, v) * ids.size + np.maximum(u, v), return_inverse=True)
+    n = len(nb)
+    key, pos = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
     w = np.bincount(pos, weights=w)
-    name = f"Tube({n_rings},{k},{offset})"
+    name = f"Tube({n_rings},{k_per_turn},{offset})"
     if seam_weight != 1.0:
         name += f"[seam={seam_weight:g}]"
-    edges = tuple(zip((key // ids.size).tolist(), (key % ids.size).tolist(), w.tolist()))
-    return Graph(n=ids.size, edges=edges, name=name)
+    edges = tuple(zip((key // n).tolist(), (key % n).tolist(), w.tolist()))
+    return Graph(n=n, edges=edges, name=name)
 
 
 def make_grid(rows: int, cols: int) -> Graph:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -86,10 +87,10 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
 
 
 def _read_exact(fh, size: int, path) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+    """The next ``size`` bytes, checked against the file's length before reading."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated gpcn binary container")
-    return data
+    return fh.read(size)
 
 
 def _entry_ok(e) -> bool:

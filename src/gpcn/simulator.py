@@ -1,9 +1,11 @@
 """Coarse-grained mass-spring simulator for a microtubule under bending load.
 
-Monomers are point masses on a helical lattice (ring-major ids shared with
-:func:`gpcn.graphs.make_tube`). Harmonic bonds cover lateral, seam, and
-longitudinal associations; harmonic angles cover the lateral pitch angle,
-the straight longitudinal angle, and the acute/obtuse lattice-cell angles.
+Monomers are point masses of ``MASS_DALTON`` on the helical lattice of
+:func:`gpcn.graphs.tube_neighbors`, the one ``make_tube`` builds its edges
+from, so particles and graph nodes share ring-major ids. Harmonic bonds
+cover lateral, seam, and longitudinal associations; harmonic angles cover
+the lateral pitch angle, the straight longitudinal angle, and the
+acute/obtuse lattice-cell angles.
 Each interaction kind is scaled by one of five named strength parameters,
 the quantities a generated dataset varies and records.
 
@@ -20,10 +22,11 @@ contiguous (3, R, n) array and computes every bond and angle quantity as
 instead of thousands of 3-element loops. Sums over components keep the
 (x0 + x1) + x2 order, so results are bitwise those of the (n, 3) formulas.
 Every angle arm is a bond, so the angle pass gathers its unit arm vectors
-and lengths from the bond pass through a signed arm table built with the
-geometry. The force terms fill five contiguous (3, R, m) blocks, and one
-0/1 CSR matrix per batch size, cached on the model, sums them per particle
-in a fixed order, so stacked runs match single runs bit for bit.
+and lengths from the bond pass through a signed arm table, read from the
+lattice's neighbour slots when the geometry is built. The force terms fill
+five contiguous (3, R, m) blocks, and one 0/1 CSR matrix per batch size,
+cached on the model, sums them per particle in a fixed order, so stacked
+runs match single runs bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .graphs import ABOVE, BELOW, PRED, SUCC, tube_neighbors
 from .numcore import NumericalError, seeded_rng
 from .serialize import check_fields, check_value, dump_json, load_arrays, save_arrays, write_csv
 
@@ -66,7 +70,7 @@ _ANGLE_STRENGTH = {
     "quad_obtuse": "QuadAngles",
 }
 
-MASS_DALTON = 50.0
+MASS_DALTON = 50.0  # of every particle
 
 # largest rest-value error (nm or degrees) build_geometry accepts
 _REST_TOL = 1e-2
@@ -102,14 +106,13 @@ class MtModel:
     k: int
     offset: int
     positions: np.ndarray  # (n, 3) resting geometry, nm
-    mass: float
     bond_idx: np.ndarray  # (m_b, 2)
     bond_kind: list  # kind name per bond
     bond_rest: np.ndarray  # (m_b,) nm, measured from the resting geometry
     angle_idx: np.ndarray  # (m_a, 3) with the vertex in the middle
     angle_kind: list
     angle_rest: np.ndarray  # (m_a,) radians, measured
-    angle_arms: np.ndarray  # (m_a, 2) signed bond of each arm (see _arm_table)
+    angle_arms: np.ndarray  # (m_a, 2) signed bond of each arm (see _angle_geometry)
     # (runs, force matrix, energy matrix) of the latest batch (see _scatter_matrices)
     _scatter: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -145,26 +148,12 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _arm_table(bond_idx, angle_idx, n):
-    """Signed bond of every angle arm, (m_a, 2) for the arms vertex -> i and
-    vertex -> k: b where bond b runs vertex -> end (d = x[end] - x[vertex]),
-    b + m_b where it runs end -> vertex. Looked up by searchsorted on
-    encoded (from, to) keys; raises ValueError for an arm that is no bond."""
-    keys = np.concatenate([bond_idx @ [n, 1], bond_idx @ [1, n]])
-    order = np.argsort(keys)
-    arms = n * angle_idx[:, [1, 1]] + angle_idx[:, [0, 2]]
-    at = order[np.minimum(np.searchsorted(keys, arms, sorter=order), len(keys) - 1)]
-    missing = keys[at] != arms
-    if missing.any():
-        a, c = np.argwhere(missing)[0]
-        raise ValueError(f"angle arm {angle_idx[a, 1]} -> {angle_idx[a, 2 * c]} is not a bond")
-    return at
-
-
 def _angle_geometry(d, r, arms):
     """Vectorized angle quantities from the bond pass: component-major bond
     vectors ``d`` (3, ..., m_b) with lengths ``r`` (..., m_b), and the signed
-    arm table of :func:`_arm_table`. Each arm is a unit bond vector d / r or
+    arm table ``arms`` (m_a, 2) of the arms vertex -> i and vertex -> k: b
+    where bond b runs vertex -> end (d = x[end] - x[vertex]), b + m_b where
+    it runs end -> vertex. Each arm is a unit bond vector d / r or
     0 - d / r, and its length that bond's r. x[v] - x[i] is 0 - (x[i] - x[v])
     exactly (equal coordinates give +0 both ways, where a negation would give
     -0), and both have the same norm, so the arms are bitwise those taken
@@ -184,21 +173,32 @@ def _angle_geometry(d, r, arms):
     return theta, cos, uh, vh, lu, lv
 
 
+# neighbour slots of each node's bonds: longitudinal to the ring above,
+# then lateral to the helical successor (a seam bond from the last column)
+_BOND_SLOTS = np.array([ABOVE, SUCC])
+# (arm i, arm k) neighbour slots of the angles at each vertex, in build
+# order: the pitch angle, the straight angle, then the lattice-cell angles
+_ANGLE_SLOTS = np.array(
+    [(PRED, SUCC), (BELOW, ABOVE), (PRED, BELOW), (PRED, ABOVE), (SUCC, BELOW), (SUCC, ABOVE)]
+)
+
+
 def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
     """Construct the helical lattice and instantiate every interaction.
 
     Protofilaments run straight along the tube axis, one longitudinal rest
     length apart; the helical rise per column is ``offset / k`` of that
     spacing and the cylinder radius is solved so lateral bonds have the
-    lateral rest length. Every arrangement of bonded particles that matches
-    one of the named interaction kinds gets an interaction, with its rest
-    value measured from this geometry and checked against the canonical
-    value for the kind (failure beyond ``_REST_TOL`` aborts construction).
+    lateral rest length. The lattice is :func:`gpcn.graphs.tube_neighbors`,
+    read node by node: a bond for each filled slot of ``_BOND_SLOTS`` and an
+    angle for each pair of ``_ANGLE_SLOTS`` with both slots filled. Every
+    interaction's rest value is measured from this geometry and checked
+    against the canonical value for its kind (failure beyond ``_REST_TOL``
+    aborts construction).
     """
     if n_rings < 2 or k < 3:
         raise ValueError("geometry needs n_rings >= 2 and k >= 3")
-    if not (0 <= offset < n_rings):
-        raise ValueError(f"offset must satisfy 0 <= offset < n_rings, got {offset}")
+    nb = tube_neighbors(n_rings, k, offset)
     ring_spacing = REST_LENGTHS["longitudinal"]
     lateral_rest = REST_LENGTHS["lat_lattice"]
     rise = offset * ring_spacing / k
@@ -206,97 +206,52 @@ def build_geometry(n_rings: int = 48, k: int = 13, offset: int = 3) -> MtModel:
     if chord2 <= 0:
         raise ValueError("lateral rest length too short for this offset")
     radius = np.sqrt(chord2) / (2.0 * np.sin(np.pi / k))
+    ring, column = np.divmod(np.arange(len(nb)), k)
+    theta = 2.0 * np.pi * column / k
+    height = ring * ring_spacing + column * rise
+    pos = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), height])
 
-    n = n_rings * k
-    pos = np.zeros((n, 3))
-    for i in range(n_rings):
-        for j in range(k):
-            theta = 2.0 * np.pi * j / k
-            pos[i * k + j] = (radius * np.cos(theta), radius * np.sin(theta), i * ring_spacing + j * rise)
+    tail, slot = np.nonzero(nb[:, _BOND_SLOTS] >= 0)
+    slot = _BOND_SLOTS[slot]
+    bond_idx = np.column_stack([tail, nb[tail, slot]])
+    seam = column[tail] == k - 1
+    bond_kind = np.select([slot == ABOVE, seam], ["longitudinal", "lat_seam"], "lat_lattice")
+    # signed bond of each (node, slot) arm: b at the bond's tail, b + m_b at
+    # its head, whose back slot s ^ 1 points at the tail
+    arm = np.full(nb.shape, -1)
+    arm[tail, slot] = np.arange(len(tail))
+    arm[bond_idx[:, 1], slot ^ 1] = np.arange(len(tail), 2 * len(tail))
 
-    def node(i, j):
-        return i * k + j
-
-    # bonds: longitudinal along columns, lateral along rings, seam closing the wrap
-    bond_idx, bond_kind = [], []
-    for i in range(n_rings):
-        for j in range(k):
-            if i + 1 < n_rings:
-                bond_idx.append((node(i, j), node(i + 1, j)))
-                bond_kind.append("longitudinal")
-            if j + 1 < k:
-                bond_idx.append((node(i, j), node(i, j + 1)))
-                bond_kind.append("lat_lattice")
-        if i + offset < n_rings:
-            bond_idx.append((node(i, k - 1), node(i + offset, 0)))
-            bond_kind.append("lat_seam")
-    bond_idx = np.array(bond_idx, dtype=int)
-
-    # lateral successor along the helical chain (seam continues it)
-    def lat_next(i, j):
-        if j + 1 < k:
-            return (i, j + 1)
-        if i + offset < n_rings:
-            return (i + offset, 0)
-        return None
-
-    lat_prev = {nxt: (i, j) for i in range(n_rings) for j in range(k) if (nxt := lat_next(i, j))}
-
-    angle_idx, angle_kind = [], []
-    for i in range(n_rings):
-        for j in range(k):
-            v = (i, j)
-            nxt = lat_next(i, j)
-            prv = lat_prev.get(v)
-            if prv is not None and nxt is not None:
-                angle_idx.append((node(*prv), node(*v), node(*nxt)))
-                angle_kind.append("lat_angle")
-            if 0 < i < n_rings - 1:
-                angle_idx.append((node(i - 1, j), node(i, j), node(i + 1, j)))
-                angle_kind.append("long_angle")
-            lat_neighbors = [p for p in (prv, nxt) if p is not None]
-            long_neighbors = [(i + di, j) for di in (-1, 1) if 0 <= i + di < n_rings]
-            for ln in lat_neighbors:
-                for gn in long_neighbors:
-                    angle_idx.append((node(*ln), node(*v), node(*gn)))
-                    angle_kind.append(None)  # acute or obtuse, classified below
-    angle_idx = np.array(angle_idx, dtype=int)
+    ends = nb[:, _ANGLE_SLOTS]
+    vertex, pair = np.nonzero((ends >= 0).all(axis=-1))
+    angle_idx = np.column_stack([ends[vertex, pair, 0], vertex, ends[vertex, pair, 1]])
+    angle_arms = arm[vertex[:, None], _ANGLE_SLOTS[pair]]
 
     # rest values are measured from the geometry, grouped by kind, and each
-    # group must be internally uniform; the canonical table applies to the
-    # 13-column offset-3 lattice it was measured on
+    # group must be internally uniform; the canonical angles apply to the
+    # 13-column offset-3 lattice they were measured on
     xyz = pos.T
     d = np.take(xyz, bond_idx[:, 1], axis=-1) - np.take(xyz, bond_idx[:, 0], axis=-1)
     bond_rest = np.sqrt(_dot(d, d))
-    angle_arms = _arm_table(bond_idx, angle_idx, n)
     angle_rest, *_ = _angle_geometry(d, bond_rest, angle_arms)
-    angle_kind = [
-        kind or ("quad_acute" if np.degrees(rest) < 90.0 else "quad_obtuse")
-        for kind, rest in zip(angle_kind, angle_rest)
-    ]
-    for kinds, rests in ((bond_kind, bond_rest), (angle_kind, np.degrees(angle_rest))):
+    angle_deg = np.degrees(angle_rest)
+    angle_kind = np.select(
+        [pair == 0, pair == 1, angle_deg < 90.0], ["lat_angle", "long_angle", "quad_acute"], "quad_obtuse"
+    )
+    for kinds, rests, canonical, rest_text in (
+        (bond_kind, bond_rest, REST_LENGTHS, "bond rest {:.5f} nm"),
+        (angle_kind, angle_deg, REST_ANGLES_DEG if (k, offset) == (13, 3) else {}, "rest {:.4f} deg"),
+    ):
         for kind in set(kinds):
-            group = rests[np.array([k_ == kind for k_ in kinds])]
+            group = rests[kinds == kind]
             if group.max() - group.min() > 1e-6:
-                raise ValueError(
-                    f"inconsistent geometry: {kind} rest values spread over "
-                    f"[{group.min():.6f}, {group.max():.6f}]"
-                )
-    for kind, rest in zip(bond_kind, bond_rest):
-        if abs(rest - REST_LENGTHS[kind]) > _REST_TOL:
-            raise ValueError(
-                f"inconsistent geometry: {kind} bond rest {rest:.5f} nm "
-                f"vs expected {REST_LENGTHS[kind]}"
-            )
-    if k == 13 and offset == 3:
-        for kind, rest in zip(angle_kind, np.degrees(angle_rest)):
-            if abs(rest - REST_ANGLES_DEG[kind]) > _REST_TOL:
-                raise ValueError(
-                    f"inconsistent geometry: {kind} rest {rest:.4f} deg "
-                    f"vs expected {REST_ANGLES_DEG[kind]}"
-                )
-    return MtModel(n_rings, k, offset, pos, MASS_DALTON, bond_idx, bond_kind, bond_rest,
-                   angle_idx, angle_kind, angle_rest, angle_arms)
+                raise ValueError(f"inconsistent geometry: {kind} rest values spread over "
+                                 f"[{group.min():.6f}, {group.max():.6f}]")
+            if kind in canonical and (off := np.abs(group - canonical[kind]) > _REST_TOL).any():
+                raise ValueError(f"inconsistent geometry: {kind} {rest_text.format(group[off.argmax()])} "
+                                 f"vs expected {canonical[kind]}")
+    return MtModel(n_rings, k, offset, pos, bond_idx, bond_kind.tolist(), bond_rest,
+                   angle_idx, angle_kind.tolist(), angle_rest, angle_arms)
 
 
 def _scatter_matrices(model: MtModel, runs: int):
@@ -417,8 +372,8 @@ class SimConfig:
             raise ValueError(f"temperature must not be negative, got {self.temperature}")
         if not self.resolved_damping() < math.inf:
             raise ValueError(f"dt {self.dt!r} makes the damping time 100 * dt infinite")
-        try:  # every model build_geometry makes has this mass
-            kt = self.resolved_temperature(MASS_DALTON)
+        try:
+            kt = self.resolved_temperature()
         except OverflowError:
             kt = math.inf
         if self.temperature is None and not 0.0 < kt < math.inf:
@@ -437,13 +392,13 @@ class SimConfig:
     def resolved_damping(self) -> float:
         return self.damping if self.damping is not None else 100.0 * self.dt
 
-    def resolved_temperature(self, mass: float) -> float:
+    def resolved_temperature(self) -> float:
         if self.temperature is not None:
             return self.temperature
         # noise force std = 1% of the applied load
         gamma = 1.0 / self.resolved_damping()
         target = 0.01 * max(self.max_force, 1e-12)
-        return target**2 * self.dt / (2.0 * mass * gamma)
+        return target**2 * self.dt / (2.0 * MASS_DALTON * gamma)
 
     def feature_names(self):
         coeffs = [p for p in STRENGTH_PARAMS if self.feature_columns == 11 or p != "LatAngle"]
@@ -497,8 +452,8 @@ def step(model: MtModel, state: SimState, config: SimConfig, rng=None, *, _cache
     run that left the guard volume; the step is complete for all of them.
     """
     kb, ka = _cache if _cache is not None else _effective_stiffness(model, config)
-    clamp, forced, mass, dt = model.clamp_set(), model.forced_set(), model.mass, config.dt
-    gamma, kt = 1.0 / config.resolved_damping(), config.resolved_temperature(mass)
+    clamp, forced, mass, dt = model.clamp_set(), model.forced_set(), MASS_DALTON, config.dt
+    gamma, kt = 1.0 / config.resolved_damping(), config.resolved_temperature()
     pos, vel = state.positions, state.velocities
     noise = None
     if config.langevin and kt > 0.0:
@@ -660,7 +615,7 @@ def generate_dataset(model: MtModel, param_grid: dict, config: SimConfig, seed=0
         "grid": {name: [float(v) for v in sorted(param_grid[name])] for name in varied},
         "config": {
             **{name: getattr(config, name) for name in _MANIFEST_FIELDS},
-            "temperature": config.resolved_temperature(model.mass),
+            "temperature": config.resolved_temperature(),
             "damping": config.resolved_damping(),
         },
         "runs": runs,

@@ -18,7 +18,7 @@ from gpcn.gcn import GcnLayerParams, GcnParams
 from gpcn.gdd import Assignment
 from gpcn.graphs import Graph, StructureMatrix
 from gpcn.numcore import row_softmax, spmm
-from gpcn.simulator import STRENGTH_PARAMS
+from gpcn.simulator import MASS_DALTON, STRENGTH_PARAMS
 
 
 def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
@@ -339,9 +339,9 @@ def _run_reference(model, config, seed):
     kb, ka = kb * config.bond_k_base, ka * config.angle_k_base
     rng = np.random.Generator(np.random.PCG64(seed))
     clamp, forced = model.clamp_set(), model.forced_set()
-    mass, dt = model.mass, config.dt
+    mass, dt = MASS_DALTON, config.dt
     gamma = 1.0 / config.resolved_damping()
-    kt = config.resolved_temperature(mass)
+    kt = config.resolved_temperature()
     guard = 20.0 * max(1.0, np.abs(model.positions).max())
     full = dict.fromkeys(STRENGTH_PARAMS, 1.0)
     full.update(config.strengths)

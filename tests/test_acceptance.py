@@ -36,6 +36,7 @@ from gpcn.gdd import gdd, limit_curve, rlap_solve, warm_start
 from gpcn.graphs import laplacian, make_grid, make_tube
 from gpcn.numcore import eig_sym, seeded_rng
 from gpcn.simulator import (
+    MASS_DALTON,
     STRENGTH_PARAMS,
     SimConfig,
     build_geometry,
@@ -249,7 +250,7 @@ def test_criterion_5_simulator_physics():
 
     def total_energy():
         _, _, pe = forces_and_energy(nve_model, state.positions, kb2, ka2)
-        return pe + 0.5 * nve_model.mass * np.sum(state.velocities**2)
+        return pe + 0.5 * MASS_DALTON * np.sum(state.velocities**2)
 
     e0 = total_energy()
     drift = 0.0

@@ -212,6 +212,18 @@ def _edit_header(edit):
     return damage
 
 
+def _flip_byte(index):
+    """Flip every bit of one byte of frames.bin."""
+
+    def damage(dataset):
+        frames = dataset / "frames.bin"
+        raw = bytearray(frames.read_bytes())
+        raw[index] ^= 0xFF
+        frames.write_bytes(bytes(raw))
+
+    return damage
+
+
 def _keep_one_frame(arrays, meta):
     arrays.update({name: a[:1] for name, a in arrays.items()})
 
@@ -349,6 +361,9 @@ BAD_INPUTS = {
     "train-bin-nbytes-not-shape": (
         "train", ({}, _edit_header(lambda h: h["arrays"][0].update(nbytes=8))), []
     ),
+    # bytes 8-15 of frames.bin hold the header length, little-endian
+    "train-bin-header-length-terabytes": ("train", ({}, _flip_byte(13)), []),
+    "train-bin-header-length-overflows": ("train", ({}, _flip_byte(15)), []),
     "train-csv-header-only": ("train", ({}, _csv_lines(lambda lines: lines[:1])), []),
     "train-csv-one-row": ("train", ({}, _csv_lines(lambda lines: lines[:2])), []),
     "train-csv-rows-reversed": ("train", ({}, _csv_lines(lambda lines: lines[:1] + lines[:0:-1])), []),
@@ -493,7 +508,7 @@ def _json_type(value):
     return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) else type(value)
 
 
-def config_mutations(node=MUTABLE_CONFIG, path=()):
+def config_mutations(node, path=()):
     """Every (path, new value) that changes one node of the config: drop
     it, add an unknown key, change its JSON type, wrap it in a list, null
     it, set a number to 0, -1 or 1e308, or empty a list."""
@@ -516,10 +531,10 @@ def config_mutations(node=MUTABLE_CONFIG, path=()):
         yield from config_mutations(child, path + (key,))
 
 
-def mutated_config(path, value):
+def mutated_config(config, path, value):
     if not path:
         return value
-    config = copy.deepcopy(MUTABLE_CONFIG)
+    config = copy.deepcopy(config)
     parent = config
     for key in path[:-1]:
         parent = parent[key]
@@ -530,19 +545,13 @@ def mutated_config(path, value):
     return config
 
 
-MUTATIONS = list(config_mutations())
-
-
-@settings(max_examples=2 * len(MUTATIONS))  # stops once every mutation ran
-@given(st.sampled_from(MUTATIONS))
-def test_generate_exit_codes_under_one_mutation(case):
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_json(os.path.join(tmp, "c.json"), mutated_config(*case))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            with warnings.catch_warnings():  # a warning would print a second stderr line
-                warnings.simplefilter("error")
-                code = main(["generate", "--config", cfg, "--out", os.path.join(tmp, "out")])
+def assert_one_line_exit(argv, case):
+    """``main(argv)`` exits 0 silently, or 2 or 3 with one stderr line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with warnings.catch_warnings():  # a warning would print a second stderr line
+            warnings.simplefilter("error")
+            code = main(argv)
     assert code in (0, 2, 3), case
     err = err.getvalue()
     if code == 0:
@@ -550,6 +559,58 @@ def test_generate_exit_codes_under_one_mutation(case):
     else:
         prefix = "error: " if code == 2 else "numerical failure: "
         assert err.startswith(prefix) and err.count("\n") == 1, (case, err)
+
+
+def assert_config_exit(command, config, case):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_json(os.path.join(tmp, "c.json"), mutated_config(config, *case))
+        assert_one_line_exit([command, "--config", cfg, "--out", os.path.join(tmp, "out")], case)
+
+
+MUTATIONS = list(config_mutations(MUTABLE_CONFIG))
+
+
+@settings(max_examples=2 * len(MUTATIONS))  # stops once every mutation ran
+@given(st.sampled_from(MUTATIONS))
+def test_generate_exit_codes_under_one_mutation(case):
+    assert_config_exit("generate", MUTABLE_CONFIG, case)
+
+
+# Small valid configs for the two distance commands that set every key they
+# may; all 141 and 52 single mutations of them run.
+MUTABLE_SEARCH_CONFIG = {
+    "fine": {"n_rings": 4, "k": 5, "offset": 1, "seam_weight": 1.0},
+    "candidate_rings": 2,
+    "k_values": [3, 4],
+    "p_values": [0, 1],
+    "seam_weights": [1.0],
+    "alpha": 1.0,
+}
+MUTABLE_CURVE_CONFIG = {"n_values": [2, 3], "k": 4, "alpha": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("coarse-search", MUTABLE_SEARCH_CONFIG), ("limit-curve", MUTABLE_CURVE_CONFIG)],
+)
+def test_distance_exit_codes_under_one_mutation(command, config):
+    for case in config_mutations(config):
+        assert_config_exit(command, config, case)
+
+
+# byte values a one-character typo in an edge list could plausibly bring in,
+# plus a NUL, DEL and two bytes that are not UTF-8
+EDGE_LIST_BYTES = b"0123456789 \t\n\r\x0b\x0c.-+_,;#eEinfaINFAxj()[]/*\x00\x7f\x80\xff"
+
+
+def test_gdd_exit_codes_under_one_byte_replaced(tmp_path):
+    fine, coarse = tmp_path / "fine.txt", tmp_path / "coarse.txt"
+    fine.write_text(graph_to_edgelist(make_grid(2, 3)))
+    text = graph_to_edgelist(make_grid(1, 3)).encode()
+    for at in range(len(text)):
+        for byte in EDGE_LIST_BYTES:
+            coarse.write_bytes(text[:at] + bytes([byte]) + text[at + 1 :])
+            assert_one_line_exit(["gdd", str(coarse), str(fine)], (at, bytes([byte])))
 
 
 @pytest.mark.parametrize("case", sorted(TRAIN_MESSAGES))

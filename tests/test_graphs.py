@@ -4,6 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gpcn.graphs import (
+    ABOVE,
+    BELOW,
+    PRED,
+    SUCC,
     Graph,
     graph_from_edgelist,
     graph_to_edgelist,
@@ -12,6 +16,7 @@ from gpcn.graphs import (
     make_tube,
     relabel,
     structure_power,
+    tube_neighbors,
 )
 from gpcn.numcore import seeded_rng
 
@@ -284,6 +289,22 @@ def test_tube_edges_match_one_node_at_a_time_reference(n_rings, k, data, seam_we
     offset = data.draw(st.integers(0, n_rings - 1))
     g = make_tube(n_rings, k, offset, seam_weight)
     assert g.edges == tube_edges_reference(n_rings, k, offset, seam_weight)
+
+
+@given(st.integers(2, 9), st.integers(2, 14), st.data())
+def test_tube_neighbors_link_back_and_span_the_tube(n_rings, k, data):
+    """Successor and predecessor, and ring above and ring below, are mutual
+    back links, and the forward links are exactly make_tube's edges."""
+    offset = data.draw(st.integers(0, n_rings - 1))
+    nb = tube_neighbors(n_rings, k, offset)
+    n = n_rings * k
+    assert nb.shape == (n, 4) and nb.min() >= -1 and nb.max() < n
+    assert np.array_equal(nb[:-k, ABOVE], np.arange(k, n)) and (nb[-k:, ABOVE] == -1).all()
+    for a, b in ((SUCC, PRED), (PRED, SUCC), (ABOVE, BELOW), (BELOW, ABOVE)):
+        linked = np.flatnonzero(nb[:, a] >= 0)
+        assert np.array_equal(nb[nb[linked, a], b], linked)
+    forward = {(min(u, v), max(u, v)) for u in range(n) for v in nb[u, [SUCC, ABOVE]].tolist() if v >= 0}
+    assert forward == {(u, v) for u, v, _ in make_tube(n_rings, k, offset).edges}
 
 
 def test_relabel_matches_reference_on_the_paper_tube():

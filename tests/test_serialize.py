@@ -123,3 +123,17 @@ def test_malformed_header_raises_one_value_error(tmp_path, case):
     _write_container(path, BAD_HEADERS[case])
     with pytest.raises(ValueError, match=r"bad\.bin: malformed gpcn binary container header$"):
         load_arrays(path)
+
+
+@pytest.mark.parametrize("byte", range(8, 16))
+def test_damaged_header_length_raises_value_error(tmp_path, byte):
+    """Bytes 8-15 hold the header length. A flipped high byte claims
+    terabytes, or more than an index can hold, and must read as a damaged
+    file rather than as an attempt to read that much."""
+    path = tmp_path / "a.bin"
+    save_arrays(path, {"x": np.arange(6.0).reshape(2, 3)}, {"note": 1})
+    raw = bytearray(path.read_bytes())
+    raw[byte] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        load_arrays(path)

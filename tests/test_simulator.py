@@ -6,6 +6,7 @@ import gpcn.simulator as simulator
 from gpcn.graphs import make_tube
 from gpcn.numcore import seeded_rng
 from gpcn.simulator import (
+    MASS_DALTON,
     REST_ANGLES_DEG,
     REST_LENGTHS,
     STRENGTH_PARAMS,
@@ -109,11 +110,40 @@ def test_angle_arms_are_signed_bonds_on_any_tube(shape):
     assert_arms_are_signed_bonds(build_geometry(*shape))
 
 
-def test_arm_table_rejects_an_arm_that_is_no_bond():
-    bonds = np.array([[0, 1], [2, 1]])
-    assert simulator._arm_table(bonds, np.array([[0, 1, 2]]), 4).tolist() == [[2, 3]]
-    with pytest.raises(ValueError, match="3 is not a bond"):
-        simulator._arm_table(bonds, np.array([[0, 1, 3]]), 4)
+# The interaction order fixes the summation order of every force, and so
+# the bits of every dataset: Tube(3,4,1) has 19 bonds and 44 angles.
+BONDS_3_4_1 = [
+    [0, 4], [0, 1], [1, 5], [1, 2], [2, 6], [2, 3], [3, 7], [3, 4], [4, 8], [4, 5], [5, 9], [5, 6],
+    [6, 10], [6, 7], [7, 11], [7, 8], [8, 9], [9, 10], [10, 11],
+]
+BOND_KINDS_3_4_1 = [
+    "longitudinal", "lat_lattice", "longitudinal", "lat_lattice", "longitudinal", "lat_lattice",
+    "longitudinal", "lat_seam", "longitudinal", "lat_lattice", "longitudinal", "lat_lattice",
+    "longitudinal", "lat_lattice", "longitudinal", "lat_seam", "lat_lattice", "lat_lattice",
+    "lat_lattice",
+]
+ANGLES_3_4_1 = [
+    [1, 0, 4], [0, 1, 2], [0, 1, 5], [2, 1, 5], [1, 2, 3], [1, 2, 6], [3, 2, 6], [2, 3, 4], [2, 3, 7],
+    [4, 3, 7], [3, 4, 5], [0, 4, 8], [3, 4, 0], [3, 4, 8], [5, 4, 0], [5, 4, 8], [4, 5, 6], [1, 5, 9],
+    [4, 5, 1], [4, 5, 9], [6, 5, 1], [6, 5, 9], [5, 6, 7], [2, 6, 10], [5, 6, 2], [5, 6, 10],
+    [7, 6, 2], [7, 6, 10], [6, 7, 8], [3, 7, 11], [6, 7, 3], [6, 7, 11], [8, 7, 3], [8, 7, 11],
+    [7, 8, 9], [7, 8, 4], [9, 8, 4], [8, 9, 10], [8, 9, 5], [10, 9, 5], [9, 10, 11], [9, 10, 6],
+    [11, 10, 6], [10, 11, 7],
+]
+ARMS_3_4_1 = [
+    [1, 0], [20, 3], [20, 2], [3, 2], [22, 5], [22, 4], [5, 4], [24, 7], [24, 6], [7, 6], [26, 9],
+    [19, 8], [26, 19], [26, 8], [9, 19], [9, 8], [28, 11], [21, 10], [28, 21], [28, 10], [11, 21],
+    [11, 10], [30, 13], [23, 12], [30, 23], [30, 12], [13, 23], [13, 12], [32, 15], [25, 14],
+    [32, 25], [32, 14], [15, 25], [15, 14], [34, 16], [34, 27], [16, 27], [35, 17], [35, 29],
+    [17, 29], [36, 18], [36, 31], [18, 31], [37, 33],
+]
+
+
+def test_interaction_order_is_pinned():
+    m = build_geometry(3, 4, 1)
+    assert m.bond_idx.tolist() == BONDS_3_4_1 and m.bond_kind == BOND_KINDS_3_4_1
+    assert m.angle_idx.tolist() == ANGLES_3_4_1 and m.angle_arms.tolist() == ARMS_3_4_1
+    assert {m.bond_idx.dtype, m.angle_idx.dtype, m.angle_arms.dtype} == {np.dtype(np.int64)}
 
 
 def assert_lattice_is_the_tube_graph(m):
@@ -291,7 +321,7 @@ class TestIntegration:
 
         def total_energy():
             _, _, pe = forces_and_energy(m, state.positions, kb, ka)
-            return pe + 0.5 * m.mass * np.sum(state.velocities**2)
+            return pe + 0.5 * MASS_DALTON * np.sum(state.velocities**2)
 
         e0 = total_energy()
         worst = 0.0
@@ -415,7 +445,7 @@ class TestSimConfig:
 
     def test_accepts_zero_temperature_and_load(self):
         cfg = SimConfig(temperature=0.0, max_force=0.0, damping=2.0)
-        assert cfg.resolved_temperature(50.0) == 0.0 and cfg.resolved_damping() == 2.0
+        assert cfg.resolved_temperature() == 0.0 and cfg.resolved_damping() == 2.0
 
 
 class TestGenerateDataset:
