@@ -12,6 +12,11 @@ three steps:
 3. lift the optimal subpermutation to P = U_fine Pt U_coarse^T, which is
    the product of the assigned columns of the two eigenbases.
 
+Step 3 runs on the first read of the result's ``p``: the distance is the
+assignment cost of step 2, so :func:`coarse_search` and :func:`limit_curve`
+never build P, while :func:`gpcn.ensembles.make_hierarchy` and ``gpcn gdd``
+read it and get the same P as an eager lift.
+
 Step 2 is exact. With both spectra ascending, the cost (a_j - b_l)**2
 with a = lam_coarse / alpha and b = alpha * lam_fine is a Monge matrix: for
 j < j' and l < l', c(j, l) + c(j', l') <= c(j, l') + c(j', l), and the
@@ -47,7 +52,8 @@ from any column-orthonormal start. :func:`gdd` does not call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,36 +88,57 @@ class Assignment:
             raise ValueError("assignment must be injective in both coordinates")
 
 
-@dataclass(frozen=True)
 class Prolongation:
     """Column-orthonormal map from a coarse graph onto a fine graph.
 
     ``objective`` is the squared Frobenius residual of the diffusion-distance
     mismatch at ``p``; ``distance`` is its square root. From :func:`gdd` the
-    objective is the assignment cost, which equals that residual, and
-    ``trace`` is empty. From :func:`refine_orthogonal`, ``trace`` holds the
-    objective at every accepted iterate (nonincreasing).
+    objective is the assignment cost, which equals that residual, ``trace``
+    is empty, and ``p`` is lifted by :func:`warm_start` and checked on its
+    first read, so a caller that needs only the distance never builds it.
+    Built from an explicit array, as :func:`refine_orthogonal` builds it,
+    ``p`` is checked at once and ``trace`` holds the objective at every
+    accepted iterate (nonincreasing).
     """
 
-    p: np.ndarray = field(repr=False)
-    alpha: float
-    objective: float
-    trace: tuple = ()
+    def __init__(self, p: np.ndarray, alpha: float, objective: float, trace: tuple = ()):
+        self.p = _check_prolongation(p)  # fills the cached property's slot: never lifted
+        self.alpha, self.objective, self.trace = alpha, _check_objective(objective), trace
 
-    def __post_init__(self):
-        if self.p.shape[0] < self.p.shape[1]:
-            raise ValueError("prolongation must be tall: n_fine >= n_coarse")
-        if not np.all(np.isfinite(self.p)):
-            raise ValueError("prolongation has NaN or infinite entries")
-        if not -1e-12 <= self.objective < np.inf:
-            raise ValueError(f"objective must be finite and nonnegative, got {self.objective}")
-        gram_err = np.linalg.norm(self.p.T @ self.p - np.eye(self.p.shape[1]))
-        if not gram_err <= 1e-6:
-            raise ValueError(f"columns are not orthonormal: |P^T P - I|_F = {gram_err:.3e}")
+    @classmethod
+    def _lifted(cls, e_coarse: EigenSystem, e_fine: EigenSystem, a: Assignment, alpha: float):
+        """The lift of ``a``, at its cost, built on the first read of ``p``."""
+        self = cls.__new__(cls)
+        self.alpha, self.objective, self.trace = alpha, _check_objective(a.total_cost), ()
+        self._lift = (e_coarse, e_fine, a)
+        return self
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        p = _check_prolongation(warm_start(*self._lift))
+        del self._lift  # the eigensystems are not needed again
+        return p
 
     @property
     def distance(self) -> float:
         return float(np.sqrt(max(self.objective, 0.0)))
+
+
+def _check_prolongation(p: np.ndarray) -> np.ndarray:
+    if p.shape[0] < p.shape[1]:
+        raise ValueError("prolongation must be tall: n_fine >= n_coarse")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("prolongation has NaN or infinite entries")
+    gram_err = np.linalg.norm(p.T @ p - np.eye(p.shape[1]))
+    if not gram_err <= 1e-6:
+        raise ValueError(f"columns are not orthonormal: |P^T P - I|_F = {gram_err:.3e}")
+    return p
+
+
+def _check_objective(objective: float) -> float:
+    if not -1e-12 <= objective < np.inf:
+        raise ValueError(f"objective must be finite and nonnegative, got {objective}")
+    return objective
 
 
 def _check_alpha(alpha: float) -> None:
@@ -266,12 +293,13 @@ def gdd(
     *,
     fine_spectrum: EigenSystem | None = None,
 ) -> Prolongation:
-    """Eigendecompose, assign, lift.
+    """Eigendecompose, assign, and lift when ``p`` is first read.
 
     Returns the lifted assignment as a :class:`Prolongation`: its
     ``objective`` is the assignment cost and its ``distance`` is the linear
     graph diffusion distance at this ``alpha`` (see the module docstring).
-    ``trace`` is empty.
+    ``trace`` is empty. Until ``p`` is read the result holds both
+    eigensystems and the assignment, and nothing else keeps them.
 
     ``fine_spectrum``, when given, must be ``eig_sym(laplacian(g_fine))``
     and is used in its place, so a caller comparing many coarse graphs with
@@ -290,8 +318,7 @@ def gdd(
     e_coarse = eig_sym(laplacian(g_coarse))
     e_fine = eig_sym(laplacian(g_fine)) if fine_spectrum is None else fine_spectrum
     assignment = rlap_solve(e_coarse.lambdas, e_fine.lambdas, alpha)
-    p = warm_start(e_coarse, e_fine, assignment)
-    return Prolongation(p=p, alpha=alpha, objective=assignment.total_cost)
+    return Prolongation._lifted(e_coarse, e_fine, assignment, alpha)
 
 
 def coarse_search(
@@ -341,16 +368,18 @@ def coarse_search(
 def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
     """Distance of tube and grid families to a twice-as-long offset tube.
 
-    For each n, compares Tube(n, k, 1) and Grid(n, k) against Tube(2n, k, 3),
-    whose Laplacian is decomposed once for both; rows are (n, family,
-    distance) ordered by n then family name.
+    For each distinct n, compares Tube(n, k, 1) and Grid(n, k) against
+    Tube(2n, k, 3), whose Laplacian is decomposed once for both; rows are
+    (n, family, distance) ordered by n then family name. ``n_values`` may be
+    any iterable, a generator included; it is read once.
     """
     from .graphs import make_grid
 
-    if min(n_values, default=1) < 2:
+    ns = sorted(set(n_values))
+    if min(ns, default=1) < 2:
         raise ValueError("n_values must contain integers >= 2")
     rows = []
-    for n in sorted(n_values):
+    for n in ns:
         fine = make_tube(2 * n, k, 3)
         tube = make_tube(n, k, 1)
         grid = make_grid(n, k)

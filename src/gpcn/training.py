@@ -372,12 +372,22 @@ class Trainer:
             self.flops += 3 * cost  # forward plus backward at 2x
         return float(np.mean(losses))
 
+    def _predict(self, x: np.ndarray, level_mask=None) -> np.ndarray:
+        """Forward ``x`` in consecutive slices of ``batch_size`` frames. Each
+        frame's output does not depend on the others in its batch, so this
+        equals one whole-split forward bit for bit, while each slice's
+        temporaries stay as small as a training step's."""
+        b = self.schedule.batch_size
+        return np.concatenate(
+            [
+                model_forward(self.spec, self.params, x[i : i + b], level_mask=level_mask)
+                for i in range(0, len(x), b)
+            ]
+        )
+
     def _evaluate(self, epoch: int, train_nmse: float, forward_mask=None) -> float:
         """Validate at the fine scale, record the point; returns the error."""
-        val = nmse(
-            model_forward(self.spec, self.params, self.x_val, level_mask=forward_mask),
-            self.y_val,
-        )
+        val = nmse(self._predict(self.x_val, forward_mask), self.y_val)
         self._best_val = min(self._best_val, val)
         self.record.points.append(
             EvalPoint(
@@ -414,7 +424,7 @@ class Trainer:
         stage, since_improve = 1, 0
         if c2f:
             self.record.stage_starts.append((stage, 0))
-        train_nmse = nmse(model_forward(self.spec, self.params, self.x_train), self.y_train)
+        train_nmse = nmse(self._predict(self.x_train), self.y_train)
         best_in_stage = self._evaluate(0, train_nmse, {k - 1} if c2f else None)
         for epoch in range(1, total + 1):
             label, update, mask = self._plan(epoch, stage)

@@ -1,9 +1,11 @@
+import gc
 import importlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -359,6 +361,96 @@ class TestGdd:
             gdd(coarse, fine, fine_spectrum=eig_sym(laplacian(coarse)))
 
 
+def eager_lift(coarse, fine, alpha=1.0):
+    """The P that gdd built before the lift was deferred."""
+    e_coarse, e_fine = eig_sym(laplacian(coarse)), eig_sym(laplacian(fine))
+    return warm_start(e_coarse, e_fine, rlap_solve(e_coarse.lambdas, e_fine.lambdas, alpha))
+
+
+def count_warm_start(monkeypatch):
+    """Count warm_start calls made through the gdd module's global name."""
+    gdd_module = importlib.import_module("gpcn.gdd")
+    calls = []
+
+    def counting_warm_start(*args):
+        calls.append(args[2])
+        return warm_start(*args)
+
+    monkeypatch.setattr(gdd_module, "warm_start", counting_warm_start)
+    return calls
+
+
+class TestLazyLift:
+    @pytest.mark.parametrize(
+        "coarse, fine",
+        [
+            (make_tube(6, 13, 1), make_tube(12, 13, 3)),
+            (make_tube(6, 3, 0), make_tube(6, 13, 1)),
+            (make_tube(24, 13, 1), make_tube(48, 13, 3)),
+            (make_tube(24, 3, 0), make_tube(24, 13, 1)),
+        ],
+        ids=["desk-1", "desk-2", "paper-1", "paper-2"],
+    )
+    def test_p_equals_the_eager_lift(self, coarse, fine):
+        assert np.array_equal(gdd(coarse, fine).p, eager_lift(coarse, fine))
+
+    def test_p_equals_the_eager_lift_on_a_relabelled_pair(self):
+        perm = seeded_rng(5).permutation(8 * 5).tolist()
+        coarse, fine = make_tube(4, 5, 1), relabel(make_tube(8, 5, 3), perm)
+        assert np.array_equal(gdd(coarse, fine, 0.8).p, eager_lift(coarse, fine, 0.8))
+
+    def test_distances_never_lift(self, monkeypatch):
+        calls = count_warm_start(monkeypatch)
+        rows = coarse_search(make_tube(8, 5, 1), 4, range(3, 6), range(0, 3), (1.0, 2.0))
+        assert len(rows) == 18
+        rows = limit_curve(range(2, 6), k=5)
+        assert len(rows) == 8
+        assert calls == []
+
+    def test_p_is_lifted_once(self, monkeypatch):
+        calls = count_warm_start(monkeypatch)
+        result = gdd(make_tube(4, 5, 1), make_tube(8, 5, 3))
+        assert calls == []
+        first = result.p
+        assert result.p is first
+        assert len(calls) == 1
+
+    def test_nothing_outlives_the_result(self, monkeypatch):
+        gdd_module = importlib.import_module("gpcn.gdd")
+        spectra = []
+
+        def recording_eig_sym(m):
+            e = eig_sym(m)
+            spectra.append(weakref.ref(e))
+            return e
+
+        monkeypatch.setattr(gdd_module, "eig_sym", recording_eig_sym)
+        coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
+        distance = gdd(coarse, fine).distance
+        kept = gdd(coarse, fine)
+        kept_p = kept.p
+        gc.collect()
+        assert distance == kept.distance and kept_p.shape == (40, 20)
+        assert len(spectra) == 4 and all(ref() is None for ref in spectra)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda p: p.T, "prolongation must be tall"),
+            (lambda p: np.full_like(p, np.nan), "prolongation has NaN or infinite entries"),
+            (lambda p: 2.0 * p, "columns are not orthonormal"),
+        ],
+        ids=["wide", "nan", "not-orthonormal"],
+    )
+    def test_reading_a_bad_lift_raises(self, monkeypatch, bad, message):
+        gdd_module = importlib.import_module("gpcn.gdd")
+        monkeypatch.setattr(gdd_module, "warm_start", lambda *args: bad(warm_start(*args)))
+        result = gdd(make_tube(4, 5, 1), make_tube(8, 5, 3))
+        assert result.distance >= 0.0
+        with pytest.raises(ValueError, match=message):
+            result.p
+
+
 def count_eig_sym(monkeypatch):
     """Count eig_sym calls made through the gdd module's global name."""
     gdd_module = importlib.import_module("gpcn.gdd")
@@ -450,6 +542,18 @@ class TestLimitCurve:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="n_values"):
             limit_curve([])
+
+    def test_reads_a_generator_once(self):
+        assert limit_curve((n for n in [4, 5]), k=5) == limit_curve([4, 5], k=5)
+
+    def test_repeated_values_make_one_row_pair(self, monkeypatch):
+        calls = count_eig_sym(monkeypatch)
+        rows = limit_curve([4, 4, 3], k=5)
+        assert len(calls) == 3 * 2
+        assert rows == limit_curve([3, 4], k=5)
+        assert [(n, family) for n, family, _ in rows] == [
+            (3, "grid"), (3, "tube"), (4, "grid"), (4, "tube")
+        ]
 
 
 small_tubes_and_grids = st.one_of(

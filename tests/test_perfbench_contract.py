@@ -8,7 +8,7 @@ curve, and check that every patched layer recorded spans.
 from pathlib import Path
 
 from gpcn.ensembles import build_from_table, make_hierarchy
-from gpcn.gdd import coarse_search, limit_curve
+from gpcn.gdd import coarse_search, gdd, limit_curve
 from gpcn.graphs import make_tube
 from gpcn.simulator import SimConfig, build_geometry, desk_strength_grid, generate_dataset
 from gpcn.training import ScheduleSpec, train
@@ -63,15 +63,20 @@ def test_traced_run_records_every_patched_layer(monkeypatch):
 
 def test_traced_coarsening_records_every_gdd_layer(monkeypatch):
     # the coarsen workload's spans exist only while every distance is
-    # computed in this process, through these module names
+    # computed in this process, through these module names. Distances never
+    # lift P, so the one P read here makes the only warm_start span; gdd is
+    # called by the name imported above, which the tracer does not patch,
+    # so it adds no gdd.gdd span of its own
     tracer = _tracer(monkeypatch)
     tracer.install()
     try:
         rows = coarse_search(make_tube(4, 5, 1), 2, k_range=(3, 4), p_range=(0, 1))
         rows += limit_curve([2, 3], k=4)
+        p_reads = [gdd(make_tube(2, 5, 1), make_tube(4, 5, 1)).p]
     finally:
         tracer.uninstall()
     names = set(tracer.names)
     expected = {"gdd.gdd", "numcore.eig_sym", "gdd.rlap_solve", "gdd.warm_start", "graphs.laplacian"}
     assert expected <= names, sorted(expected - names)
     assert tracer.names.count("gdd.gdd") == len(rows)
+    assert tracer.names.count("gdd.warm_start") == len(p_reads)

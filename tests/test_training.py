@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from gpcn.autodiff import Tape
-from gpcn.ensembles import build_from_table, init_model_params, make_hierarchy
+from gpcn.ensembles import (
+    MODEL_NAMES,
+    build_from_table,
+    init_model_params,
+    make_hierarchy,
+    model_forward,
+)
 from gpcn.gcn import GcnSpec
 from gpcn.graphs import make_tube
 from gpcn.numcore import seeded_rng
@@ -448,6 +454,26 @@ class TestMaskedLedger:
             )
             expected.append(expected[-1] + 3 * schedule.batches_per_epoch * cost)
         assert [p.flops for p in record.points] == expected
+
+
+class TestChunkedEvaluation:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("kind", ["joint", "coarse_to_fine"])
+    def test_epoch0_point_equals_one_whole_split_forward(self, hier, name, kind):
+        # batches of 3 leave a short last slice of both splits; coarse-to-fine
+        # validates on the coarsest level only
+        data = synthetic_dataset(n_frames=40)
+        spec = build_from_table(name, hier)
+        trainer = Trainer(spec, data, ScheduleSpec(kind=kind, total_epochs=0, batch_size=3), seed=4)
+        assert len(trainer.x_val) % 3 and len(trainer.x_train) % 3
+        mask = {spec.n_levels - 1} if kind == "coarse_to_fine" else None
+        train_nmse = nmse(model_forward(spec, trainer.params, trainer.x_train), trainer.y_train)
+        val_nmse = nmse(
+            model_forward(spec, trainer.params, trainer.x_val, level_mask=mask), trainer.y_val
+        )
+        (point,) = trainer.run().points
+        assert repr(point.train_nmse) == repr(train_nmse)
+        assert repr(point.best_val_nmse) == repr(val_nmse)
 
 
 class TestRunRecordOutput:
