@@ -5,17 +5,21 @@ column-orthonormal matrices P of the Frobenius mismatch between
 ``(1/alpha) P L_coarse`` and ``alpha L_fine P``. :func:`gdd` computes it in
 three steps:
 
-1. eigendecompose both Laplacians (tube and grid Laplacians equal their
-   index reversal, so ``eig_sym`` solves each as two half-size problems),
+1. compute the eigenvalues of both Laplacians, and no eigenvectors
+   (tube and grid Laplacians equal their index reversal, so ``eigvals_sym``
+   solves each as two half-size problems),
 2. match the ascending spectra by the order-preserving assignment of
    least total cost ``(lam_coarse / alpha - alpha * lam_fine)**2``,
 3. lift the optimal subpermutation to P = U_fine Pt U_coarse^T, which is
    the product of the assigned columns of the two eigenbases.
 
-Step 3 runs on the first read of the result's ``p``: the distance is the
-assignment cost of step 2, so :func:`coarse_search` and :func:`limit_curve`
-never build P, while :func:`gpcn.ensembles.make_hierarchy` and ``gpcn gdd``
-read it and get the same P as an eager lift.
+The distance is the assignment cost of step 2. Step 3 runs on the first read
+of the result's ``p``: it eigendecomposes both Laplacians with ``eig_sym``,
+assigns again on those eigenvalues and lifts, so :func:`coarse_search` and
+:func:`limit_curve` never solve for an eigenvector, while
+:func:`gpcn.ensembles.make_hierarchy` and ``gpcn gdd`` read ``p`` and get the
+same P as an eager lift. The two solvers' eigenvalues may differ in the last
+bits, and the distance with them; the P does not.
 
 Step 2 is exact. With both spectra ascending, the cost (a_j - b_l)**2
 with a = lam_coarse / alpha and b = alpha * lam_fine is a Monge matrix: for
@@ -30,11 +34,11 @@ all. Ties are broken by a fixed rule: walking back from the last coarse
 index, each coarse index takes the lowest fine index among its equal-cost
 choices.
 
-The fine graph's spectrum may be passed to :func:`gdd` instead of computed.
-:func:`coarse_search` and :func:`limit_curve` compare several coarse graphs
-with one fine graph, so each decomposes every distinct fine Laplacian once
-per call and hands the spectrum to each :func:`gdd`, all in the calling
-process. Nothing is kept between calls.
+The fine graph's eigenvalues may be passed to :func:`gdd` instead of
+computed. :func:`coarse_search` and :func:`limit_curve` compare several
+coarse graphs with one fine graph, so each computes the eigenvalues of every
+distinct fine Laplacian once per call and hands them to each :func:`gdd`, all
+in the calling process. Nothing is kept between calls.
 
 At fixed alpha the lifted assignment is optimal. Rotating into the
 eigenbases, Q = U_fine^T P U_coarse has orthonormal columns and the objective
@@ -59,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .graphs import Graph, StructureMatrix, laplacian, make_tube
-from .numcore import EigenSystem, eig_sym
+from .numcore import EigenSystem, eig_sym, eigvals_sym
 from .serialize import check_value
 
 __all__ = [
@@ -94,11 +98,12 @@ class Prolongation:
     ``objective`` is the squared Frobenius residual of the diffusion-distance
     mismatch at ``p``; ``distance`` is its square root. From :func:`gdd` the
     objective is the assignment cost, which equals that residual, ``trace``
-    is empty, and ``p`` is lifted by :func:`warm_start` and checked on its
-    first read, so a caller that needs only the distance never builds it.
-    Built from an explicit array, as :func:`refine_orthogonal` builds it,
-    ``p`` is checked at once and ``trace`` holds the objective at every
-    accepted iterate (nonincreasing).
+    is empty, and the result holds only the two Laplacians until ``p`` is
+    first read. That read eigendecomposes both, assigns, lifts with
+    :func:`warm_start` and checks P, so a caller that needs only the distance
+    never solves for an eigenvector. Built from an explicit array, as
+    :func:`refine_orthogonal` builds it, ``p`` is checked at once and
+    ``trace`` holds the objective at every accepted iterate (nonincreasing).
     """
 
     def __init__(self, p: np.ndarray, alpha: float, objective: float, trace: tuple = ()):
@@ -106,17 +111,20 @@ class Prolongation:
         self.alpha, self.objective, self.trace = alpha, _check_objective(objective), trace
 
     @classmethod
-    def _lifted(cls, e_coarse: EigenSystem, e_fine: EigenSystem, a: Assignment, alpha: float):
-        """The lift of ``a``, at its cost, built on the first read of ``p``."""
+    def _lifted(cls, l_coarse: StructureMatrix, l_fine: StructureMatrix, alpha: float, objective: float):
+        """The optimal lift between two Laplacians at ``objective``, the
+        assignment cost, built on the first read of ``p``."""
         self = cls.__new__(cls)
-        self.alpha, self.objective, self.trace = alpha, _check_objective(a.total_cost), ()
-        self._lift = (e_coarse, e_fine, a)
+        self.alpha, self.objective, self.trace = alpha, _check_objective(objective), ()
+        self._laplacians = (l_coarse, l_fine)
         return self
 
     @cached_property
     def p(self) -> np.ndarray:
-        p = _check_prolongation(warm_start(*self._lift))
-        del self._lift  # the eigensystems are not needed again
+        e_coarse, e_fine = (eig_sym(lap) for lap in self._laplacians)
+        a = rlap_solve(e_coarse.lambdas, e_fine.lambdas, self.alpha)
+        p = _check_prolongation(warm_start(e_coarse, e_fine, a))
+        del self._laplacians  # not needed again
         return p
 
     @property
@@ -291,34 +299,37 @@ def gdd(
     g_fine: Graph,
     alpha: float = 1.0,
     *,
-    fine_spectrum: EigenSystem | None = None,
+    fine_spectrum: np.ndarray | None = None,
 ) -> Prolongation:
-    """Eigendecompose, assign, and lift when ``p`` is first read.
+    """Assign the two spectra, and lift when ``p`` is first read.
 
     Returns the lifted assignment as a :class:`Prolongation`: its
-    ``objective`` is the assignment cost and its ``distance`` is the linear
-    graph diffusion distance at this ``alpha`` (see the module docstring).
-    ``trace`` is empty. Until ``p`` is read the result holds both
-    eigensystems and the assignment, and nothing else keeps them.
+    ``objective`` is the cost of the assignment between the two
+    :func:`~gpcn.numcore.eigvals_sym` spectra and its ``distance`` is the
+    linear graph diffusion distance at this ``alpha`` (see the module
+    docstring). ``trace`` is empty. Until ``p`` is read the result holds the
+    two Laplacians, and nothing else keeps them.
 
-    ``fine_spectrum``, when given, must be ``eig_sym(laplacian(g_fine))``
-    and is used in its place, so a caller comparing many coarse graphs with
-    one fine graph decomposes it once; the result is the same either way.
-    :func:`coarse_search` and :func:`limit_curve` pass it, decomposing each
-    fine Laplacian once per call.
+    ``fine_spectrum``, when given, must be ``eigvals_sym(laplacian(g_fine))``,
+    an ascending 1-D array, and is used in its place, so a caller comparing
+    many coarse graphs with one fine graph computes it once; the result is
+    the same either way. :func:`coarse_search` and :func:`limit_curve` pass
+    it, computing each fine spectrum once per call.
     """
     if g_coarse.n > g_fine.n:
         raise ValueError(
             f"first graph must not be larger: {g_coarse.n} > {g_fine.n}"
         )
-    if fine_spectrum is not None and fine_spectrum.n != g_fine.n:
+    if fine_spectrum is not None and np.shape(fine_spectrum) != (g_fine.n,):
         raise ValueError(
-            f"fine spectrum has {fine_spectrum.n} eigenpairs, the fine graph {g_fine.n} nodes"
+            f"fine spectrum has shape {np.shape(fine_spectrum)}, the fine graph {g_fine.n} nodes"
         )
-    e_coarse = eig_sym(laplacian(g_coarse))
-    e_fine = eig_sym(laplacian(g_fine)) if fine_spectrum is None else fine_spectrum
-    assignment = rlap_solve(e_coarse.lambdas, e_fine.lambdas, alpha)
-    return Prolongation._lifted(e_coarse, e_fine, assignment, alpha)
+    l_coarse = laplacian(g_coarse)
+    lam_coarse = eigvals_sym(l_coarse)
+    l_fine = laplacian(g_fine)
+    lam_fine = eigvals_sym(l_fine) if fine_spectrum is None else fine_spectrum
+    assignment = rlap_solve(lam_coarse, lam_fine, alpha)
+    return Prolongation._lifted(l_coarse, l_fine, alpha, assignment.total_cost)
 
 
 def coarse_search(
@@ -336,7 +347,7 @@ def coarse_search(
     floats). Rows come back as (k, p, seam_weight, distance) in
     deterministic (k, p, w) order. Candidates whose offset is infeasible for
     ``n_rings`` are skipped. Every candidate is size-checked before the first
-    distance. The fine Laplacian is decomposed once and its spectrum reused
+    distance. The fine Laplacian's eigenvalues are computed once and reused
     by every candidate; every distance is computed in the calling process.
     """
     _check_alpha(alpha)
@@ -358,7 +369,7 @@ def coarse_search(
             raise ValueError(
                 f"candidate {cand.name} has {cand.n} nodes, more than the {g_fine.n} of the fine graph"
             )
-    spectrum = eig_sym(laplacian(g_fine))
+    spectrum = eigvals_sym(laplacian(g_fine))
     return [
         cell + (gdd(c, g_fine, alpha, fine_spectrum=spectrum).distance,)
         for cell, c in zip(cells, cands)
@@ -369,7 +380,7 @@ def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
     """Distance of tube and grid families to a twice-as-long offset tube.
 
     For each distinct n, compares Tube(n, k, 1) and Grid(n, k) against
-    Tube(2n, k, 3), whose Laplacian is decomposed once for both; rows are
+    Tube(2n, k, 3), whose eigenvalues are computed once for both; rows are
     (n, family, distance) ordered by n then family name. ``n_values`` may be
     any iterable, a generator included; it is read once.
     """
@@ -383,7 +394,7 @@ def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
         fine = make_tube(2 * n, k, 3)
         tube = make_tube(n, k, 1)
         grid = make_grid(n, k)
-        spectrum = eig_sym(laplacian(fine))
+        spectrum = eigvals_sym(laplacian(fine))
         rows.append((n, "grid", gdd(grid, fine, alpha, fine_spectrum=spectrum).distance))
         rows.append((n, "tube", gdd(tube, fine, alpha, fine_spectrum=spectrum).distance))
     return rows

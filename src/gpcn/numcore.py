@@ -25,6 +25,7 @@ __all__ = [
     "row_softmax",
     "EigenSystem",
     "eig_sym",
+    "eigvals_sym",
     "AdamState",
     "adam_step",
     "glorot_uniform",
@@ -124,6 +125,22 @@ def _frobenius(x) -> float:
     return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
 
 
+def _mirror_blocks(a: np.ndarray):
+    """The even and odd blocks of a matrix equal to its reversal JAJ (see
+    :func:`_eigh_mirrored`): B + CJ, with the centre row and column scaled
+    by sqrt(2) for odd n, and B - CJ."""
+    n = a.shape[0]
+    h = n // 2
+    b, cj = a[:h, :h], a[:h, ::-1][:, :h]
+    even = np.empty((n - h, n - h))
+    np.add(b, cj, out=even[:h, :h])
+    if n % 2:
+        even[:h, h] = a[:h, h] * np.sqrt(2.0)
+        even[h, :h] = a[h, :h] * np.sqrt(2.0)
+        even[h, h] = a[h, h]
+    return even, b - cj
+
+
 def _eigh_mirrored(a: np.ndarray):
     """``eigh`` of a symmetric matrix equal to its reversal JAJ, as two
     half-size problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
@@ -141,14 +158,7 @@ def _eigh_mirrored(a: np.ndarray):
     """
     n = a.shape[0]
     h = n // 2
-    b, cj = a[:h, :h], a[:h, ::-1][:, :h]
-    even = np.empty((n - h, n - h))
-    np.add(b, cj, out=even[:h, :h])
-    if n % 2:
-        even[:h, h] = a[:h, h] * np.sqrt(2.0)
-        even[h, :h] = a[h, :h] * np.sqrt(2.0)
-        even[h, h] = a[h, h]
-    odd = b - cj
+    even, odd = _mirror_blocks(a)
     lam_even, x_even = np.linalg.eigh(even)
     lam_odd, x_odd = np.linalg.eigh(odd)
     lam = np.concatenate([lam_even, lam_odd])
@@ -205,6 +215,19 @@ def _mirrored_residual(lam, u, even, odd, col) -> float:
     )
 
 
+def _csr_asymmetry(mat) -> float:
+    """max |A - A^T| of a canonical CSR matrix. When the stored pattern is
+    symmetric, the transpose's stored entries are the entries in (col, row)
+    order, so the value is read off ``data`` in numpy; any other pattern goes
+    through scipy's sparse difference, which gives the same number."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    cols = mat.indices
+    order = np.lexsort((rows, cols))
+    if np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols):
+        return np.max(np.abs(mat.data - mat.data[order]), initial=0.0)
+    return abs(mat - mat.T).max()
+
+
 def _checked_dense(m):
     """Dense array and Frobenius norm of ``m`` after the shape, finiteness and
     symmetry checks, made on the CSR arrays for a StructureMatrix."""
@@ -222,7 +245,7 @@ def _checked_dense(m):
         raise ValueError(f"eig_sym needs a non-empty square matrix, got shape {shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("eig_sym needs a finite matrix, got NaN or infinite entries")
-    asym = abs(mat - mat.T).max() if sparse else np.max(np.abs(a - a.T))
+    asym = _csr_asymmetry(mat) if sparse else np.max(np.abs(a - a.T))
     if not asym <= _SYM_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     return (mat.toarray() if sparse else a), _frobenius(values)
@@ -277,6 +300,40 @@ def eig_sym(m) -> EigenSystem:
     signs[signs == 0] = 1.0
     u *= signs
     return EigenSystem(u=u, lambdas=lam)
+
+
+def eigvals_sym(m) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, without eigenvectors.
+
+    The input checks, the mirror split and the overflow and convergence
+    errors are those of :func:`eig_sym`: a matrix equal to its index reversal
+    takes ``eigvalsh`` of its even and odd blocks (:func:`_mirror_blocks`),
+    merged in ascending order, and any other matrix ``eigvalsh`` whole.
+    With no U there is no residual; instead the spectrum must keep two exact
+    identities, sum(lambda) = tr A and ||lambda||_2 = ||A||_F, each within
+    1e-6 * max(||A||_F, 1), the residual's tolerance, or NumericalError.
+    """
+    a, norm = _checked_dense(m)
+    try:
+        if np.array_equal(a, a[::-1, ::-1]):
+            lam = np.concatenate([np.linalg.eigvalsh(b) for b in _mirror_blocks(a)])
+            lam.sort()
+        else:
+            lam = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eig_sym eigenvalues overflow float64")
+    # both identities are checked on everything divided by 2**e >= max|lambda|,
+    # |a_ii| <= max|lambda|: no sum can overflow, and the scaling is exact
+    e = int(np.frexp(np.max(np.abs(lam)))[1])
+    scaled = np.ldexp(lam, -e)
+    trace_gap = abs(scaled.sum() - np.ldexp(np.diagonal(a), -e).sum())
+    norm_gap = abs(np.linalg.norm(scaled) - np.ldexp(norm, -e))
+    gap = np.ldexp(max(trace_gap, norm_gap), e)
+    if not gap <= 1e-6 * max(norm, 1.0):
+        raise NumericalError(f"eigenvalues miss the trace or Frobenius norm by {gap:.3e}")
+    return lam
 
 
 # ---------------------------------------------------------------------------

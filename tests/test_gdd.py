@@ -22,7 +22,7 @@ from gpcn.gdd import (
     warm_start,
 )
 from gpcn.graphs import Graph, laplacian, make_grid, make_tube, relabel
-from gpcn.numcore import eig_sym, seeded_rng
+from gpcn.numcore import eig_sym, eigvals_sym, seeded_rng
 
 from tests.oracles import assignment_cost, rlap_reference, subpermutation
 
@@ -350,7 +350,7 @@ class TestGdd:
 
     def test_given_fine_spectrum_gives_the_same_result(self):
         coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
-        given = gdd(coarse, fine, fine_spectrum=eig_sym(laplacian(fine)))
+        given = gdd(coarse, fine, fine_spectrum=eigvals_sym(laplacian(fine)))
         own = gdd(coarse, fine)
         assert np.array_equal(given.p, own.p)
         assert given.objective == own.objective
@@ -358,7 +358,7 @@ class TestGdd:
     def test_rejects_fine_spectrum_of_another_size(self):
         coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
         with pytest.raises(ValueError, match="fine spectrum"):
-            gdd(coarse, fine, fine_spectrum=eig_sym(laplacian(coarse)))
+            gdd(coarse, fine, fine_spectrum=eigvals_sym(laplacian(coarse)))
 
 
 def eager_lift(coarse, fine, alpha=1.0):
@@ -416,22 +416,49 @@ class TestLazyLift:
         assert len(calls) == 1
 
     def test_nothing_outlives_the_result(self, monkeypatch):
+        # the Laplacians each result holds, and the eigensystems a p read
+        # makes, are freed with the result or by the read
         gdd_module = importlib.import_module("gpcn.gdd")
-        spectra = []
+        laplacians, systems = [], []
 
-        def recording_eig_sym(m):
-            e = eig_sym(m)
-            spectra.append(weakref.ref(e))
-            return e
+        def recording(fn, refs):
+            def wrapped(arg):
+                out = fn(arg)
+                refs.append(weakref.ref(out))
+                return out
 
-        monkeypatch.setattr(gdd_module, "eig_sym", recording_eig_sym)
+            return wrapped
+
+        monkeypatch.setattr(gdd_module, "laplacian", recording(laplacian, laplacians))
+        monkeypatch.setattr(gdd_module, "eig_sym", recording(eig_sym, systems))
         coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
         distance = gdd(coarse, fine).distance
         kept = gdd(coarse, fine)
         kept_p = kept.p
         gc.collect()
         assert distance == kept.distance and kept_p.shape == (40, 20)
-        assert len(spectra) == 4 and all(ref() is None for ref in spectra)
+        assert len(laplacians) == 4 and all(ref() is None for ref in laplacians)
+        assert len(systems) == 2 and all(ref() is None for ref in systems)
+
+    @pytest.mark.parametrize(
+        "coarse, fine, alpha",
+        [
+            (make_tube(6, 13, 1), make_tube(12, 13, 3), 1.0),
+            (make_tube(6, 3, 0), make_tube(6, 13, 1), 1.0),
+            (make_tube(24, 13, 1), make_tube(48, 13, 3), 1.0),
+            (make_tube(24, 3, 0), make_tube(24, 13, 1), 1.0),
+            (make_tube(4, 5, 1), relabel(make_tube(8, 5, 3), seeded_rng(5).permutation(40).tolist()), 0.8),
+        ],
+        ids=["desk-1", "desk-2", "paper-1", "paper-2", "relabelled"],
+    )
+    def test_distance_and_p_from_two_solves_agree(self, coarse, fine, alpha):
+        # the distance comes from eigvals_sym spectra and P from eig_sym
+        # eigensystems: the objective must still be the mismatch at P
+        result = gdd(coarse, fine, alpha)
+        assert np.array_equal(result.p, eager_lift(coarse, fine, alpha))
+        l_coarse, l_fine = laplacian(coarse).toarray(), laplacian(fine).toarray()
+        m = result.p @ l_coarse / alpha - alpha * (l_fine @ result.p)
+        assert math.isclose(result.objective, float(np.sum(m * m)), rel_tol=1e-9)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -451,16 +478,21 @@ class TestLazyLift:
             result.p
 
 
-def count_eig_sym(monkeypatch):
-    """Count eig_sym calls made through the gdd module's global name."""
+def count_eigensolves(monkeypatch):
+    """Count eigvals_sym and eig_sym calls made through the gdd module's
+    global names, as the sizes of the matrices solved."""
     gdd_module = importlib.import_module("gpcn.gdd")
-    calls = []
+    calls = {"eigvals_sym": [], "eig_sym": []}
 
-    def counting_eig_sym(m):
-        calls.append(m.n)
-        return eig_sym(m)
+    def counting(fn):
+        def wrapped(m):
+            calls[fn.__name__].append(m.n)
+            return fn(m)
 
-    monkeypatch.setattr(gdd_module, "eig_sym", counting_eig_sym)
+        return wrapped
+
+    monkeypatch.setattr(gdd_module, "eigvals_sym", counting(eigvals_sym))
+    monkeypatch.setattr(gdd_module, "eig_sym", counting(eig_sym))
     return calls
 
 
@@ -500,11 +532,12 @@ class TestCoarseSearch:
         assert calls == ["Tube(4,3,0)"]
 
     def test_fine_laplacian_decomposed_once(self, monkeypatch):
-        calls = count_eig_sym(monkeypatch)
+        calls = count_eigensolves(monkeypatch)
         fine = make_tube(6, 5, 1)
         rows = coarse_search(fine, 3, k_range=(3, 4), p_range=(0, 1), seam_weights=(1.0, 2.0))
-        assert len(calls) == len(rows) + 1
-        assert calls.count(fine.n) == 1
+        assert len(calls["eigvals_sym"]) == len(rows) + 1
+        assert calls["eigvals_sym"].count(fine.n) == 1
+        assert calls["eig_sym"] == []
 
     def test_rejects_fewer_than_two_rings(self):
         with pytest.raises(ValueError, match="candidate ring count"):
@@ -533,11 +566,13 @@ class TestLimitCurve:
             assert grid < tube
 
     def test_each_long_tube_decomposed_once(self, monkeypatch):
-        calls = count_eig_sym(monkeypatch)
+        calls = count_eigensolves(monkeypatch)
         n_values = [3, 4, 5]
         limit_curve(n_values, k=5)
-        assert len(calls) == 3 * len(n_values)
-        assert sorted(n for n in calls if n in (30, 40, 50)) == [30, 40, 50]
+        sizes = calls["eigvals_sym"]
+        assert len(sizes) == 3 * len(n_values)
+        assert sorted(n for n in sizes if n in (30, 40, 50)) == [30, 40, 50]
+        assert calls["eig_sym"] == []
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="n_values"):
@@ -547,9 +582,10 @@ class TestLimitCurve:
         assert limit_curve((n for n in [4, 5]), k=5) == limit_curve([4, 5], k=5)
 
     def test_repeated_values_make_one_row_pair(self, monkeypatch):
-        calls = count_eig_sym(monkeypatch)
+        calls = count_eigensolves(monkeypatch)
         rows = limit_curve([4, 4, 3], k=5)
-        assert len(calls) == 3 * 2
+        assert len(calls["eigvals_sym"]) == 3 * 2
+        assert calls["eig_sym"] == []
         assert rows == limit_curve([3, 4], k=5)
         assert [(n, family) for n, family, _ in rows] == [
             (3, "grid"), (3, "tube"), (4, "grid"), (4, "tube")

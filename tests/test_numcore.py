@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from gpcn.numcore import (
     NumericalError,
     adam_step,
     eig_sym,
+    eigvals_sym,
     glorot_uniform,
     relu,
     row_softmax,
@@ -401,6 +403,94 @@ class TestEigSymMirrorChecks:
         mat = sp.csr_matrix(([1e308, 1e308, 1.0], [0, 0, 1], [0, 2, 3]), shape=(2, 2))
         with pytest.raises(ValueError, match="eig_sym needs a finite matrix"):
             eig_sym(StructureMatrix(mat=mat))
+
+
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            # equal values stored at (0, 1) and (1, 0), a different one at (1, 2)
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0 + 3e-9, 1.0]]),
+            # (1, 2) stored, (2, 1) not
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 5e-9], [0.0, 0.0, 1.0]]),
+        ],
+        ids=["value-asymmetric", "structure-asymmetric"],
+    )
+    def test_csr_asymmetry_is_the_scipy_number(self, dense):
+        mat = sp.csr_matrix(dense)
+        want = abs(mat - mat.T).max()
+        assert numcore._csr_asymmetry(mat) == want
+        message = f"matrix is not symmetric: max |A - A^T| = {want:.3e}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            eig_sym(StructureMatrix(mat=mat))
+
+    def test_csr_asymmetry_of_a_symmetric_pattern(self):
+        mat = laplacian(relabel(make_tube(6, 5, 1), seeded_rng(25).permutation(30))).mat.copy()
+        assert numcore._csr_asymmetry(mat) == 0.0
+        mat.data[3] += 1e-3  # an off-diagonal entry, its mirror unchanged
+        assert numcore._csr_asymmetry(mat) == abs(mat - mat.T).max() > 0.0
+
+
+class TestEigvalsSym:
+    CASES = {
+        "tube-even": lambda: laplacian(make_tube(12, 13, 3)),
+        "grid-odd": lambda: laplacian(make_grid(5, 7)),
+        "relabelled-tube": lambda: laplacian(
+            relabel(make_tube(6, 5, 1), seeded_rng(26).permutation(30))
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_eig_sym_eigenvalues(self, case):
+        z = self.CASES[case]()
+        a = z.toarray()
+        assert np.array_equal(a, a[::-1, ::-1]) == (case != "relabelled-tube")
+        want, got = eig_sym(z).lambdas, eigvals_sym(z)
+        assert got.shape == want.shape and np.all(np.diff(got) >= 0)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.zeros((0, 0)),
+            np.zeros((2, 3)),
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.array([[-1e308, 1e308], [1e308, -1e308]]),
+            np.array([[-1e308, 1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 1.0]]),
+        ],
+        ids=["empty", "non-square", "nan", "asymmetric", "overflow-mirrored", "overflow-general"],
+    )
+    def test_raises_the_eig_sym_message(self, m):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as want:
+                eig_sym(m)
+            with pytest.raises(ValueError) as got:
+                eigvals_sym(m)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "m",
+        [laplacian(make_grid(3, 5)), laplacian(relabel(make_tube(4, 5, 1), seeded_rng(27).permutation(20)))],
+        ids=["mirrored", "general"],
+    )
+    def test_moment_check_catches_a_perturbed_eigenvalue(self, monkeypatch, m):
+        eigvalsh = np.linalg.eigvalsh
+
+        def perturbed(a):
+            lam = eigvalsh(a)
+            lam[-1] += 1e-3
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        with pytest.raises(NumericalError, match="trace or Frobenius norm"):
+            eigvals_sym(m)
+
+    def test_huge_entries_raise_no_overflow_warning(self):
+        # the sum and the norm of these spectra overflow unless scaled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(eigvals_sym(np.diag([1e200, -1e200])), [-1e200, 1e200])
+            assert np.array_equal(eigvals_sym(np.diag([1e308, 1e308, 1.0])), [1.0, 1e308, 1e308])
 
 
 @given(st.integers(2, 12), st.integers(2, 14), st.data(), st.sampled_from([1.0, 2.0, 0.5, 3.0]))
