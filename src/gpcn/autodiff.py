@@ -12,6 +12,13 @@ Every op broadcasts the way numpy does, including a leading batch axis on
 matmul/spmm, so a whole batch of graph signals flows through one recorded
 graph. ``relu`` and ``sigmoid`` take a layer's bias row: act(a + b) is one
 node on one fresh array, and its two vjps share one pre-activation gradient.
+
+Memory: a node holds no reference to its tape (only the tape lists its
+nodes), so a recorded graph has no reference cycle and is freed as soon as
+its last node and the tape are dropped, without waiting for the cycle
+collector. :meth:`Tape.backward` keeps gradients only on variables (nodes
+without parents); each interior gradient is released once its vjps have
+pushed it to the parents.
 """
 
 from __future__ import annotations
@@ -29,14 +36,13 @@ class Node:
     """A tape value: ndarray payload plus the closures that push gradient back
     to its parents (none for a constant, which the tape does not record)."""
 
-    __slots__ = ("value", "grad", "parents", "vjps", "tape", "needs")
+    __slots__ = ("value", "grad", "parents", "vjps", "needs")
 
-    def __init__(self, value, parents, vjps, tape, needs):
+    def __init__(self, value, parents, vjps, needs):
         self.value = value
         self.grad = None
         self.parents = parents
         self.vjps = vjps
-        self.tape = tape
         self.needs = needs  # this node or an ancestor is a variable
 
     @property
@@ -72,8 +78,8 @@ class Tape:
 
     def _record(self, value, parents, vjps) -> Node:
         if parents and not any(isinstance(p, Node) and p.needs for p in parents):
-            return Node(np.asarray(value, dtype=float), (), (), self, False)  # constant op
-        node = Node(np.asarray(value, dtype=float), parents, vjps, self, True)
+            return Node(np.asarray(value, dtype=float), (), (), False)  # constant op
+        node = Node(np.asarray(value, dtype=float), parents, vjps, True)
         self._nodes.append(node)
         return node
 
@@ -128,19 +134,23 @@ class Tape:
 
     def _record_activation(self, out, a, b, pre_grad) -> Node:
         """Record out = act(a + b); ``pre_grad(g)`` is the gradient of the
-        pre-activation, evaluated once per g for both parents."""
+        pre-activation, evaluated once per g for both parents: backward runs
+        vjp_a before vjp_b, and vjp_b takes (and drops) what vjp_a kept."""
         if b is None:
             return self._record(out, (a,), (pre_grad,))
         b_shape = np.shape(_value(b))
-        last = [None, None]  # the latest g and its pre_grad(g)
+        keep = isinstance(b, Node) and b.needs  # vjp_b runs only then
+        last = [None, None]  # vjp_a's g and pre_grad(g), until vjp_b takes them
 
         def vjp_a(g):
-            if last[0] is not g:
-                last[:] = g, pre_grad(g)
-            return last[1]
+            d = pre_grad(g)
+            if keep:
+                last[:] = g, d
+            return d
 
         def vjp_b(g):
-            d = vjp_a(g)
+            d = last[1] if last[0] is g else pre_grad(g)
+            last[:] = None, None
             gb = _unbroadcast(d, b_shape)
             return gb.copy() if gb is d else gb  # a and b never share a gradient array
 
@@ -194,9 +204,12 @@ class Tape:
     # -- reverse sweep -----------------------------------------------------
 
     def backward(self, loss: Node) -> None:
-        """Accumulate gradients of a scalar loss into every recorded node; no
-        vjp runs into a constant parent. A loss no variable reaches is refused."""
-        if not isinstance(loss, Node) or loss.tape is not self or not loss.needs:
+        """Accumulate gradients of a scalar loss into every variable; no vjp
+        runs into a constant parent. Each interior node's gradient is dropped
+        once it has reached the node's parents, so afterwards only variables
+        hold a ``grad``. A loss not recorded on this tape, which includes a
+        loss no variable reaches, is refused."""
+        if not isinstance(loss, Node) or loss not in self._nodes:  # a Node equals only itself
             raise ValueError("loss was not recorded on this tape (no variable reaches it)")
         if np.asarray(loss.value).size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -215,3 +228,5 @@ class Tape:
                     parent.grad = contrib.copy() if contrib is g else contrib
                 else:
                     parent.grad = parent.grad + contrib
+            if node.parents:
+                node.grad = None

@@ -42,7 +42,7 @@ from .gcn import (
 from .gdd import gdd
 from .graphs import StructureMatrix, laplacian, make_tube, structure_power
 from .numcore import glorot_uniform
-from .serialize import load_arrays, save_arrays
+from .serialize import check_value, load_arrays, save_arrays
 
 __all__ = [
     "ModelSpec",
@@ -336,17 +336,20 @@ def _csr_arrays(prefix: str, z: StructureMatrix) -> dict:
     }
 
 
-def _csr_restore(arrays: dict, prefix: str, n: int) -> StructureMatrix:
-    return StructureMatrix(
-        mat=sp.csr_matrix(
-            (
-                arrays[f"{prefix}_data"],
-                arrays[f"{prefix}_indices"].astype(np.int64),
-                arrays[f"{prefix}_indptr"].astype(np.int64),
-            ),
-            shape=(n, n),
-        )
-    )
+def _csr_restore(array, prefix: str, n: int, where: str) -> StructureMatrix:
+    """An n-by-n StructureMatrix from a checkpoint's CSR arrays, checked
+    first: scipy's own check passes an indptr that ends below zero, and
+    eliminate_zeros then writes out of bounds."""
+    data = array(f"{prefix}_data")
+    indices = array(f"{prefix}_indices").astype(np.int64)
+    indptr = array(f"{prefix}_indptr").astype(np.int64)
+    if not (
+        n >= 0 and len(indptr) == n + 1 and indptr[0] == 0
+        and indptr[-1] == len(indices) == len(data) and np.all(np.diff(indptr) >= 0)
+        and np.all((indices >= 0) & (indices < n))
+    ):
+        raise ValueError(f"{where} {prefix}: CSR arrays do not form a {n}-by-{n} matrix")
+    return StructureMatrix(mat=sp.csr_matrix((data, indices, indptr), shape=(n, n)))
 
 
 def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
@@ -378,20 +381,44 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParams) -> None:
     save_arrays(path, arrays, meta)
 
 
+# manifest key -> kind, as save_checkpoint writes them
+_MANIFEST = {
+    "kind": "str", "name": "str", "adaptive": "bool", "n_prolongations": "int",
+    "n_pools": "int", "levels": "list",
+}
+_LEVEL_MANIFEST = {"n": "int", "gcn_widths": "list", "dense_widths": "list", "has_z": "bool"}
+
+
 def load_checkpoint(path):
     """Restore (spec, params) from :func:`save_checkpoint` output; params
     get their own prolongation copies only when adaptive. Older checkpoints
     also load: their extra manifest keys (every layer's activation, the
     N-GCN radii) are ignored, and their kind ``ngcn`` reads as
-    ``plain_ensemble``."""
+    ``plain_ensemble``. A damaged file (a manifest entry missing or of the
+    wrong type, an array missing, a structure matrix out of range) raises
+    ValueError."""
     arrays, meta = load_arrays(path)
+    where = f"{path}: checkpoint"
+    for key, kind in _MANIFEST.items():
+        check_value(kind, meta.get(key), f"{where} {key}")
+    for i, lm in enumerate(meta["levels"]):
+        check_value("dict", lm, f"{where} levels[{i}]")
+        for key, kind in _LEVEL_MANIFEST.items():
+            check_value(kind, lm.get(key), f"{where} levels[{i}] {key}")
+        for w in lm["gcn_widths"] + lm["dense_widths"]:
+            check_value("int", w, f"{where} levels[{i}] width")
+
+    def array(name):
+        if name not in arrays:
+            raise ValueError(f"{where} has no array {name!r}")
+        return arrays[name]
 
     def layer(prefix):
-        return GcnLayerParams(w=arrays[f"{prefix}_w"], b=arrays[f"{prefix}_b"])
+        return GcnLayerParams(w=array(f"{prefix}_w"), b=array(f"{prefix}_b"))
 
     levels, level_params = [], []
     for i, lm in enumerate(meta["levels"]):
-        z = _csr_restore(arrays, f"z{i}", lm["n"]) if lm["has_z"] else None
+        z = _csr_restore(array, f"z{i}", lm["n"], where) if lm["has_z"] else None
         levels.append(
             GcnSpec(
                 z=z,
@@ -406,7 +433,7 @@ def load_checkpoint(path):
                 dense=[layer(f"level{i}_dense{j}") for j in range(len(lm["dense_widths"]))],
             )
         )
-    prolongations = [arrays[f"prolong{i}"] for i in range(meta["n_prolongations"])]
+    prolongations = [array(f"prolong{i}") for i in range(meta["n_prolongations"])]
     spec = ModelSpec(
         kind="plain_ensemble" if meta["kind"] == "ngcn" else meta["kind"],
         levels=levels,

@@ -1,12 +1,20 @@
+import contextlib
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, strategies as st
 
 from gpcn.autodiff import Node, Tape
+from gpcn.ensembles import build_from_table, make_hierarchy
 from gpcn.gcn import aggregate
-from gpcn.graphs import StructureMatrix, laplacian, make_grid
+from gpcn.graphs import StructureMatrix, laplacian, make_grid, make_tube
 from gpcn.numcore import seeded_rng, sigmoid
+from gpcn.training import ScheduleSpec, Trainer
+
+from tests.conftest import synthetic_dataset
 
 
 def mean_square(t, node):
@@ -377,3 +385,93 @@ def test_random_chains_match_finite_differences(chain):
         fd = finite_difference(lambda v: loss_at(arr, v), arr)
         scale = max(np.abs(fd).max(), 1e-6)
         assert np.abs(node.grad - fd).max() / scale < 1e-5
+
+
+# -- memory: reference counting alone frees a step ----------------------------
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Run with the cycle collector disabled, so only reference counting
+    frees objects; the collector's earlier backlog is cleared first."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def layer_step(tape):
+    """A small training step: variables x, W, b, c; a biased relu and a
+    biased sigmoid whose parents both need gradients, a concat with a
+    constant and an mse loss. Returns (variables, loss)."""
+    rng = seeded_rng(6)
+    x, w, b, c = (tape.variable(rng.normal(size=s)) for s in ((2, 4, 3), (3, 2), (2,), (4,)))
+    h = tape.relu(tape.matmul(x, w), b)
+    h = tape.concat([h, np.ones((2, 4, 2))], axis=-1)
+    h = tape.sigmoid(h, c)
+    return (x, w, b, c), tape.mse(h, rng.normal(size=(2, 4, 4)))
+
+
+def test_tape_dies_with_its_last_reference():
+    with collector_off():
+        tape = Tape()
+        variables, loss = layer_step(tape)
+        tape.backward(loss)
+        tape_ref = weakref.ref(tape)
+        value_refs = [weakref.ref(node.value) for node in tape._nodes]
+        grad = variables[1].grad
+        del tape, loss
+        assert tape_ref() is None  # a variable held by the caller keeps no tape alive
+        del variables
+        assert all(ref() is None for ref in value_refs)
+        assert grad.shape == (3, 2)
+
+
+def test_backward_keeps_gradients_only_on_variables():
+    with collector_off():
+        tape = Tape()
+        variables, loss = layer_step(tape)
+        seen = []  # weak references to every gradient a vjp took or gave
+
+        def spy(vjp):
+            def wrapped(g):
+                out = vjp(g)
+                seen.extend((weakref.ref(g), weakref.ref(out)))
+                return out
+
+            return wrapped
+
+        for node in tape._nodes:
+            node.vjps = tuple(spy(vjp) for vjp in node.vjps)
+        tape.backward(loss)
+        assert all(node.grad is None for node in tape._nodes if node.parents)
+        kept = set()
+        for v in variables:
+            assert v.grad is not None and v.grad.shape == v.value.shape
+            arr = v.grad
+            while arr is not None:
+                kept.add(id(arr))
+                arr = arr.base
+        assert seen and all(ref() is None or id(ref()) in kept for ref in seen)
+
+
+def test_second_backward_gives_the_same_gradients():
+    tape = Tape()
+    variables, loss = layer_step(tape)
+    tape.backward(loss)
+    first = [v.grad.copy() for v in variables]
+    tape.backward(loss)
+    for want, v in zip(first, variables):
+        assert np.array_equal(v.grad, want)
+
+
+@pytest.mark.parametrize("name", ["ngcn3", "a_gpcn3", "diffpool3"])
+def test_a_trainer_epoch_leaves_nothing_for_the_collector(name):
+    hier = make_hierarchy([make_tube(4, 5, 1), make_tube(2, 5, 1), make_tube(2, 2, 0)])
+    data = synthetic_dataset(n_frames=12, n_nodes=20, n_features=3)
+    trainer = Trainer(build_from_table(name, hier), data, ScheduleSpec(batches_per_epoch=3, batch_size=4), 0)
+    with collector_off():
+        trainer._train_epoch()
+        assert gc.collect() == 0

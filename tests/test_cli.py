@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -11,11 +12,20 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpcn import training
 from gpcn.cli import _build_parser, main
+from gpcn.ensembles import (
+    build_from_table,
+    init_model_params,
+    load_checkpoint,
+    make_hierarchy,
+    save_checkpoint,
+)
 from gpcn.graphs import graph_to_edgelist, make_grid, make_tube
+from gpcn.numcore import seeded_rng
 from gpcn.serialize import load_arrays, save_arrays
 from gpcn.simulator import load_dataset, save_dataset
-from gpcn.training import flops_gcn_layer
+from gpcn.training import ScheduleSpec, flops_gcn_layer
 
 
 def write_json(path, obj):
@@ -611,6 +621,72 @@ def test_gdd_exit_codes_under_one_byte_replaced(tmp_path):
         for byte in EDGE_LIST_BYTES:
             coarse.write_bytes(text[:at] + bytes([byte]) + text[at + 1 :])
             assert_one_line_exit(["gdd", str(coarse), str(fine)], (at, bytes([byte])))
+
+
+# A valid train config on the 4-ring dataset of ``dataset_dir`` that sets
+# every key it may. The caps live here: one epoch of two batches of two
+# frames; no mutation raises a count (see MUTABLE_CONFIG), and a dropped
+# schedule key falls back to CappedSchedule's default, not the program's.
+MUTABLE_TRAIN_CONFIG = {
+    "dataset": None,  # the dataset_dir path
+    "model": "gpcn2",
+    "hierarchy": [
+        {"n_rings": 4, "k": 13, "offset": 3, "seam_weight": 1.0},
+        {"n_rings": 2, "k": 13, "offset": 1, "seam_weight": 1.0},
+    ],
+    "schedule": {
+        "kind": "joint", "gamma": 1, "smoothing_epochs": 1, "patience": 1, "total_epochs": 1,
+        "batches_per_epoch": 2, "batch_size": 2, "smoothing_forward": "full",
+    },
+    "seed": 1,
+}
+
+
+@dataclasses.dataclass
+class CappedSchedule(ScheduleSpec):
+    # annotations are the kind names check_fields looks up, as in training.py
+    total_epochs: "int" = 1
+    batches_per_epoch: "int" = 2
+    batch_size: "int" = 2
+
+
+def test_train_exit_codes_under_one_mutation(dataset_dir, monkeypatch):
+    monkeypatch.setattr(training, "ScheduleSpec", CappedSchedule)
+    config = dict(MUTABLE_TRAIN_CONFIG, dataset=str(dataset_dir))
+    for case in config_mutations(config):
+        assert_config_exit("train", config, case)
+
+
+# byte values for a one-byte replacement of a checkpoint: a digit, a quote,
+# a letter and a byte that is not UTF-8
+CHECKPOINT_BYTES = b'0"x\xff'
+
+
+def test_checkpoint_one_byte_replaced_loads_or_raises_value_error(tmp_path):
+    """No command reads a checkpoint yet, so the contract is held at
+    ``load_checkpoint``: a damaged file loads or raises ValueError, which
+    ``main`` maps to exit 2. The checkpoint is a two-level gpcn on the 4-ring
+    train hierarchy, with two-wide layers so that the file stays small.
+    Every header byte is replaced, and the first and last byte of each array."""
+    spec = build_from_table("gpcn2", make_hierarchy([make_tube(t["n_rings"], t["k"], t["offset"]) for t in TRAIN_HIER]))
+    spec = dataclasses.replace(spec, levels=[
+        dataclasses.replace(lvl, gcn_widths=(2,), dense_widths=(2, 1)) for lvl in spec.levels
+    ])
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, spec, init_model_params(spec, 3, seeded_rng(0)))
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    payload = 16 + hlen
+    positions = list(range(payload))
+    for entry in json.loads(raw[16:payload])["arrays"]:
+        positions += [payload + entry["offset"], payload + entry["offset"] + entry["nbytes"] - 1]
+    for at in positions:
+        for byte in CHECKPOINT_BYTES:
+            path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1 :])
+            try:
+                load_checkpoint(path)
+            except ValueError:
+                pass
 
 
 @pytest.mark.parametrize("case", sorted(TRAIN_MESSAGES))

@@ -10,6 +10,8 @@ import pytest
 import gpcn
 from gpcn.autodiff import Tape
 from gpcn.ensembles import (
+    _LEVEL_MANIFEST,
+    _MANIFEST,
     MODEL_NAMES,
     ModelSpec,
     build_from_table,
@@ -330,6 +332,36 @@ class TestCheckpoints:
         spec2, params2 = load_checkpoint(tmp_path / "old.bin")
         assert spec2.kind == spec.kind
         assert np.array_equal(model_forward(spec2, params2, x), model_forward(spec, params, x))
+
+    @pytest.mark.parametrize("name", ["gpcn2", "a_gpcn3", "ngcn3", "diffpool3"])
+    def test_load_checks_every_manifest_key_that_save_writes(self, tiny_hierarchy, tmp_path, name):
+        # a key added to save_checkpoint's manifest must be checked on load too
+        spec = build_from_table(name, tiny_hierarchy)
+        save_checkpoint(tmp_path / "model.bin", spec, init_model_params(spec, 3, seeded_rng(36)))
+        _, meta = load_arrays(tmp_path / "model.bin")
+        assert set(meta) == set(_MANIFEST)
+        assert all(set(lm) == set(_LEVEL_MANIFEST) for lm in meta["levels"])
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            # scipy's own format check passes an indptr ending below zero
+            (lambda a, m: a["z0_indptr"].__setitem__(-1, -1), "z0: CSR arrays do not form"),
+            (lambda a, m: a["z0_indices"].__setitem__(0, 10**6), "z0: CSR arrays do not form"),
+            (lambda a, m: a.pop("level0_dense0_w"), "has no array 'level0_dense0_w'"),
+            (lambda a, m: m["levels"][0].pop("has_z"), r"levels\[0\] has_z must be true or false"),
+            (lambda a, m: m["levels"][0].update(gcn_widths=[4, "4"]), "width must be an integer"),
+            (lambda a, m: m.update(n_pools=None), "n_pools must be an integer"),
+        ],
+    )
+    def test_damaged_checkpoint_raises_value_error(self, tiny_hierarchy, tmp_path, damage, message):
+        spec = build_from_table("gpcn2", tiny_hierarchy)
+        save_checkpoint(tmp_path / "model.bin", spec, init_model_params(spec, 3, seeded_rng(35)))
+        arrays, meta = load_arrays(tmp_path / "model.bin")
+        damage(arrays, meta)
+        save_arrays(tmp_path / "damaged.bin", arrays, meta)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(tmp_path / "damaged.bin")
 
 
 class TestRecordedSubgraph:
