@@ -239,7 +239,7 @@ def cmd_train(args) -> int:
         write_csv(os.path.join(out, "stages.csv"), ["stage", "epoch"], record.stage_starts)
     _write_manifest(out, "train", config, seed)
     if record.diverged:
-        print("training diverged; partial record written", file=sys.stderr)
+        print("numerical failure: training diverged; partial record written", file=sys.stderr)
         return EXIT_NUMERICAL
     print(
         f"{name}: best validation nmse {record.best_val_nmse!r} "

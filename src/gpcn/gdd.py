@@ -13,13 +13,14 @@ three steps:
 3. lift the optimal subpermutation to P = U_fine Pt U_coarse^T, which is
    the product of the assigned columns of the two eigenbases.
 
-The distance is the assignment cost of step 2. Step 3 runs on the first read
-of the result's ``p``: it eigendecomposes both Laplacians with ``eig_sym``,
-assigns again on those eigenvalues and lifts, so :func:`coarse_search` and
-:func:`limit_curve` never solve for an eigenvector, while
-:func:`gpcn.ensembles.make_hierarchy` and ``gpcn gdd`` read ``p`` and get the
-same P as an eager lift. The two solvers' eigenvalues may differ in the last
-bits, and the distance with them; the P does not.
+The distance is the assignment cost of step 2. A :class:`Prolongation` is
+built from the two graphs, alpha and that cost, and nothing else. Step 3 runs
+on the first read of its ``p``: it builds both Laplacians again,
+eigendecomposes them with ``eig_sym``, assigns again on those eigenvalues and
+lifts, so :func:`coarse_search` and :func:`limit_curve` never solve for an
+eigenvector, while :func:`gpcn.ensembles.make_hierarchy` and ``gpcn gdd``
+read ``p`` and get the same P as an eager lift. The two solvers' eigenvalues
+may differ in the last bits, and the distance with them; the P does not.
 
 Step 2 is exact. With both spectra ascending, the cost (a_j - b_l)**2
 with a = lam_coarse / alpha and b = alpha * lam_fine is a Monge matrix: for
@@ -32,13 +33,15 @@ nondecreasing in j, so each row of the table is the previous row's running
 (prefix) minimum plus the row's band of costs, O(n_c (n_f - n_c + 1)) in
 all. Ties are broken by a fixed rule: walking back from the last coarse
 index, each coarse index takes the lowest fine index among its equal-cost
-choices.
+choices. The result is an :class:`Assignment`, whose ``fine[j]`` is the fine
+index of coarse mode j.
 
 The fine graph's eigenvalues may be passed to :func:`gdd` instead of
-computed. :func:`coarse_search` and :func:`limit_curve` compare several
-coarse graphs with one fine graph, so each computes the eigenvalues of every
-distinct fine Laplacian once per call and hands them to each :func:`gdd`, all
-in the calling process. Nothing is kept between calls.
+computed; then :func:`gdd` builds no fine Laplacian. :func:`coarse_search`
+and :func:`limit_curve` compare several coarse graphs with one fine graph, so
+each builds every distinct fine Laplacian and its eigenvalues once per call
+and hands the eigenvalues to each :func:`gdd`, all in the calling process.
+Nothing is kept between calls.
 
 At fixed alpha the lifted assignment is optimal. Rotating into the
 eigenbases, Q = U_fine^T P U_coarse has orthonormal columns and the objective
@@ -51,24 +54,27 @@ not move from it either.
 
 :func:`refine_orthogonal` is a standalone tool: Riemannian gradient descent
 on the Stiefel manifold (QR retraction, Armijo backtracking line search)
-from any column-orthonormal start. :func:`gdd` does not call it.
+from any column-orthonormal start, returning a :class:`Descent`. :func:`gdd`
+does not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .graphs import Graph, StructureMatrix, laplacian, make_tube
+from .graphs import Graph, StructureMatrix, laplacian, make_grid, make_tube
 from .numcore import EigenSystem, eig_sym, eigvals_sym
 from .serialize import check_value
 
 __all__ = [
     "Assignment",
     "Prolongation",
+    "Descent",
     "rlap_solve",
     "warm_start",
     "refine_orthogonal",
@@ -78,58 +84,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Injective matching of coarse eigen-indices into fine eigen-indices."""
+    """Injective matching of coarse eigen-indices into fine eigen-indices:
+    ``fine[j]`` is the fine index of coarse mode j."""
 
-    pairs: tuple  # ((coarse_index, fine_index), ...)
+    fine: np.ndarray
     total_cost: float
 
     def __post_init__(self):
-        coarse = [j for j, _ in self.pairs]
-        fine = [l for _, l in self.pairs]
-        if len(set(coarse)) != len(coarse) or len(set(fine)) != len(fine):
-            raise ValueError("assignment must be injective in both coordinates")
+        if np.unique(self.fine).size != np.size(self.fine):
+            raise ValueError("assignment must be injective: a fine index is taken twice")
 
 
 class Prolongation:
-    """Column-orthonormal map from a coarse graph onto a fine graph.
+    """The optimal column-orthonormal map from a coarse graph onto a fine graph.
 
-    ``objective`` is the squared Frobenius residual of the diffusion-distance
-    mismatch at ``p``; ``distance`` is its square root. From :func:`gdd` the
-    objective is the assignment cost, which equals that residual, ``trace``
-    is empty, and the result holds only the two Laplacians until ``p`` is
-    first read. That read eigendecomposes both, assigns, lifts with
-    :func:`warm_start` and checks P, so a caller that needs only the distance
-    never solves for an eigenvector. Built from an explicit array, as
-    :func:`refine_orthogonal` builds it, ``p`` is checked at once and
-    ``trace`` holds the objective at every accepted iterate (nonincreasing).
+    ``objective`` is the assignment cost, the squared Frobenius residual of
+    the diffusion-distance mismatch at ``p``; ``distance`` is its square
+    root. ``p`` is built on its first read, which eigendecomposes both
+    graphs' Laplacians, assigns, lifts with :func:`warm_start` and checks P,
+    so a caller that needs only the distance never solves for an eigenvector.
     """
 
-    def __init__(self, p: np.ndarray, alpha: float, objective: float, trace: tuple = ()):
-        self.p = _check_prolongation(p)  # fills the cached property's slot: never lifted
-        self.alpha, self.objective, self.trace = alpha, _check_objective(objective), trace
-
-    @classmethod
-    def _lifted(cls, l_coarse: StructureMatrix, l_fine: StructureMatrix, alpha: float, objective: float):
-        """The optimal lift between two Laplacians at ``objective``, the
-        assignment cost, built on the first read of ``p``."""
-        self = cls.__new__(cls)
-        self.alpha, self.objective, self.trace = alpha, _check_objective(objective), ()
-        self._laplacians = (l_coarse, l_fine)
-        return self
+    def __init__(self, g_coarse: Graph, g_fine: Graph, alpha: float, objective: float):
+        self.g_coarse, self.g_fine = g_coarse, g_fine
+        self.alpha, self.objective = alpha, _check_objective(objective)
 
     @cached_property
     def p(self) -> np.ndarray:
-        e_coarse, e_fine = (eig_sym(lap) for lap in self._laplacians)
+        e_coarse, e_fine = (eig_sym(laplacian(g)) for g in (self.g_coarse, self.g_fine))
         a = rlap_solve(e_coarse.lambdas, e_fine.lambdas, self.alpha)
-        p = _check_prolongation(warm_start(e_coarse, e_fine, a))
-        del self._laplacians  # not needed again
-        return p
+        return _check_prolongation(warm_start(e_coarse, e_fine, a))
 
     @property
     def distance(self) -> float:
         return float(np.sqrt(max(self.objective, 0.0)))
+
+
+class Descent(NamedTuple):
+    """Result of :func:`refine_orthogonal`: the last iterate, its squared
+    mismatch, and the objective at every accepted iterate (nonincreasing)."""
+
+    p: np.ndarray
+    objective: float
+    trace: tuple
 
 
 def _check_prolongation(p: np.ndarray) -> np.ndarray:
@@ -205,26 +204,20 @@ def rlap_solve(lam_coarse, lam_fine, alpha: float) -> Assignment:
         shift[j] = s
     fine = np.arange(m) + shift
     d = x / alpha - alpha * y[fine]
-    total = float((d * d).sum())
-    pairs = tuple(zip(range(m), fine.tolist()))
-    return Assignment(pairs=pairs, total_cost=total)
+    return Assignment(fine=fine, total_cost=float((d * d).sum()))
 
 
 def warm_start(e_coarse: EigenSystem, e_fine: EigenSystem, a: Assignment) -> np.ndarray:
     """Lift an eigenmode assignment to the map U_fine Pt U_coarse^T.
 
-    Pt is the 0/1 subpermutation with Pt[l, j] = 1 for each pair (j, l). The
-    pairs must take coarse indices 0..n_c-1 in order, as :func:`rlap_solve`'s
-    do, so the product is the assigned fine eigenvectors, gathered in pair
-    order, times U_coarse^T.
+    Pt is the 0/1 subpermutation with Pt[a.fine[j], j] = 1, so the product
+    is the assigned fine eigenvectors, gathered in coarse order, times
+    U_coarse^T.
     """
-    n_c, n_f = e_coarse.n, e_fine.n
-    for j, l in a.pairs:
-        if not (0 <= j < n_c and 0 <= l < n_f):
-            raise ValueError(f"assignment pair ({j},{l}) out of range")
-    if [j for j, _ in a.pairs] != list(range(n_c)):
-        raise ValueError(f"assignment must pair coarse indices 0..{n_c - 1} in order")
-    return e_fine.u[:, [l for _, l in a.pairs]] @ e_coarse.u.T
+    n_c, n_f, fine = e_coarse.n, e_fine.n, a.fine
+    if fine.shape != (n_c,) or not np.all((0 <= fine) & (fine < n_f)):
+        raise ValueError(f"assignment must map {n_c} coarse modes to fine indices in 0..{n_f - 1}")
+    return e_fine.u[:, fine] @ e_coarse.u.T
 
 
 def _objective(p, l_coarse, l_fine_mat, alpha):
@@ -250,7 +243,7 @@ def refine_orthogonal(
     l_coarse: StructureMatrix,
     l_fine: StructureMatrix,
     alpha: float = 1.0,
-) -> Prolongation:
+) -> Descent:
     """Descend the squared mismatch over matrices with orthonormal columns.
 
     The Euclidean gradient is projected onto the Stiefel tangent space
@@ -291,7 +284,7 @@ def refine_orthogonal(
         if not accepted:
             break  # flat to machine precision along this direction
         trace.append(f)
-    return Prolongation(p=p, alpha=alpha, objective=f, trace=tuple(trace))
+    return Descent(_check_prolongation(p), _check_objective(f), tuple(trace))
 
 
 def gdd(
@@ -307,14 +300,15 @@ def gdd(
     ``objective`` is the cost of the assignment between the two
     :func:`~gpcn.numcore.eigvals_sym` spectra and its ``distance`` is the
     linear graph diffusion distance at this ``alpha`` (see the module
-    docstring). ``trace`` is empty. Until ``p`` is read the result holds the
-    two Laplacians, and nothing else keeps them.
+    docstring). It holds the two graphs, and builds their Laplacians again
+    only if ``p`` is read.
 
     ``fine_spectrum``, when given, must be ``eigvals_sym(laplacian(g_fine))``,
     an ascending 1-D array, and is used in its place, so a caller comparing
-    many coarse graphs with one fine graph computes it once; the result is
-    the same either way. :func:`coarse_search` and :func:`limit_curve` pass
-    it, computing each fine spectrum once per call.
+    many coarse graphs with one fine graph computes it once and ``gdd``
+    builds no fine Laplacian; the result is the same either way.
+    :func:`coarse_search` and :func:`limit_curve` pass it, computing each
+    fine spectrum once per call.
     """
     if g_coarse.n > g_fine.n:
         raise ValueError(
@@ -324,12 +318,17 @@ def gdd(
         raise ValueError(
             f"fine spectrum has shape {np.shape(fine_spectrum)}, the fine graph {g_fine.n} nodes"
         )
-    l_coarse = laplacian(g_coarse)
-    lam_coarse = eigvals_sym(l_coarse)
-    l_fine = laplacian(g_fine)
-    lam_fine = eigvals_sym(l_fine) if fine_spectrum is None else fine_spectrum
+    lam_coarse = eigvals_sym(laplacian(g_coarse))
+    lam_fine = eigvals_sym(laplacian(g_fine)) if fine_spectrum is None else fine_spectrum
     assignment = rlap_solve(lam_coarse, lam_fine, alpha)
-    return Prolongation._lifted(l_coarse, l_fine, alpha, assignment.total_cost)
+    return Prolongation(g_coarse, g_fine, alpha, assignment.total_cost)
+
+
+def _distances(coarse_graphs, g_fine: Graph, alpha: float) -> list:
+    """Distance of each coarse graph to ``g_fine``, one :func:`gdd` each,
+    with the fine Laplacian and its eigenvalues built once for all."""
+    spectrum = eigvals_sym(laplacian(g_fine))
+    return [gdd(g, g_fine, alpha, fine_spectrum=spectrum).distance for g in coarse_graphs]
 
 
 def coarse_search(
@@ -347,8 +346,9 @@ def coarse_search(
     floats). Rows come back as (k, p, seam_weight, distance) in
     deterministic (k, p, w) order. Candidates whose offset is infeasible for
     ``n_rings`` are skipped. Every candidate is size-checked before the first
-    distance. The fine Laplacian's eigenvalues are computed once and reused
-    by every candidate; every distance is computed in the calling process.
+    distance. The fine Laplacian and its eigenvalues are built once and
+    reused by every candidate; every distance is computed in the calling
+    process.
     """
     _check_alpha(alpha)
     if n_rings < 2:
@@ -369,32 +369,22 @@ def coarse_search(
             raise ValueError(
                 f"candidate {cand.name} has {cand.n} nodes, more than the {g_fine.n} of the fine graph"
             )
-    spectrum = eigvals_sym(laplacian(g_fine))
-    return [
-        cell + (gdd(c, g_fine, alpha, fine_spectrum=spectrum).distance,)
-        for cell, c in zip(cells, cands)
-    ]
+    return [cell + (d,) for cell, d in zip(cells, _distances(cands, g_fine, alpha))]
 
 
 def limit_curve(n_values, k: int = 13, alpha: float = 1.0):
     """Distance of tube and grid families to a twice-as-long offset tube.
 
     For each distinct n, compares Tube(n, k, 1) and Grid(n, k) against
-    Tube(2n, k, 3), whose eigenvalues are computed once for both; rows are
-    (n, family, distance) ordered by n then family name. ``n_values`` may be
-    any iterable, a generator included; it is read once.
+    Tube(2n, k, 3), whose Laplacian and eigenvalues are built once for both;
+    rows are (n, family, distance) ordered by n then family name.
+    ``n_values`` may be any iterable, a generator included; it is read once.
     """
-    from .graphs import make_grid
-
     ns = sorted(set(n_values))
     if min(ns, default=1) < 2:
         raise ValueError("n_values must contain integers >= 2")
     rows = []
     for n in ns:
-        fine = make_tube(2 * n, k, 3)
-        tube = make_tube(n, k, 1)
-        grid = make_grid(n, k)
-        spectrum = eigvals_sym(laplacian(fine))
-        rows.append((n, "grid", gdd(grid, fine, alpha, fine_spectrum=spectrum).distance))
-        rows.append((n, "tube", gdd(tube, fine, alpha, fine_spectrum=spectrum).distance))
+        grid, tube = _distances([make_grid(n, k), make_tube(n, k, 1)], make_tube(2 * n, k, 3), alpha)
+        rows += [(n, "grid", grid), (n, "tube", tube)]
     return rows

@@ -242,9 +242,9 @@ def _checked_dense(m):
         a = np.asarray(m, dtype=float)
         shape, values = a.shape, a
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-        raise ValueError(f"eig_sym needs a non-empty square matrix, got shape {shape}")
+        raise ValueError(f"expected a non-empty square matrix, got shape {shape}")
     if not np.all(np.isfinite(values)):
-        raise ValueError("eig_sym needs a finite matrix, got NaN or infinite entries")
+        raise ValueError("expected a finite matrix, got NaN or infinite entries")
     asym = _csr_asymmetry(mat) if sparse else np.max(np.abs(a - a.T))
     if not asym <= _SYM_TOL:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
@@ -287,7 +287,7 @@ def eig_sym(m) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     if not np.all(np.isfinite(lam)):
-        raise ValueError("eig_sym eigenvalues overflow float64")
+        raise ValueError("eigenvalues overflow float64")
     if mirrored:
         resid, rows = _mirrored_residual(lam, u, *blocks), n - n // 2
     else:
@@ -323,7 +323,7 @@ def eigvals_sym(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     if not np.all(np.isfinite(lam)):
-        raise ValueError("eig_sym eigenvalues overflow float64")
+        raise ValueError("eigenvalues overflow float64")
     # both identities are checked on everything divided by 2**e >= max|lambda|,
     # |a_ii| <= max|lambda|: no sum can overflow, and the scaling is exact
     e = int(np.frexp(np.max(np.abs(lam)))[1])

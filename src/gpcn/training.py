@@ -44,7 +44,6 @@ __all__ = [
     "flops_dense",
     "flops_project",
     "layer_flops",
-    "member_flops",
     "model_forward_flops",
     "NormStats",
     "split_indices",
@@ -113,14 +112,6 @@ def layer_flops(level, in_features: int):
     return rows
 
 
-def member_flops(level, in_features: int):
-    """Per-frame forward cost of one member, split into gcn/dense parts."""
-    rows = layer_flops(level, in_features)
-    gcn_cost = sum(cost for layer, cost in rows if layer.startswith("gcn"))
-    dense_cost = sum(cost for layer, cost in rows if layer.startswith("dense"))
-    return gcn_cost, dense_cost
-
-
 def model_forward_flops(
     spec: ModelSpec, in_features: int, level_mask=None, batch: int = 1
 ):
@@ -155,9 +146,11 @@ def model_forward_flops(
             compose_cost += flops_project(n0, n, spec.levels[i - 1].n)
         if i not in active:
             continue
-        g, d = member_flops(lvl, f)
-        gcn_cost += g
-        dense_cost += d
+        for layer, cost in layer_flops(lvl, f):
+            if layer.startswith("gcn"):
+                gcn_cost += cost
+            else:
+                dense_cost += cost
         if i > 0 and spec.kind == "gpcn":
             project_cost += flops_project(n, f, n0)  # restrict the input
         if i > 0 and spec.kind in ("gpcn", "diffpool"):

@@ -184,8 +184,8 @@ def rlap_reference(cost: np.ndarray) -> Assignment:
     """Minimum-cost injection of the rows of any cost matrix into its columns,
     by the Hungarian method, to check the package's monotone assignment."""
     rows, cols = linear_sum_assignment(cost)
-    pairs = tuple((int(j), int(l)) for j, l in zip(rows, cols))
-    return Assignment(pairs=pairs, total_cost=float(cost[rows, cols].sum()))
+    assert np.array_equal(rows, np.arange(cost.shape[0]))  # every row, in order
+    return Assignment(fine=cols, total_cost=float(cost[rows, cols].sum()))
 
 
 def canonical_edges_reference(n: int, edges) -> tuple:
@@ -253,9 +253,9 @@ def tube_edges_reference(n_rings: int, k: int, offset: int, seam_weight: float) 
 
 def subpermutation(assignment, n_fine: int, n_coarse: int) -> np.ndarray:
     """0/1 matrix with orthonormal columns selecting the assigned eigenmodes:
-    Pt[l, j] = 1 for each (coarse j, fine l) pair of the assignment."""
+    Pt[l, j] = 1 for each coarse j and its fine index l = assignment.fine[j]."""
     pt = np.zeros((n_fine, n_coarse))
-    for j, l in assignment.pairs:
+    for j, l in enumerate(assignment.fine):
         pt[l, j] = 1.0
     return pt
 

@@ -425,7 +425,7 @@ TRAIN_MESSAGES = {
 # gdd cases whose one line must name the line or node at fault
 GDD_MESSAGES = {
     "gdd-degree-overflows": "weighted degree of node 1 overflows",
-    "gdd-eigenvalues-overflow": "eig_sym eigenvalues overflow float64",
+    "gdd-eigenvalues-overflow": "eigenvalues overflow float64",
     "gdd-no-node-count": "line 1: expected the node count alone, got '0 1 1.0'",
     "gdd-fractional-node-id": "line 2: expected an integer node id, got '1.5'",
     "gdd-weight-not-a-number": "line 2: expected a number for the weight, got 'x'",
@@ -655,6 +655,44 @@ def test_train_exit_codes_under_one_mutation(dataset_dir, monkeypatch):
     config = dict(MUTABLE_TRAIN_CONFIG, dataset=str(dataset_dir))
     for case in config_mutations(config):
         assert_config_exit("train", config, case)
+
+
+# byte values for a one-byte replacement of the dataset's array payload (zero,
+# the largest and smallest signed byte, all bits set) and of its manifest (a
+# quote, a letter and a byte that is not UTF-8)
+FRAMES_BYTES = b"\x00\x7f\x80\xff"
+MANIFEST_BYTES = b'"x\xff'
+
+
+def dataset_damage(dataset):
+    """Every (file name, position, byte) of one damaged byte: the first,
+    eighth and last byte of each array in ``frames.bin``, and every fifth
+    byte of ``manifest.json``."""
+    raw = (dataset / "frames.bin").read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    payload = 16 + hlen
+    for entry in json.loads(raw[16:payload])["arrays"]:
+        start = payload + entry["offset"]
+        for at in (start, start + 7, start + entry["nbytes"] - 1):
+            yield from (("frames.bin", at, byte) for byte in FRAMES_BYTES)
+    size = (dataset / "manifest.json").stat().st_size
+    for at in range(0, size, 5):
+        yield from (("manifest.json", at, byte) for byte in MANIFEST_BYTES)
+
+
+def test_train_exit_codes_under_one_dataset_byte_replaced(tmp_path, dataset_dir, monkeypatch):
+    monkeypatch.setattr(training, "ScheduleSpec", CappedSchedule)
+    dataset = tmp_path / "dataset"
+    shutil.copytree(dataset_dir, dataset)
+    cfg = write_json(tmp_path / "c.json", dict(MUTABLE_TRAIN_CONFIG, dataset=str(dataset)))
+    for name, at, byte in list(dataset_damage(dataset)):
+        path = dataset / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1 :])
+        try:
+            assert_one_line_exit(["train", "--config", cfg, "--out", str(tmp_path / "out")], (name, at, byte))
+        finally:
+            path.write_bytes(raw)
 
 
 # byte values for a one-byte replacement of a checkpoint: a digit, a quote,

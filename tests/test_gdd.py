@@ -101,26 +101,26 @@ class TestRlapSolve:
     def test_equal_spectra_pair_in_order(self):
         y = np.array([-3.0, -2.0, -2.0, 0.0])
         a = rlap_solve(y, y, 1.0)
-        assert a.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
+        assert a.fine.tolist() == [0, 1, 2, 3]
         assert a.total_cost == 0.0
 
     def test_identity_padded(self):
         a = rlap_solve(np.array([-3.0, -1.0]), np.array([-3.0, -2.0, -1.0]), 1.0)
-        assert a.pairs == ((0, 0), (1, 2))
+        assert a.fine.tolist() == [0, 2]
         assert a.total_cost == 0.0
 
     def test_single_row(self):
         a = rlap_solve(np.array([-2.0]), np.array([-5.0, -2.1, -1.0]), 1.0)
-        assert a.pairs == ((0, 1),)
+        assert a.fine.tolist() == [1]
         d = -2.0 - -2.1
         assert a.total_cost == d * d
 
     def test_ties_take_the_lowest_fine_index(self):
-        assert rlap_solve(np.array([0.0]), np.array([-1.0, 1.0]), 1.0).pairs == ((0, 0),)
+        assert rlap_solve(np.array([0.0]), np.array([-1.0, 1.0]), 1.0).fine.tolist() == [0]
         a = rlap_solve(np.array([0.0, 0.0]), np.array([-1.0, 1.0, 1.0]), 1.0)
-        assert a.pairs == ((0, 0), (1, 1))
+        assert a.fine.tolist() == [0, 1]
         a = rlap_solve(np.full(2, -1.0), np.full(4, -1.0), 2.0)
-        assert a.pairs == ((0, 0), (1, 1))
+        assert a.fine.tolist() == [0, 1]
 
     def test_matches_brute_force(self):
         rng = seeded_rng(0)
@@ -150,9 +150,8 @@ class TestRlapSolve:
             x = random_spectrum(rng, n_c, share=y[: int(rng.integers(0, n_f + 1))])
             alpha = (0.5, 1.0, 2.0)[trial % 3]
             a = rlap_solve(x, y, alpha)
-            fine = [l for _, l in a.pairs]
-            assert [j for j, _ in a.pairs] == list(range(n_c))
-            assert fine == sorted(set(fine)) and 0 <= fine[0] and fine[-1] < n_f
+            fine = a.fine.tolist()
+            assert len(fine) == n_c and fine == sorted(set(fine)) and 0 <= fine[0] and fine[-1] < n_f
             ref = rlap_reference(spectral_cost(x, y, alpha)).total_cost
             assert abs(a.total_cost - ref) <= 1e-12 * max(ref, 1.0)
 
@@ -187,14 +186,14 @@ class TestRlapSolve:
 
     def test_assignment_injectivity_enforced(self):
         with pytest.raises(ValueError):
-            Assignment(pairs=((0, 1), (1, 1)), total_cost=0.0)
+            Assignment(fine=np.array([1, 1]), total_cost=0.0)
 
 
 class TestWarmStart:
     def test_identity_for_equal_graphs(self):
         g = make_grid(2, 3)
         es = eig_sym(laplacian(g))
-        a = Assignment(pairs=tuple((j, j) for j in range(g.n)), total_cost=0.0)
+        a = Assignment(fine=np.arange(g.n), total_cost=0.0)
         p = warm_start(es, es, a)
         assert np.abs(p - np.eye(g.n)).max() < 1e-10
 
@@ -217,7 +216,7 @@ class TestWarmStart:
             assert abs(np.sum(m * m) - a.total_cost) < 1e-9
 
     def test_subpermutation_shape(self):
-        a = Assignment(pairs=((0, 2), (1, 0)), total_cost=0.0)
+        a = Assignment(fine=np.array([2, 0]), total_cost=0.0)
         pt = subpermutation(a, 4, 2)
         assert pt[2, 0] == 1.0 and pt[0, 1] == 1.0 and pt.sum() == 2.0
 
@@ -230,16 +229,12 @@ class TestWarmStart:
         expected = e2.u @ subpermutation(a, e2.n, e1.n) @ e1.u.T
         assert np.array_equal(warm_start(e1, e2, a), expected)
 
-    def test_rejects_pairs_out_of_coarse_order(self):
-        e = eig_sym(laplacian(make_grid(1, 3)))
-        a = Assignment(pairs=((1, 1), (0, 0), (2, 2)), total_cost=0.0)
-        with pytest.raises(ValueError, match="in order"):
-            warm_start(e, e, a)
-
     def test_rejects_pair_out_of_range(self):
+        # past the end, negative, too short, too long, 2-D
         e = eig_sym(laplacian(make_grid(1, 3)))
-        with pytest.raises(ValueError, match="out of range"):
-            warm_start(e, e, Assignment(pairs=((0, 3),), total_cost=0.0))
+        for fine in ([0, 1, 3], [0, -1, 2], [0, 1], [0, 1, 2, 3], [[0, 1, 2]]):
+            with pytest.raises(ValueError, match=r"must map 3 coarse modes to fine indices in 0\.\.2"):
+                warm_start(e, e, Assignment(fine=np.array(fine), total_cost=0.0))
 
 
 class TestRefineOrthogonal:
@@ -308,7 +303,6 @@ class TestGdd:
             # gdd returns the lifted assignment itself
             assert np.abs(result.p - warm_start(e1, e2, a)).max() < 1e-12
             assert abs(result.objective - a.total_cost) < 1e-12
-            assert result.trace == ()
 
     def test_invariant_under_relabeling(self):
         rng = seeded_rng(8)
@@ -330,23 +324,15 @@ class TestGdd:
         with pytest.raises(ValueError, match="alpha"):
             gdd(make_grid(1, 2), make_grid(2, 3), alpha=alpha)
 
-    def test_prolongation_validates(self):
-        with pytest.raises(ValueError):
-            Prolongation(p=np.ones((3, 2)), alpha=1.0, objective=0.0)
-
     @pytest.mark.parametrize(
-        "p, objective, message",
-        [
-            (np.full((3, 2), np.nan), np.nan, "prolongation has NaN or infinite entries"),
-            (np.eye(3, 2), np.nan, "objective must be finite and nonnegative"),
-            (np.eye(3, 2), np.inf, "objective must be finite and nonnegative"),
-            (np.eye(3, 2), -1.0, "objective must be finite and nonnegative"),
-        ],
-        ids=["nan-p", "nan-objective", "inf-objective", "negative-objective"],
+        "objective", [np.nan, np.inf, -1.0], ids=["nan-objective", "inf-objective", "negative-objective"]
     )
-    def test_prolongation_rejects_nan_and_bad_objective(self, p, objective, message):
-        with pytest.raises(ValueError, match=message):
-            Prolongation(p=p, alpha=1.0, objective=objective)
+    def test_prolongation_rejects_nan_and_bad_objective(self, objective):
+        # checked when the result is built; a bad P is rejected when read
+        # (TestLazyLift::test_reading_a_bad_lift_raises)
+        g = make_grid(1, 3)
+        with pytest.raises(ValueError, match="objective must be finite and nonnegative"):
+            Prolongation(g, g, 1.0, objective)
 
     def test_given_fine_spectrum_gives_the_same_result(self):
         coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
@@ -354,6 +340,15 @@ class TestGdd:
         own = gdd(coarse, fine)
         assert np.array_equal(given.p, own.p)
         assert given.objective == own.objective
+
+    def test_given_fine_spectrum_builds_no_fine_laplacian_until_p_is_read(self, monkeypatch):
+        coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
+        spectrum = eigvals_sym(laplacian(fine))
+        calls = count_eigensolves(monkeypatch)
+        result = gdd(coarse, fine, fine_spectrum=spectrum)
+        assert calls["laplacian"] == [coarse.n]
+        result.p
+        assert calls["laplacian"] == [coarse.n, coarse.n, fine.n]
 
     def test_rejects_fine_spectrum_of_another_size(self):
         coarse, fine = make_tube(4, 5, 1), make_tube(8, 5, 3)
@@ -437,7 +432,8 @@ class TestLazyLift:
         kept_p = kept.p
         gc.collect()
         assert distance == kept.distance and kept_p.shape == (40, 20)
-        assert len(laplacians) == 4 and all(ref() is None for ref in laplacians)
+        # two per distance, and two more for the p read
+        assert len(laplacians) == 6 and all(ref() is None for ref in laplacians)
         assert len(systems) == 2 and all(ref() is None for ref in systems)
 
     @pytest.mark.parametrize(
@@ -479,10 +475,10 @@ class TestLazyLift:
 
 
 def count_eigensolves(monkeypatch):
-    """Count eigvals_sym and eig_sym calls made through the gdd module's
-    global names, as the sizes of the matrices solved."""
+    """Count eigvals_sym, eig_sym and laplacian calls made through the gdd
+    module's global names, as the sizes of the matrices solved or built."""
     gdd_module = importlib.import_module("gpcn.gdd")
-    calls = {"eigvals_sym": [], "eig_sym": []}
+    calls = {"eigvals_sym": [], "eig_sym": [], "laplacian": []}
 
     def counting(fn):
         def wrapped(m):
@@ -493,6 +489,7 @@ def count_eigensolves(monkeypatch):
 
     monkeypatch.setattr(gdd_module, "eigvals_sym", counting(eigvals_sym))
     monkeypatch.setattr(gdd_module, "eig_sym", counting(eig_sym))
+    monkeypatch.setattr(gdd_module, "laplacian", counting(laplacian))
     return calls
 
 
@@ -537,6 +534,7 @@ class TestCoarseSearch:
         rows = coarse_search(fine, 3, k_range=(3, 4), p_range=(0, 1), seam_weights=(1.0, 2.0))
         assert len(calls["eigvals_sym"]) == len(rows) + 1
         assert calls["eigvals_sym"].count(fine.n) == 1
+        assert calls["laplacian"].count(fine.n) == 1
         assert calls["eig_sym"] == []
 
     def test_rejects_fewer_than_two_rings(self):
@@ -572,6 +570,8 @@ class TestLimitCurve:
         sizes = calls["eigvals_sym"]
         assert len(sizes) == 3 * len(n_values)
         assert sorted(n for n in sizes if n in (30, 40, 50)) == [30, 40, 50]
+        fine_builds = [n for n in calls["laplacian"] if n in (30, 40, 50)]
+        assert sorted(fine_builds) == [30, 40, 50]
         assert calls["eig_sym"] == []
 
     def test_rejects_empty_input(self):
