@@ -1,4 +1,4 @@
-"""Minimal reverse-mode differentiation over float64 ndarrays.
+"""Minimal reverse-mode differentiation over floating ndarrays.
 
 A :class:`Tape` records primitive operations in creation order (which is a
 topological order), so the backward pass is a single reversed sweep that
@@ -12,6 +12,13 @@ Every op broadcasts the way numpy does, including a leading batch axis on
 matmul/spmm, so a whole batch of graph signals flows through one recorded
 graph. ``relu`` and ``sigmoid`` take a layer's bias row: act(a + b) is one
 node on one fresh array, and its two vjps share one pre-activation gradient.
+
+Every value keeps its operands' floating dtype: float32 operands give
+float32 values and gradients (training), float64 ones float64 (everything
+else), and a non-float operand is read as float64. The sigmoid's backward
+zeroes pre-activation gradients below the dtype's smallest normal number:
+saturated units otherwise make subnormal entries, which slow every matrix
+product that reads them several times over.
 
 Memory: a node holds no reference to its tape (only the tape lists its
 nodes), so a recorded graph has no reference cycle and is freed as soon as
@@ -60,8 +67,14 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _floating(x) -> np.ndarray:
+    """``x`` as an ndarray of its own floating dtype; any other input as float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(float)
+
+
 def _value(x):
-    return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
+    return x.value if isinstance(x, Node) else _floating(x)
 
 
 def _biased_act(fn, a, b):
@@ -78,14 +91,14 @@ class Tape:
 
     def _record(self, value, parents, vjps) -> Node:
         if parents and not any(isinstance(p, Node) and p.needs for p in parents):
-            return Node(np.asarray(value, dtype=float), (), (), False)  # constant op
-        node = Node(np.asarray(value, dtype=float), parents, vjps, True)
+            return Node(_floating(value), (), (), False)  # constant op
+        node = Node(_floating(value), parents, vjps, True)
         self._nodes.append(node)
         return node
 
     def variable(self, value) -> Node:
         """Wrap an array as a leaf that will receive a gradient."""
-        return self._record(np.array(value, dtype=float, copy=True), (), ())
+        return self._record(np.array(_floating(value), copy=True), (), ())
 
     # -- primitives --------------------------------------------------------
 
@@ -122,12 +135,15 @@ class Tape:
         return self._record_activation(out, a, b, lambda g: g * (out > 0.0))
 
     def sigmoid(self, a, b=None) -> Node:
-        """sigmoid(a + b) on one fresh array; ``b`` is an optional bias."""
+        """sigmoid(a + b) on one fresh array; ``b`` is an optional bias. The
+        pre-activation gradient g*out*(1-out) is flushed to zero where it is
+        subnormal (see the module docstring)."""
         out = _biased_act(_sigmoid, a, b)
 
         def pre_grad(g):
             d = g * out
             d *= 1.0 - out
+            d *= np.abs(d) >= np.finfo(d.dtype).tiny
             return d
 
         return self._record_activation(out, a, b, pre_grad)
@@ -215,7 +231,7 @@ class Tape:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         for node in self._nodes:
             node.grad = None
-        loss.grad = np.ones_like(np.asarray(loss.value, dtype=float))
+        loss.grad = np.ones_like(loss.value)  # in the loss's dtype: a float64 seed would promote
         for node in reversed(self._nodes):
             g = node.grad
             if g is None:

@@ -25,7 +25,7 @@ the prolongation (or pooling module) that introduces it, which is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,6 +95,15 @@ class ModelSpec:
     def n_levels(self) -> int:
         return len(self.levels)
 
+    def astype(self, dtype) -> "ModelSpec":
+        """A copy whose structure matrices and prolongations hold ``dtype``."""
+        levels = [
+            lvl if lvl.z is None else replace(lvl, z=StructureMatrix(mat=lvl.z.mat.astype(dtype)))
+            for lvl in self.levels
+        ]
+        prolongations = [p.astype(dtype) for p in self.prolongations]
+        return replace(self, levels=levels, prolongations=prolongations)
+
     @property
     def n_fine(self) -> int:
         return self.levels[0].n
@@ -131,18 +140,23 @@ class ModelParams:
             out.extend(self.owned_arrays(owner))
         return out
 
-    def bind(self, tape: Tape, owners) -> "ModelParams":
-        """A copy in which every array owned by a level in ``owners`` is a
-        tape variable; the other arrays stay constants of the forward."""
+    def map(self, fn, owners=None) -> "ModelParams":
+        """A copy with ``fn`` applied to every array owned by a level in
+        ``owners`` (every level by default); the other arrays are shared."""
 
         def binder(owner):
-            return tape.variable if owner in owners else (lambda arr: arr)
+            return fn if owners is None or owner in owners else (lambda arr: arr)
 
         return ModelParams(
             levels=[gp.map(binder(i)) for i, gp in enumerate(self.levels)],
             prolongations=[binder(i + 1)(p) for i, p in enumerate(self.prolongations)],
             pools=[pool.map(binder(i + 1)) for i, pool in enumerate(self.pools)],
         )
+
+    def bind(self, tape: Tape, owners) -> "ModelParams":
+        """A copy in which every array owned by a level in ``owners`` is a
+        tape variable; the other arrays stay constants of the forward."""
+        return self.map(tape.variable, owners)
 
 
 @dataclass(frozen=True)
@@ -203,8 +217,12 @@ def build_from_table(name: str, hierarchy: Hierarchy) -> ModelSpec:
 
     The hierarchy supplies the structure matrices (and prolongations for the
     multiscale kinds); its fine graph carries every plain ensemble, whose
-    member i aggregates with the fine Z to the power of its radius (1 unless
-    the name is an N-GCN's).
+    member of radius r (1 unless the name is an N-GCN's) aggregates with
+    Z^r / s^(r-1), as N-GCN (Abu-El-Haija et al. 2018) keeps its powers
+    bounded. s is the smallest power of two at or above 2 max|diag Z| (and
+    1), a Gershgorin bound on a Laplacian's spectral radius, so no member's
+    spectral radius exceeds Z's and the division is exact. The radius-1
+    member holds the fine Z itself.
     """
     if name not in MODEL_NAMES:
         raise ValueError(
@@ -214,7 +232,11 @@ def build_from_table(name: str, hierarchy: Hierarchy) -> ModelSpec:
     depth, fine_z = len(widths), hierarchy.laplacians[0]
     if kind == "plain_ensemble":
         radii = _NGCN_RADII.get(name, (1,) * depth)
-        zs = [fine_z if r == 1 else structure_power(fine_z, r) for r in radii]
+        s = 2.0 ** np.ceil(np.log2(max(2.0 * np.abs(fine_z.mat.diagonal()).max(), 1.0)))
+        zs = [
+            fine_z if r == 1 else StructureMatrix(mat=structure_power(fine_z, r).mat / s ** (r - 1))
+            for r in radii
+        ]
         levels = [GcnSpec(z=z, gcn_widths=w, dense_widths=_DENSE_HEAD) for z, w in zip(zs, widths)]
         return ModelSpec(kind=kind, levels=levels, name=name)
     if len(hierarchy.graphs) < depth:
@@ -273,7 +295,7 @@ def model_graph(tape: Tape, spec: ModelSpec, params: ModelParams, x, level_mask=
     active = set(range(spec.n_levels)) if level_mask is None else set(level_mask)
     if not active:
         raise ValueError("level mask must keep at least one level")
-    x = x if isinstance(x, Node) else np.asarray(x, dtype=float)
+    x = x if isinstance(x, Node) else np.asarray(x)
     prolongations = params.prolongations if spec.adaptive else spec.prolongations
     z, xi, lift = spec.levels[0].z, x, None
     out = None

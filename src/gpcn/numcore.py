@@ -1,10 +1,12 @@
 """Numeric kernels shared by every model in the package.
 
-Dense arrays are plain float64 ndarrays; sparse operands are the CSR-backed
-:class:`~gpcn.graphs.StructureMatrix`. The symmetric eigensolver and the
-matrix products delegate to LAPACK/BLAS behind the contracts tested in
-``tests/test_numcore.py`` (deterministic ordering and sign conventions are
-enforced here, not assumed from the backend).
+Dense arrays are plain ndarrays. The training kernels (``spmm``, the
+activations, ``adam_step``) compute in their operands' floating dtype,
+float32 during training; the eigensolvers work in float64. Sparse operands
+are the CSR-backed :class:`~gpcn.graphs.StructureMatrix`. The symmetric
+eigensolver and the matrix products delegate to LAPACK/BLAS behind the
+contracts tested in ``tests/test_numcore.py`` (deterministic ordering and
+sign conventions are enforced here, not assumed from the backend).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def spmm(z, x: np.ndarray) -> np.ndarray:
     m = z.mat if isinstance(z, StructureMatrix) else z
     if not sp.issparse(m):
         raise TypeError("spmm expects a sparse left operand")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.shape[-2] != m.shape[1]:
         raise ValueError(f"spmm dimension mismatch: {m.shape} @ {x.shape}")
     if x.ndim == 2:
@@ -74,14 +76,14 @@ def spmm(z, x: np.ndarray) -> np.ndarray:
 
 def relu(x, out=None):
     """max(x, 0) into ``out`` (a fresh array by default; ``out=x`` works in place)."""
-    return np.maximum(x, 0.0, out=np.empty(np.shape(x)) if out is None else out)
+    return np.maximum(x, 0.0, out=np.empty_like(x) if out is None else out)
 
 
 def sigmoid(x, out=None):
     """1 / (1 + exp(-x)) in one pass over ``out`` (a fresh array by default;
     ``out=x`` works in place); exp(-x) = inf gives the exact limit 0.
     -x is floored at -40 (1 + exp(-40) == 1), so exp never takes its slow underflow path."""
-    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     np.maximum(out, -40.0, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
@@ -369,7 +371,7 @@ def adam_step(state: AdamState, params, grads):
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=float)
+        g = np.asarray(g)
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         m *= b1

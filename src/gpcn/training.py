@@ -297,9 +297,19 @@ def best_val_at_budget(record: RunRecord, budget: int) -> float:
     return min(vals)
 
 
+# the one dtype training computes in; statistics, errors and the ledger stay float64
+_TRAIN_DTYPE = np.float32
+
+
 class Trainer:
     """Owns parameters, optimizer state, data split, and the FLOPs ledger
-    (``flops``, the cost-model total charged so far) for one run."""
+    (``flops``, the cost-model total charged so far) for one run.
+
+    Training and validation run in float32: set-up casts the normalized
+    frames, the initial parameters (the ADAM moments follow them) and a copy
+    of the spec's structure matrices and prolongations, held as ``spec``.
+    The parameters are drawn in float64 first, so a seed draws the same
+    values as before the cast."""
 
     def __init__(self, spec: ModelSpec, data: Dataset, schedule: ScheduleSpec, seed):
         if spec.n_fine != data.x.shape[1]:
@@ -308,18 +318,21 @@ class Trainer:
             )
         if schedule.kind == "gamma_cycle" and spec.n_levels < 2:
             raise ValueError("gamma cycles need a multiscale model")
-        self.spec = spec
+        self.spec = spec.astype(_TRAIN_DTYPE)
         self.schedule = schedule
         self.seed = seed
         train_idx, val_idx = split_indices(data.n_frames, seed)
         if len(val_idx) == 0:
             raise ValueError("dataset too small for a validation split")
         _, xn, yn = normalize_dataset(data, train_idx)
+        xn, yn = xn.astype(_TRAIN_DTYPE), yn.astype(_TRAIN_DTYPE)
         self.x_train, self.y_train = xn[train_idx], yn[train_idx]
         self.x_val, self.y_val = xn[val_idx], yn[val_idx]
         self.in_features = xn.shape[-1]
         self.rng = seeded_rng(seed)
-        self.params = init_model_params(spec, self.in_features, self.rng)
+        self.params = init_model_params(spec, self.in_features, self.rng).map(
+            lambda arr: arr.astype(_TRAIN_DTYPE)
+        )
         self.adam = {
             owner: AdamState.for_params([arr for _, arr in self.params.owned_arrays(owner)])
             for owner in range(spec.n_levels)

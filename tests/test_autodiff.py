@@ -475,3 +475,60 @@ def test_a_trainer_epoch_leaves_nothing_for_the_collector(name):
     with collector_off():
         trainer._train_epoch()
         assert gc.collect() == 0
+
+
+# -- dtypes ------------------------------------------------------------------
+
+DTYPE_Z = laplacian(make_grid(3, 3))  # 9 nodes, stored sparse
+# op -> (operand shapes, record(tape, z, *operands)); every op of the tape,
+# with z a structure matrix of the operands' dtype
+DTYPE_OPS = {
+    "matmul": ([(2, 9, 3), (3, 4)], lambda t, z, a, b: t.matmul(a, b)),
+    "spmm": ([(2, 9, 3)], lambda t, z, a: t.spmm(z, a)),
+    "add": ([(2, 9, 3), (3,)], lambda t, z, a, b: t.add(a, b)),
+    "relu": ([(2, 9, 3)], lambda t, z, a: t.relu(a)),
+    "relu_bias": ([(2, 9, 3), (3,)], lambda t, z, a, b: t.relu(a, b)),
+    "sigmoid": ([(2, 9, 3)], lambda t, z, a: t.sigmoid(a)),
+    "sigmoid_bias": ([(2, 9, 3), (3,)], lambda t, z, a, b: t.sigmoid(a, b)),
+    "row_softmax": ([(2, 9, 3)], lambda t, z, a: t.row_softmax(a)),
+    "transpose": ([(2, 9, 3)], lambda t, z, a: t.transpose(a)),
+    "concat": ([(2, 9, 3), (2, 9, 2)], lambda t, z, a, b: t.concat([a, b])),
+    "sum": ([(2, 9, 3)], lambda t, z, a: t.sum(a)),
+    "mse": ([(2, 9, 3), (2, 9, 3)], lambda t, z, a, b: t.mse(a, b)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(DTYPE_OPS))
+def test_ops_keep_their_operands_dtype(op, dtype):
+    shapes, record = DTYPE_OPS[op]
+    rng = seeded_rng(21)
+    tape = Tape()
+    variables = [tape.variable(rng.normal(size=s).astype(dtype)) for s in shapes]
+    out = record(tape, StructureMatrix(mat=DTYPE_Z.mat.astype(dtype)), *variables)
+    assert out.value.dtype == dtype
+    tape.backward(out if out.value.size == 1 else tape.sum(out))
+    for v in variables:
+        assert v.grad.dtype == dtype and v.grad.shape == v.value.shape
+
+
+def test_float32_sigmoid_backward_returns_no_subnormal():
+    # saturated units: sigmoid(x) for x in [-100, -60] is below 1e-26 (0 from
+    # about -88 on), so with an upstream gradient near 1e-12 the product
+    # g * out * (1 - out) lands below float32's smallest normal number
+    tiny = np.finfo(np.float32).tiny
+    pre = np.concatenate([-np.linspace(60.0, 100.0, 81), [0.0, 2.0]]).astype(np.float32)
+    g = np.full((pre.size, 1), 1e-12, dtype=np.float32)
+    tape = Tape()
+    a = tape.variable(pre[None, :])
+    out = tape.sigmoid(a)
+    tape.backward(tape.sum(tape.matmul(out, g)))
+    s = out.value[0]
+    raw = g[:, 0] * s * (1 - s)
+    assert np.any((raw != 0) & (np.abs(raw) < tiny))  # the unflushed product is subnormal
+    grad = a.grad[0]
+    assert grad.dtype == np.float32
+    assert not np.any((grad != 0) & (np.abs(grad) < tiny))
+    normal = np.abs(raw) >= tiny
+    assert normal[-2:].all() and np.array_equal(grad[normal], raw[normal])
+    assert not np.any(grad[~normal])

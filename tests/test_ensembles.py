@@ -27,7 +27,9 @@ from gpcn.gcn import GcnLayerParams, GcnSpec, init_gcn_params
 from gpcn.graphs import laplacian, make_grid, structure_power
 from gpcn.numcore import seeded_rng
 from gpcn.serialize import load_arrays, save_arrays
+from gpcn.training import ScheduleSpec, Trainer
 
+from tests.conftest import synthetic_dataset
 from tests.oracles import (
     coarsen_from_scores,
     diffpool_coarsen,
@@ -105,11 +107,28 @@ class TestNgcn:
         assert spec.kind == "plain_ensemble" and spec.n_levels == 3
         z1 = tiny_hierarchy.laplacians[0]
         assert spec.levels[0].z is z1
+        # degree at most 4, so powers divide by s = 8, the power of two at or above 2 * 4
+        assert np.abs(z1.toarray().diagonal()).max() == 4.0
         for lvl, r in zip(spec.levels, (1, 2, 4)):
             assert lvl.gcn_widths == (64, 64, 64)
             assert lvl.dense_widths == (256, 32, 8, 1)
-            expected = structure_power(z1, r).toarray()
+            expected = structure_power(z1, r).toarray() / 8.0 ** (r - 1)
             assert np.abs(lvl.z.toarray() - expected).max() < 1e-9
+
+    @pytest.mark.parametrize("name", ["ngcn3", "ngcn5"])
+    def test_every_member_convolution_gets_a_gradient_at_init(self, desk_hier, name):
+        # raw powers of Z saturate the sigmoid head from r = 4 on: every convolution
+        # filter of those members then gets a gradient of 1e-102 (r = 4) or 0
+        spec = build_from_table(name, desk_hier)
+        params = init_model_params(spec, 4, seeded_rng(35))
+        rng = seeded_rng(36)
+        x, y = rng.normal(size=(8, spec.n_fine, 4)), rng.normal(size=(8, spec.n_fine, 1))
+        tape = Tape()
+        bound = params.bind(tape, range(spec.n_levels))
+        tape.backward(tape.mse(model_graph(tape, spec, bound, x), y))
+        for level in bound.levels:
+            for layer in level.gcn:
+                assert np.all(np.isfinite(layer.w.grad)) and np.abs(layer.w.grad).max() > 1e-6
 
     def test_members_sum_linearly(self, tiny_hierarchy):
         spec = build_from_table("ngcn3", tiny_hierarchy)
@@ -306,6 +325,20 @@ class TestCheckpoints:
         spec2, params2 = load_checkpoint(path)
         assert spec2.kind == spec.kind and spec2.adaptive == spec.adaptive
         assert np.array_equal(model_forward(spec2, params2, x), expected)
+
+    def test_float32_trainer_parameters_round_trip(self, tiny_hierarchy, tmp_path):
+        # a Trainer holds float32 parameters, and the checkpoint stores them as float64
+        spec = build_from_table("a_gpcn3", tiny_hierarchy)
+        data = synthetic_dataset(n_nodes=spec.n_fine, n_features=3)
+        trainer = Trainer(spec, data, ScheduleSpec(total_epochs=1, batches_per_epoch=2, batch_size=4), 0)
+        trainer.run()
+        save_checkpoint(tmp_path / "model.bin", spec, trainer.params)
+        _, params = load_checkpoint(tmp_path / "model.bin")
+        saved, loaded = trainer.params.all_arrays(), params.all_arrays()
+        assert [name for name, _ in loaded] == [name for name, _ in saved]
+        for (_, want), (_, got) in zip(saved, loaded):
+            assert want.dtype == np.float32 and got.dtype == np.float64
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["ngcn3", "a_gpcn3", "diffpool3"])
     def test_loads_manifest_with_activations_and_radii(self, tiny_hierarchy, tmp_path, name):

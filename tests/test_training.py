@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gpcn import training
 from gpcn.autodiff import Tape
 from gpcn.ensembles import (
     MODEL_NAMES,
@@ -467,9 +468,13 @@ class TestChunkedEvaluation:
         trainer = Trainer(spec, data, ScheduleSpec(kind=kind, total_epochs=0, batch_size=3), seed=4)
         assert len(trainer.x_val) % 3 and len(trainer.x_train) % 3
         mask = {spec.n_levels - 1} if kind == "coarse_to_fine" else None
-        train_nmse = nmse(model_forward(spec, trainer.params, trainer.x_train), trainer.y_train)
+        # the trainer's own float32 spec: the caller's float64 one would promote the forward
+        train_nmse = nmse(
+            model_forward(trainer.spec, trainer.params, trainer.x_train), trainer.y_train
+        )
         val_nmse = nmse(
-            model_forward(spec, trainer.params, trainer.x_val, level_mask=mask), trainer.y_val
+            model_forward(trainer.spec, trainer.params, trainer.x_val, level_mask=mask),
+            trainer.y_val,
         )
         (point,) = trainer.run().points
         assert repr(point.train_nmse) == repr(train_nmse)
@@ -513,3 +518,69 @@ class TestScheduleValidation:
     def test_rejects_values_of_the_wrong_type(self, settings):
         with pytest.raises(ValueError):
             ScheduleSpec(**settings)
+
+
+def count_subnormal(a) -> int:
+    a = np.asarray(a)
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+class TestFloat32Training:
+    """A Trainer computes in float32; the caller's spec and data keep float64."""
+
+    def test_parameters_moments_and_gradients_are_float32(self, hier, small_dataset, monkeypatch):
+        spec = build_from_table("a_gpcn3", hier)
+        trainer = Trainer(spec, small_dataset, ScheduleSpec(batches_per_epoch=1, batch_size=4), seed=0)
+        arrays = [arr for _, arr in trainer.params.all_arrays()]
+        moments = [a for state in trainer.adam.values() for a in state.m + state.v]
+        structure = [lvl.z.mat for lvl in trainer.spec.levels] + list(trainer.spec.prolongations)
+        frames = [trainer.x_train, trainer.y_train, trainer.x_val, trainer.y_val]
+        assert all(a.dtype == np.float32 for a in arrays + moments + structure + frames)
+        seen = []
+        step = training.adam_step
+        monkeypatch.setattr(
+            training, "adam_step", lambda state, p, g: seen.extend(g) or step(state, p, g)
+        )
+        loss = trainer._train_epoch()
+        assert isinstance(loss, float) and len(seen) == len(arrays)
+        assert all(g.dtype == np.float32 for g in seen)
+        assert all(a.dtype == np.float32 for a in arrays + moments)
+        # the caller's spec and data are untouched
+        assert all(lvl.z.mat.dtype == np.float64 for lvl in spec.levels)
+        assert small_dataset.x.dtype == small_dataset.y.dtype == np.float64
+
+    def test_no_subnormal_pre_activation_gradient_reaches_a_gemm(self, hier, monkeypatch):
+        # large first dense filters saturate the sigmoid layers, whose raw
+        # pre-activation gradients g * out * (1 - out) then hold subnormals
+        counts = {"raw": 0, "gemm": 0}
+
+        def spy(node, key, value):
+            def wrap(vjp):
+                def wrapped(g):
+                    counts[key] += count_subnormal(value(g))
+                    return vjp(g)
+
+                return wrapped
+
+            node.vjps = tuple(wrap(vjp) for vjp in node.vjps)
+            return node
+
+        class CheckingTape(Tape):
+            def sigmoid(self, a, b=None):
+                node = super().sigmoid(a, b)
+                out = node.value
+                return spy(node, "raw", lambda g: g * out * (1 - out))
+
+            def matmul(self, a, b):
+                return spy(super().matmul(a, b), "gemm", lambda g: g)
+
+        monkeypatch.setattr(training, "Tape", CheckingTape)
+        data = synthetic_dataset()
+        trainer = Trainer(
+            build_from_table("a_gpcn3", hier), data, ScheduleSpec(batches_per_epoch=3, batch_size=8), 0
+        )
+        for level in trainer.params.levels:
+            level.dense[0].w *= 10.0
+        trainer._train_epoch()
+        assert counts["raw"] > 0
+        assert counts["gemm"] == 0
